@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -45,20 +44,16 @@ from .exponents import (
 from .field import (
     Grid,
     SpectralField,
-    cube_sup_mass,
+    fft_workers,
     from_profile,
     lebesgue_norm,
     load_field,
-    mixed_norm,
+    mixed_norm,  # not called here; perfbench/tracing.py wraps cli.mixed_norm
     sobolev_h1,
 )
 from .integrator import PhysicsParams, StepControl, energy, evolve, mass, \
     soliton_profile
-from .morawetz import (
-    MorawetzRecorder,
-    inequality_tolerance,
-    make_kernels,
-)
+from .morawetz import MorawetzRecorder, inequality_tolerance
 from .scattering import (
     SpacetimeAccumulators,
     geometric_sample_times,
@@ -239,6 +234,9 @@ def _columns(q_list: Sequence[float]) -> List[str]:
     return cols
 
 
+_PARTIAL_MARKER = "# PARTIAL FILE"
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -258,7 +256,7 @@ def emit_records(records: Sequence[DiagnosticsRecord], fh: TextIO,
             row += ["1" if r.boundary_guard_flag else "0"]
             writer.writerow(row)
     except Exception:
-        fh.write("# PARTIAL FILE: emission aborted\n")
+        fh.write(f"{_PARTIAL_MARKER}: emission aborted\n")
         raise
 
 
@@ -266,6 +264,8 @@ def read_records(fh: TextIO) -> List[dict]:
     reader = csv.DictReader(fh)
     out = []
     for row in reader:
+        if str(row.get("t")).startswith(_PARTIAL_MARKER):
+            raise ValueError(f"partial records file after {len(out)} rows")
         parsed = {}
         for key, val in row.items():
             parsed[key] = bool(int(val)) if key == "boundary_guard_flag" \
@@ -286,11 +286,14 @@ class RecordBuilder:
         self.physics_params = cfg.physics()
         self.records: List[DiagnosticsRecord] = []
         self.snapshots: List[SpectralField] = []
-        self.keep_snapshots = False
+        # geometric snapshot times for the pull-back Cauchy analysis of the
+        # soliton-control and scattering presets: fixed-window consecutive
+        # differences shrink even for non-scattering states, geometric windows do not
+        sample_dt = cfg.dt * cfg.sample_every
+        self._schedule = geometric_sample_times(10 * sample_dt, cfg.t_end, sample_dt) \
+            if cfg.preset in ("soliton-control", "scattering") else []
         self._morawetz = MorawetzRecorder(self.physics_params, cfg.r_side)
         self._acc: Optional[SpacetimeAccumulators] = None
-        self._theta_r: Optional[float] = None
-        self._gamma: float = 0.5 + float(as_fraction(cfg.delta))
         alpha = cfg.alpha_fraction()
         try:
             params = ProblemParams(cfg.d, alpha)
@@ -306,7 +309,6 @@ class RecordBuilder:
                 aux, _ = auxiliary_pair(params, base, "equality")
                 self._acc = SpacetimeAccumulators(
                     params, base, th_tuple, aux, as_fraction(cfg.delta))
-                self._theta_r = float(th_tuple.r_theta)
 
     def __call__(self, fld: SpectralField, guard_breached: bool) -> None:
         self._morawetz(fld, guard_breached)
@@ -315,7 +317,7 @@ class RecordBuilder:
         theta_norm = 0.0
         if self._acc is not None:
             acc_totals = self._acc.update(fld.time_tag, fld)
-            theta_norm = mixed_norm(fld, self._theta_r, self._gamma)
+            theta_norm = self._acc.theta_mixed_norm
         self.records.append(DiagnosticsRecord(
             t=fld.time_tag,
             mass=mass(fld),
@@ -332,7 +334,7 @@ class RecordBuilder:
             accumulators=dict(acc_totals),
             boundary_guard_flag=guard_breached,
         ))
-        if self.keep_snapshots:
+        if any(abs(fld.time_tag - t) < 1e-9 * max(1.0, t) for t in self._schedule):
             self.snapshots.append(fld)
 
 
@@ -387,16 +389,22 @@ def _decay_checks(records: List[DiagnosticsRecord], cfg: RunConfig,
     return checks
 
 
+def _violations(lhs: float, rhs: float, mass: float, h1_norm: float,
+                S: float) -> Dict[str, str]:
+    """Morawetz inequality and positivity violations of one sample, by check name."""
+    out = {}
+    if lhs - rhs < -inequality_tolerance(lhs, rhs, mass):
+        out["morawetz_inequality"] = \
+            f"morawetz inequality violated (lhs - rhs = {lhs - rhs:.3g})"
+    if S < -1e-10 * max((mass + h1_norm) ** 4, 1.0):
+        out["positivity"] = f"positivity violated (S = {S:.3g})"
+    return out
+
+
 def _morawetz_checks(records: List[DiagnosticsRecord]) -> Dict[str, bool]:
-    ok_ineq, ok_pos = True, True
-    for r in records:
-        tol = inequality_tolerance(r.morawetz_lhs, r.morawetz_rhs, r.mass)
-        if r.morawetz_lhs - r.morawetz_rhs < -tol:
-            ok_ineq = False
-        scale = (r.mass + r.h1_norm) ** 4
-        if r.positivity_S < -1e-10 * max(scale, 1.0):
-            ok_pos = False
-    return {"morawetz_inequality": ok_ineq, "positivity": ok_pos}
+    failed = {k for r in records for k in _violations(
+        r.morawetz_lhs, r.morawetz_rhs, r.mass, r.h1_norm, r.positivity_S)}
+    return {k: k not in failed for k in ("morawetz_inequality", "positivity")}
 
 
 def _soliton_checks(records: List[DiagnosticsRecord], report) -> Dict[str, bool]:
@@ -492,37 +500,32 @@ def run_preset(cfg: RunConfig) -> int:
         checks["all_feasible"] = rep["all_feasible"]
     else:
         builder = RecordBuilder(cfg)
-        builder.keep_snapshots = cfg.preset in ("soliton-control", "scattering")
         initial = build_datum(cfg)
         path = os.path.join(cfg.output_dir, "records.csv")
+        error: Optional[Exception] = None
         try:
             evolve(initial, cfg.physics(), cfg.control(), sinks=[builder],
                    guard_tol=cfg.guard_tol)
         except Exception as e:
-            with open(path, "w") as fh:
-                emit_records(builder.records, fh, cfg.q_list)
-            raise RuntimeError(
-                f"run aborted after record {len(builder.records) - 1}: {e}"
-            ) from e
+            error = e
         with open(path, "w") as fh:
             emit_records(builder.records, fh, cfg.q_list)
+            if error is not None:
+                fh.write(f"{_PARTIAL_MARKER}: run aborted\n")
         artifacts.append(path)
+        if error is not None:
+            n = len(builder.records)
+            _write_manifest(cfg, t_start, checks, artifacts, 1,
+                            error=str(error), records_written=n)
+            raise RuntimeError(f"run aborted after record {n - 1}: {error}") from error
 
         if cfg.preset in ("decay", "morawetz"):
             checks.update(_morawetz_checks(builder.records))
             if cfg.preset == "decay":
                 checks.update(_decay_checks(builder.records, cfg))
         else:
-            # geometric snapshot times for the pull-back Cauchy analysis:
-            # fixed-window consecutive differences shrink even for
-            # non-scattering states, geometric windows do not
-            sample_dt = cfg.dt * cfg.sample_every
-            geo = geometric_sample_times(10 * sample_dt, cfg.t_end, sample_dt)
-            snaps = [s for s in builder.snapshots
-                     if any(abs(s.time_tag - t) < 1e-9 * max(1.0, t)
-                            for t in geo)]
             report = make_scatter_report(
-                snaps, cfg.q_list,
+                builder.snapshots, cfg.q_list,
                 accumulators=builder._acc if cfg.preset == "scattering" else None)
             spath = os.path.join(cfg.output_dir, "scatter_report.json")
             with open(spath, "w") as fh:
@@ -534,6 +537,13 @@ def run_preset(cfg: RunConfig) -> int:
                 checks.update(_scattering_checks(report))
 
     status = 0 if all(checks.values()) else 1
+    _write_manifest(cfg, t_start, checks, artifacts, status)
+    return status
+
+
+def _write_manifest(cfg: RunConfig, t_start: float, checks: Dict[str, bool],
+                    artifacts: List[str], status: int, **abort) -> None:
+    """Write manifest.json; ``abort`` (error, records_written) marks an aborted run."""
     manifest = {
         "version": __version__,
         "config": cfg.to_dict(),
@@ -542,11 +552,12 @@ def run_preset(cfg: RunConfig) -> int:
         "checks": checks,
         "exit_status": status,
         "artifacts": artifacts,
+        "aborted": bool(abort),
+        **abort,
         "wall_time_s": time.perf_counter() - t_start,
     }
     with open(os.path.join(cfg.output_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)
-    return status
 
 
 def verify_records(fh: TextIO) -> int:
@@ -554,15 +565,9 @@ def verify_records(fh: TextIO) -> int:
     rows = read_records(fh)
     bad = 0
     for i, row in enumerate(rows):
-        tol = inequality_tolerance(row["morawetz_lhs"], row["morawetz_rhs"],
-                                   row["mass"])
-        if row["morawetz_lhs"] - row["morawetz_rhs"] < -tol:
-            print(f"row {i}: morawetz inequality violated "
-                  f"(lhs - rhs = {row['morawetz_lhs'] - row['morawetz_rhs']:.3g})")
-            bad += 1
-        scale = (row["mass"] + row["h1_norm"]) ** 4
-        if row["positivity_S"] < -1e-10 * max(scale, 1.0):
-            print(f"row {i}: positivity violated (S = {row['positivity_S']:.3g})")
+        for msg in _violations(row["morawetz_lhs"], row["morawetz_rhs"], row["mass"],
+                               row["h1_norm"], row["positivity_S"]).values():
+            print(f"row {i}: {msg}")
             bad += 1
     print(f"{len(rows)} rows checked, {bad} violations")
     return 0 if bad == 0 else 1
@@ -590,9 +595,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_ver.add_argument("records")
 
     args = parser.parse_args(argv)
-    threads = os.environ.get("NLSLAB_THREADS")
-    if threads:
-        os.environ.setdefault("OMP_NUM_THREADS", threads)
+    try:
+        fft_workers()
+    except ValueError as e:
+        parser.error(str(e))
 
     if args.command == "run":
         with open(args.config) as fh:
@@ -608,7 +614,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if rep["all_feasible"] else 1
     if args.command == "verify":
         with open(args.records) as fh:
-            return verify_records(fh)
+            try:
+                return verify_records(fh)
+            except ValueError as e:
+                print(f"nlslab verify: {args.records}: {e}", file=sys.stderr)
+                return 1
     return 2
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -378,12 +378,10 @@ def auxiliary_pair(params: ProblemParams, tup, strictness: str = "strict"):
     report = ConstraintReport()
     report.check("p positive: alpha/r < 1", Fraction(a, r), "<", Fraction(1))
     report.check("l > 2: alpha d/(2r) < 1", Fraction(a * d, 2 * r), "<", Fraction(1))
+    pair = AuxPair(l=_safe_reciprocal(inv_l), p=_safe_reciprocal(inv_p),
+                   strictness=strictness)
     if not report.feasible:
-        return AuxPair(l=_safe_reciprocal(inv_l), p=_safe_reciprocal(inv_p),
-                       strictness=strictness), report
-    l = _safe_reciprocal(inv_l)
-    p = _safe_reciprocal(inv_p)
-    pair = AuxPair(l=l, p=p, strictness=strictness)
+        return pair, report
     report.check("2/l + d/p = d/2", 2 * inv_l + d * inv_p, "=", Fraction(d, 2))
     report.check("1/p' = 1/p + alpha/r", 1 - inv_p, "=", inv_p + Fraction(a, r))
     cmp = ">" if strictness == "strict" else "="
@@ -396,28 +394,34 @@ def auxiliary_pair(params: ProblemParams, tup, strictness: str = "strict"):
 # ---------------------------------------------------------------------------
 
 
-def _check_window(report: ConstraintReport, name: str, inv: Fraction):
-    report.check(f"0 < 1/{name}", Fraction(0), "<", inv)
-    report.check(f"1/{name} < 1/2", inv, "<", Fraction(1, 2))
+def _check_pairs(report: ConstraintReport, d: int, names: tuple,
+                 exps: tuple, s: Fraction) -> tuple:
+    """Window, d >= 3, scaling and sum checks on exponents (q, r, q~, r~) labelled
+    by ``names``; returns their reciprocals."""
+    nq, nr, nqt, nrt = names
+    iq, ir, iqt, irt = (Fraction(1, e) for e in exps)
+    for name, inv in zip(names, (iq, ir, iqt, irt)):
+        report.check(f"0 < 1/{name}", Fraction(0), "<", inv)
+        report.check(f"1/{name} < 1/2", inv, "<", Fraction(1, 2))
+    if d >= 3:
+        report.check(f"1/{nq} + 1/{nqt} < 1", iq + iqt, "<", Fraction(1))
+        report.check(f"(d-2)/d < {nr}/{nrt}", Fraction(d - 2, d), "<", irt / ir)
+        report.check(f"{nr}/{nrt} < d/(d-2)", irt / ir, "<", Fraction(d, d - 2))
+    report.check(f"1/{nq} + d/{nr} < d/2", iq + d * ir, "<", Fraction(d, 2))
+    report.check(f"1/{nqt} + d/{nrt} < d/2", iqt + d * irt, "<", Fraction(d, 2))
+    report.check(f"2/{nq} + d/{nr} = d/2 - s", 2 * iq + d * ir, "=", Fraction(d, 2) - s)
+    report.check(f"2/{nq} + d/{nr} + 2/{nqt} + d/{nrt} = d",
+                 2 * iq + d * ir + 2 * iqt + d * irt, "=", Fraction(d))
+    return iq, ir, iqt, irt
 
 
 def _verify_strichartz(tup: StrichartzTuple, params: ProblemParams,
                        dual_mode: str = "equality") -> ConstraintReport:
     d, a = params.d, params.alpha
-    q, r, qt, rt, s = tup.q, tup.r, tup.q_tilde, tup.r_tilde, tup.s
-    iq, ir, iqt, irt = (Fraction(1, q), Fraction(1, r), Fraction(1, qt), Fraction(1, rt))
     report = ConstraintReport()
-    for name, inv in (("q", iq), ("r", ir), ("q~", iqt), ("r~", irt)):
-        _check_window(report, name, inv)
-    if d >= 3:
-        report.check("1/q + 1/q~ < 1", iq + iqt, "<", Fraction(1))
-        report.check("(d-2)/d < r/r~", Fraction(d - 2, d), "<", Fraction(r, rt))
-        report.check("r/r~ < d/(d-2)", Fraction(r, rt), "<", Fraction(d, d - 2))
-    report.check("1/q + d/r < d/2", iq + d * ir, "<", Fraction(d, 2))
-    report.check("1/q~ + d/r~ < d/2", iqt + d * irt, "<", Fraction(d, 2))
-    report.check("2/q + d/r = d/2 - s", 2 * iq + d * ir, "=", Fraction(d, 2) - s)
-    report.check("2/q + d/r + 2/q~ + d/r~ = d",
-                 2 * iq + d * ir + 2 * iqt + d * irt, "=", Fraction(d))
+    iq, ir, iqt, irt = _check_pairs(
+        report, d, ("q", "r", "q~", "r~"),
+        (tup.q, tup.r, tup.q_tilde, tup.r_tilde), tup.s)
     if dual_mode == "equality":
         report.check("1/q~' = (alpha+1)/q", 1 - iqt, "=", (a + 1) * iq)
         report.check("alpha/q + alpha d/(2r) = 1",
@@ -428,31 +432,20 @@ def _verify_strichartz(tup: StrichartzTuple, params: ProblemParams,
                      a * iq + Fraction(a * d, 2) * ir, "<", Fraction(1))
     report.check("1/r~' = (alpha+1)/r", 1 - irt, "=", (a + 1) * ir)
     report.check("alpha/r < 1", a * ir, "<", Fraction(1))
-    report.check("0 <= s", Fraction(0), "<=", s)
-    report.check("s < 1/2", s, "<", Fraction(1, 2))
+    report.check("0 <= s", Fraction(0), "<=", tup.s)
+    report.check("s < 1/2", tup.s, "<", Fraction(1, 2))
     return report
 
 
 def _verify_theta(tup: ThetaTuple, params: ProblemParams) -> ConstraintReport:
     d, a = params.d, params.alpha
     th = tup.theta
-    q, r, qt, rt, s = (tup.q_theta, tup.r_theta, tup.q_tilde_theta,
-                       tup.r_tilde_theta, tup.s)
-    iq, ir, iqt, irt = (Fraction(1, q), Fraction(1, r), Fraction(1, qt), Fraction(1, rt))
     report = ConstraintReport()
     report.check("0 < theta", Fraction(0), "<", th)
     report.check("theta <= 1", th, "<=", Fraction(1))
-    for name, inv in (("q_th", iq), ("r_th", ir), ("q~_th", iqt), ("r~_th", irt)):
-        _check_window(report, name, inv)
-    if d >= 3:
-        report.check("1/q_th + 1/q~_th < 1", iq + iqt, "<", Fraction(1))
-        report.check("(d-2)/d < r_th/r~_th", Fraction(d - 2, d), "<", Fraction(r, rt))
-        report.check("r_th/r~_th < d/(d-2)", Fraction(r, rt), "<", Fraction(d, d - 2))
-    report.check("1/q_th + d/r_th < d/2", iq + d * ir, "<", Fraction(d, 2))
-    report.check("1/q~_th + d/r~_th < d/2", iqt + d * irt, "<", Fraction(d, 2))
-    report.check("2/q_th + d/r_th = d/2 - s", 2 * iq + d * ir, "=", Fraction(d, 2) - s)
-    report.check("2/q_th + d/r_th + 2/q~_th + d/r~_th = d",
-                 2 * iq + d * ir + 2 * iqt + d * irt, "=", Fraction(d))
+    iq, ir, iqt, irt = _check_pairs(
+        report, d, ("q_th", "r_th", "q~_th", "r~_th"),
+        (tup.q_theta, tup.r_theta, tup.q_tilde_theta, tup.r_tilde_theta), tup.s)
     report.check("1/((alpha+1) q~_th') = theta/q_th",
                  Fraction(1 - iqt, a + 1), "=", th * iq)
     report.check("1/((alpha+1) r~_th') = theta/r_th + 2(1-theta)/(alpha d)",
@@ -502,24 +495,6 @@ def verify_tuple(tup, params: ProblemParams, base=None) -> ConstraintReport:
 # ---------------------------------------------------------------------------
 # brute-force oracle
 # ---------------------------------------------------------------------------
-
-
-def raw_system_feasible(params: ProblemParams, r: Fraction) -> bool:
-    """Evaluate the raw constraint system at one exact r (no closed-form bounds)."""
-    tup = _tuple_at(params, r)
-    return _verify_strichartz(tup, params).feasible
-
-
-def _tuple_at(params: ProblemParams, r: Fraction) -> StrichartzTuple:
-    d, a = params.d, params.alpha
-    inv_q = Fraction(1, a) - Fraction(d, 2 * r)
-    inv_qt = -Fraction(1, a) + Fraction((a + 1) * d, 2 * r)
-    inv_rt = 1 - Fraction(a + 1, r)
-    return StrichartzTuple(
-        q=_safe_reciprocal(inv_q), r=r,
-        q_tilde=_safe_reciprocal(inv_qt), r_tilde=_safe_reciprocal(inv_rt),
-        s=params.s_critical,
-    )
 
 
 def scan_feasible_r(params: ProblemParams, r_min: float = 2.0, r_max: float = 50.0,

@@ -16,6 +16,7 @@ accurate for smooth periodic fields.  The induced Parseval identity is
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,6 +30,15 @@ TWO_PI = 2.0 * np.pi
 
 # floor for |u| before fractional powers, so log/pow never sees an exact zero
 _ABS_FLOOR = 1e-300
+
+
+def fft_workers() -> int:
+    """scipy.fft worker count: -1 (all cores) unless NLSLAB_THREADS is set to a
+    positive integer, which is clamped to the core count."""
+    raw = os.environ.get("NLSLAB_THREADS", "")
+    if raw and not (raw.isdecimal() and int(raw) >= 1):
+        raise ValueError(f"NLSLAB_THREADS = {raw!r}: must be a positive integer")
+    return min(int(raw), os.cpu_count() or 1) if raw else -1
 
 
 def _is_pow2(n: int) -> bool:
@@ -148,7 +158,7 @@ class SpectralField:
         if self._samples is None:
             g = self.grid
             c = self.coefficients * g.x_phase()
-            self._samples = sfft.ifftn(c, workers=-1) * g.ntot
+            self._samples = sfft.ifftn(c, workers=fft_workers()) * g.ntot
         return self._samples
 
     @classmethod
@@ -159,7 +169,7 @@ class SpectralField:
             raise ValueError(
                 f"sample shape {samples.shape} does not match grid {grid.shape}"
             )
-        c = sfft.fftn(samples, workers=-1) / grid.ntot * grid.x_phase()
+        c = sfft.fftn(samples, workers=fft_workers()) / grid.ntot * grid.x_phase()
         out = cls(grid, c, time_tag)
         out._samples = samples
         return out
@@ -193,18 +203,28 @@ def lebesgue_norm(fld: SpectralField, q: float) -> float:
     return float((np.sum(a ** q) * fld.grid.weight) ** (1.0 / q))
 
 
+def _multiplier_norm(fld: SpectralField, w: np.ndarray) -> float:
+    """sqrt(measure * sum w |c|^2): the norm of a Fourier multiplier weight w."""
+    g = fld.grid
+    return float(np.sqrt(g.measure * np.sum(w * np.abs(fld.coefficients) ** 2)))
+
+
 def sobolev_h1(fld: SpectralField) -> float:
     """Inhomogeneous H^1 norm via the multiplier 1 + |xi|^2 + n^2."""
-    g = fld.grid
-    w = 1.0 + g.laplace_symbol()
-    return float(np.sqrt(g.measure * np.sum(w * np.abs(fld.coefficients) ** 2)))
+    return _multiplier_norm(fld, 1.0 + fld.grid.laplace_symbol())
 
 
 def hs_x_hgamma_y(fld: SpectralField, s: float, gamma: float) -> float:
     """Anisotropic norm with product multiplier <xi>^s <n>^gamma."""
     g = fld.grid
-    w = (1.0 + g.xi_sq()) ** s * (1.0 + g.n_grid() ** 2) ** gamma
-    return float(np.sqrt(g.measure * np.sum(w * np.abs(fld.coefficients) ** 2)))
+    return _multiplier_norm(fld, (1.0 + g.xi_sq()) ** s * (1.0 + g.n_grid() ** 2) ** gamma)
+
+
+def _lr_x(h_sq: np.ndarray, r: float, cell: float) -> float:
+    """Outer L^r_x norm of an inner norm given by its square h_sq on the x grid."""
+    if r == np.inf:
+        return float(np.sqrt(h_sq.max()))
+    return float((np.sum(h_sq ** (r / 2.0)) * cell) ** (1.0 / r))
 
 
 def mixed_norm(fld: SpectralField, r: float, gamma: float) -> float:
@@ -213,12 +233,17 @@ def mixed_norm(fld: SpectralField, r: float, gamma: float) -> float:
         raise ValueError(f"r must be >= 1, got {r}")
     g = fld.grid
     # y-coefficients at each x grid point (amplitudes of e^{i n y})
-    uy = sfft.fft(fld.samples(), axis=-1, workers=-1) / g.Ny
+    uy = sfft.fft(fld.samples(), axis=-1, workers=fft_workers()) / g.Ny
     w = (1.0 + g.n_axis() ** 2) ** gamma
     h_sq = TWO_PI * np.sum(w * np.abs(uy) ** 2, axis=-1)
-    if r == np.inf:
-        return float(np.sqrt(h_sq.max()))
-    return float((np.sum(h_sq ** (r / 2.0)) * g.cell) ** (1.0 / r))
+    return _lr_x(h_sq, r, g.cell)
+
+
+def grad_x_mixed_norm(fld: SpectralField, p: float) -> float:
+    """L^p_x L^2_y norm of |grad_x u|."""
+    g = fld.grid
+    h_sq = sum(np.sum(np.abs(du) ** 2, axis=-1) * g.dy for du in _u_x_gradients(fld))
+    return _lr_x(h_sq, p, g.cell)
 
 
 @lru_cache(maxsize=None)
@@ -292,10 +317,10 @@ def nonlinear_power(fld: SpectralField, alpha: float) -> SpectralField:
         idx.append(wrap)
     mesh = np.ix_(*idx)
     big[mesh] = fld.coefficients
-    vals = sfft.ifftn(big, workers=-1) * (Mx ** g.d * My)
+    vals = sfft.ifftn(big, workers=fft_workers()) * (Mx ** g.d * My)
     amp = np.maximum(np.abs(vals), _ABS_FLOOR)
     out = vals * amp ** alpha
-    big_out = sfft.fftn(out, workers=-1) / (Mx ** g.d * My)
+    big_out = sfft.fftn(out, workers=fft_workers()) / (Mx ** g.d * My)
     return SpectralField(g, big_out[mesh], fld.time_tag)
 
 
@@ -305,18 +330,13 @@ def fractional_leibniz_ratio(fld: SpectralField, s: float, alpha: float) -> floa
         raise ValueError(f"s must lie in (0, 1), got {s}")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    denom_hs = _hs_y_multiplier(fld, s)
+    w = np.abs(fld.grid.n_grid()) ** (2.0 * s)
+    denom_hs = _multiplier_norm(fld, w)
     sup = lebesgue_norm(fld, np.inf)
     if denom_hs == 0.0 or sup == 0.0:
         raise ValueError("denominator vanishes (field constant in y or zero)")
     num_field = nonlinear_power(fld, alpha)
-    return _hs_y_multiplier(num_field, s) / (denom_hs * sup ** alpha)
-
-
-def _hs_y_multiplier(fld: SpectralField, s: float) -> float:
-    g = fld.grid
-    w = np.abs(g.n_grid()) ** (2.0 * s)
-    return float(np.sqrt(g.measure * np.sum(w * np.abs(fld.coefficients) ** 2)))
+    return _multiplier_norm(num_field, w) / (denom_hs * sup ** alpha)
 
 
 def _cube_window_sums(fld: SpectralField, r_side: float):
@@ -417,14 +437,22 @@ class DensitySet:
 def _x_gradient(grid: Grid, arr: np.ndarray) -> np.ndarray:
     """Spectral gradient along the x axes of a real array on the x grid."""
     out = np.empty((grid.d,) + arr.shape)
-    ah = sfft.fftn(arr, workers=-1)
+    ah = sfft.fftn(arr, workers=fft_workers())
     xi = grid.xi_axis()
     for i in range(grid.d):
         shape = [1] * arr.ndim
         shape[i] = grid.Nx
-        deriv = sfft.ifftn(ah * (1j * xi.reshape(shape)), workers=-1)
+        deriv = sfft.ifftn(ah * (1j * xi.reshape(shape)), workers=fft_workers())
         out[i] = deriv.real
     return out
+
+
+def _u_x_gradients(fld: SpectralField) -> list:
+    """Spectral x-derivatives d_i u on the full grid, one array per x axis."""
+    g = fld.grid
+    return [sfft.ifftn(fld.coefficients * (1j * xg) * g.x_phase(),
+                       workers=fft_workers()) * g.ntot
+            for xg in g.xi_grids()]
 
 
 def densities(fld: SpectralField, alpha: float) -> DensitySet:
@@ -434,13 +462,7 @@ def densities(fld: SpectralField, alpha: float) -> DensitySet:
     absu = np.abs(u)
     rho = np.sum(absu ** 2, axis=-1) * g.dy
     nu = np.sum(np.maximum(absu, _ABS_FLOOR) ** (alpha + 2.0), axis=-1) * g.dy
-
-    # spectral x-derivatives of u
-    grads = []
-    for i, xg in enumerate(g.xi_grids()):
-        du = sfft.ifftn(fld.coefficients * (1j * xg) * g.x_phase(),
-                        workers=-1) * g.ntot
-        grads.append(du)
+    grads = _u_x_gradients(fld)
 
     P = np.empty((g.d,) + rho.shape)
     for i in range(g.d):
@@ -463,16 +485,12 @@ _HEADER = struct.Struct("<idqqd")  # d, L, Nx, Ny, time_tag
 
 def save_field(fld: SpectralField, fh: Union[str, BinaryIO]) -> None:
     """Write header (d, L, Nx, Ny, time_tag) + interleaved re/im coefficients."""
-    g = fld.grid
-    header = _HEADER.pack(g.d, g.L, g.Nx, g.Ny, fld.time_tag)
-    body = np.ascontiguousarray(fld.coefficients).astype("<c16").tobytes()
     if isinstance(fh, str):
         with open(fh, "wb") as f:
-            f.write(header)
-            f.write(body)
-    else:
-        fh.write(header)
-        fh.write(body)
+            return save_field(fld, f)
+    g = fld.grid
+    fh.write(_HEADER.pack(g.d, g.L, g.Nx, g.Ny, fld.time_tag))
+    fh.write(np.ascontiguousarray(fld.coefficients).astype("<c16").tobytes())
 
 
 def load_field(fh: Union[str, BinaryIO]) -> SpectralField:

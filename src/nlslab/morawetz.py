@@ -23,14 +23,14 @@ For defocusing dynamics lhs - rhs = S >= 0 pointwise-in-time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence, Tuple, Union
+from typing import Callable, Tuple, Union
 
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .field import DensitySet, Grid, SpectralField, cube_sup_mass, densities
+from .field import DensitySet, Grid, SpectralField, _x_gradient, cube_sup_mass, densities
 from .integrator import PhysicsParams
 
 
@@ -101,6 +101,13 @@ def _pair(grid: Grid, a: np.ndarray, conv_b: np.ndarray) -> float:
     return float(np.sum(a * conv_b) * grid.cell)
 
 
+def _J(g: Grid, k: MorawetzKernels, ds: DensitySet) -> float:
+    total = 0.0
+    for i in range(g.d):
+        total += _pair(g, ds.P[i], _conv(g, k.grad_phi[i], ds.rho))
+    return -4.0 * total
+
+
 def morawetz_J(fld: SpectralField, kernels: MorawetzKernels | None = None) -> float:
     """J = -4 sum P(x1) . (grad_phi * rho)(x1) * cell.
 
@@ -108,12 +115,8 @@ def morawetz_J(fld: SpectralField, kernels: MorawetzKernels | None = None) -> fl
     partner coincides with this one because grad_phi is odd.
     """
     g = fld.grid
-    k = kernels or make_kernels(g)
     ds = densities(fld, alpha=2.0)  # alpha irrelevant: only rho and P used
-    total = 0.0
-    for i in range(g.d):
-        total += _pair(g, ds.P[i], _conv(g, k.grad_phi[i], ds.rho))
-    return -4.0 * total
+    return _J(g, kernels or make_kernels(g), ds)
 
 
 def _certificate_terms(g: Grid, k: MorawetzKernels, ds: DensitySet) -> float:
@@ -132,25 +135,28 @@ def positivity_certificate(fld: SpectralField,
                            kernels: MorawetzKernels | None = None) -> float:
     """S >= 0: y-integrated image of the pointwise bound 4 A hess(phi) conj(A) >= 0."""
     g = fld.grid
-    k = kernels or make_kernels(g)
     ds = densities(fld, alpha=2.0)  # nu not used
-    return _certificate_terms(g, k, ds)
+    return _certificate_terms(g, kernels or make_kernels(g), ds)
+
+
+def _chain(g: Grid, k: MorawetzKernels, ds: DensitySet,
+           physics: PhysicsParams) -> Tuple[float, float, float]:
+    """(S, lhs, rhs) from one density set."""
+    s = _certificate_terms(g, k, ds)
+    a = physics.alpha
+    nu_lap_rho = _pair(g, ds.nu, _conv(g, k.lap_phi, ds.rho))
+    nl = nu_lap_rho + _pair(g, ds.rho, _conv(g, k.lap_phi, ds.nu))
+    lhs = s + (2.0 * a / (a + 2.0)) * physics.lam * nl
+    rhs = (4.0 * a / (a + 2.0)) * physics.lam * nu_lap_rho
+    return s, lhs, rhs
 
 
 def morawetz_terms(fld: SpectralField, physics: PhysicsParams,
                    kernels: MorawetzKernels | None = None) -> Tuple[float, float]:
     """(lhs, rhs): lhs = I+II+III = dJ/dt; rhs the interaction lower bound."""
     g = fld.grid
-    k = kernels or make_kernels(g)
-    ds = densities(fld, physics.alpha)
-    s = _certificate_terms(g, k, ds)
-    a = physics.alpha
-    nl = (_pair(g, ds.nu, _conv(g, k.lap_phi, ds.rho))
-          + _pair(g, ds.rho, _conv(g, k.lap_phi, ds.nu)))
-    lhs = s + (2.0 * a / (a + 2.0)) * physics.lam * nl
-    rhs = (4.0 * a / (a + 2.0)) * physics.lam * _pair(
-        g, ds.nu, _conv(g, k.lap_phi, ds.rho))
-    return lhs, rhs
+    return _chain(g, kernels or make_kernels(g), densities(fld, physics.alpha),
+                  physics)[1:]
 
 
 def inequality_tolerance(lhs: float, rhs: float, mass_value: float) -> float:
@@ -178,20 +184,18 @@ def local_mass_flux_residual(f_minus: SpectralField, f_plus: SpectralField,
         axes = [g.x_axis()] * g.d
         psi = np.asarray(psi(*np.meshgrid(*axes, indexing="ij")), dtype=float)
     psi = np.broadcast_to(psi, (g.Nx,) * g.d)
-    from .field import _x_gradient
     grad_psi = _x_gradient(g, np.ascontiguousarray(psi))
 
-    def flux(fld: SpectralField) -> float:
+    def mass_and_flux(fld: SpectralField) -> Tuple[float, float]:
         ds = densities(fld, alpha=2.0)
-        return float(sum(np.sum(grad_psi[i] * ds.P[i]) for i in range(g.d))
-                     * -2.0 * g.cell)
+        return (float(np.sum(psi * ds.rho) * g.cell),
+                float(sum(np.sum(grad_psi[i] * ds.P[i]) for i in range(g.d))
+                      * -2.0 * g.cell))
 
-    def weighted_mass(fld: SpectralField) -> float:
-        ds = densities(fld, alpha=2.0)
-        return float(np.sum(psi * ds.rho) * g.cell)
-
-    fd = (weighted_mass(f_plus) - weighted_mass(f_minus)) / delta2
-    side = 0.5 * (flux(f_minus) + flux(f_plus))
+    m_minus, flux_minus = mass_and_flux(f_minus)
+    m_plus, flux_plus = mass_and_flux(f_plus)
+    fd = (m_plus - m_minus) / delta2
+    side = 0.5 * (flux_minus + flux_plus)
     return abs(fd - side)
 
 
@@ -230,18 +234,17 @@ class CubeSupAccumulator:
     r_side: float
     alpha: float
     integral: float = 0.0
+    cube_sup: float | None = None  # the last cube_sup_mass value taken
     _last_t: float | None = None
     _last_val: float | None = None
-    increments: list = dc_field(default_factory=list)
 
     def update(self, t: float, fld: SpectralField) -> float:
-        val = cube_sup_mass(fld, self.r_side) ** ((self.alpha + 4.0) / 2.0)
+        self.cube_sup = cube_sup_mass(fld, self.r_side)
+        val = self.cube_sup ** ((self.alpha + 4.0) / 2.0)
         if self._last_t is not None:
             if t <= self._last_t:
                 raise ValueError("stream must be strictly time-ordered")
-            inc = 0.5 * (val + self._last_val) * (t - self._last_t)
-            self.integral += inc
-            self.increments.append(inc)
+            self.integral += 0.5 * (val + self._last_val) * (t - self._last_t)
         self._last_t, self._last_val = t, val
         return self.integral
 
@@ -253,16 +256,13 @@ class MorawetzRecorder:
         self.physics = physics
         self.samples: list[MorawetzSample] = []
         self._acc = CubeSupAccumulator(r_side, physics.alpha)
-        self._kernels: MorawetzKernels | None = None
 
     def __call__(self, fld: SpectralField, guard_breached: bool) -> None:
-        if self._kernels is None:
-            self._kernels = make_kernels(fld.grid)
-        k = self._kernels
-        lhs, rhs = morawetz_terms(fld, self.physics, k)
-        s = positivity_certificate(fld, k)
-        cube = cube_sup_mass(fld, self._acc.r_side)
+        g = fld.grid
+        k = make_kernels(g)  # cached per grid
+        ds = densities(fld, self.physics.alpha)
+        s, lhs, rhs = _chain(g, k, ds, self.physics)
         integral = self._acc.update(fld.time_tag, fld)
         self.samples.append(MorawetzSample(
-            t=fld.time_tag, J=morawetz_J(fld, k), lhs=lhs, rhs=rhs, S=s,
-            cube_sup=cube, cube_sup_integral=integral))
+            t=fld.time_tag, J=_J(g, k, ds), lhs=lhs, rhs=rhs, S=s,
+            cube_sup=self._acc.cube_sup, cube_sup_integral=integral))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
@@ -27,6 +27,7 @@ from .exponents import (
 from .field import (
     SpectralField,
     free_evolve,
+    grad_x_mixed_norm,
     lebesgue_norm,
     mixed_norm,
     sobolev_h1,
@@ -115,20 +116,6 @@ def decay_series(snapshots: Sequence[SpectralField], q_list: Sequence[float],
 # space-time accumulators
 # ---------------------------------------------------------------------------
 
-def _grad_x_mixed_norm(fld: SpectralField, p: float) -> float:
-    """L^p_x L^2_y norm of |grad_x u|."""
-    g = fld.grid
-    h_sq = np.zeros((g.Nx,) * g.d)
-    from scipy import fft as sfft
-    for xg in g.xi_grids():
-        du = sfft.ifftn(fld.coefficients * (1j * xg) * g.x_phase(),
-                        workers=-1) * g.ntot
-        h_sq += np.sum(np.abs(du) ** 2, axis=-1) * g.dy
-    if p == np.inf:
-        return float(np.sqrt(h_sq.max()))
-    return float((np.sum(h_sq ** (p / 2.0)) * g.cell) ** (1.0 / p))
-
-
 def _dy_field(fld: SpectralField) -> SpectralField:
     g = fld.grid
     return SpectralField(g, fld.coefficients * (1j * g.n_grid()), fld.time_tag)
@@ -165,6 +152,7 @@ class SpacetimeAccumulators:
         self.increments: Dict[str, List[float]] = {k: [] for k in self.totals}
         self._last_t = None
         self._last_vals = None
+        self.theta_mixed_norm: float | None = None
 
     def _instant(self, fld: SpectralField) -> Dict[str, float]:
         q_th = float(self.theta.q_theta)
@@ -172,11 +160,12 @@ class SpacetimeAccumulators:
         gamma = 0.5 + float(self.delta)
         ell = float(self.aux.l)
         p = float(self.aux.p)
+        self.theta_mixed_norm = mixed_norm(fld, r_th, gamma)
         return {
-            "theta_norm": mixed_norm(fld, r_th, gamma) ** q_th,
+            "theta_norm": self.theta_mixed_norm ** q_th,
             "u_lp": mixed_norm(fld, p, 0.0) ** ell,
             "dy_lp": mixed_norm(_dy_field(fld), p, 0.0) ** ell,
-            "grad_lp": _grad_x_mixed_norm(fld, p) ** ell,
+            "grad_lp": grad_x_mixed_norm(fld, p) ** ell,
         }
 
     def update(self, t: float, fld: SpectralField) -> Dict[str, float]:
@@ -254,7 +243,6 @@ def make_scatter_report(snapshots: Sequence[SpectralField],
                         q_list: Sequence[float],
                         accumulators: SpacetimeAccumulators | None = None,
                         transient: float = 1.0) -> ScatterReport:
-    _check_increasing(snapshots, 3)
     C = cauchy_table(snapshots)
     decay = decay_series(snapshots, q_list, transient)
     totals = accumulators.totals if accumulators else {}

@@ -274,3 +274,97 @@ class TestMain:
         with open(rpath, "w") as fh:
             emit_records([make_record(0.0)], fh, [4.0])
         assert main(["verify", str(rpath)]) == 0
+
+
+class TestRecordBuilder:
+    def small_cfg(self, preset="scattering"):
+        return parse_config(cfg_text(
+            preset=preset, grid={"Nx": 128, "Ny": 4, "L": 40.0},
+            control={"dt": 0.01, "t_end": 1.0, "sample_every": 2}))
+
+    def test_theta_norm_is_the_accumulated_one(self):
+        from fractions import Fraction
+        from nlslab.cli import RecordBuilder
+        from nlslab.exponents import ProblemParams, critical_tuple
+        from nlslab.field import mixed_norm
+        cfg = self.small_cfg()
+        fld = build_datum(cfg)
+        builder = RecordBuilder(cfg)
+        builder(fld, False)
+        # the theta tuple keeps the base tuple's r
+        base, _ = critical_tuple(ProblemParams(1, Fraction(5)))
+        expect = mixed_norm(fld, float(base.r), 0.5 + float(Fraction(cfg.delta)))
+        assert builder.records[-1].mixed_norm_theta == expect
+
+    def test_keeps_only_the_cauchy_schedule(self):
+        from nlslab.cli import RecordBuilder
+        from nlslab.field import SpectralField
+        from nlslab.scattering import geometric_sample_times
+        for preset, kept in (("scattering", True), ("decay", False)):
+            cfg = self.small_cfg(preset)
+            c = build_datum(cfg).coefficients
+            builder = RecordBuilder(cfg)
+            for k in range(51):
+                builder(SpectralField(cfg.grid(), c, round(k * 0.02, 12)), False)
+            times = [s.time_tag for s in builder.snapshots]
+            expect = geometric_sample_times(0.2, 1.0, 0.02) if kept else []
+            assert times == expect
+            assert len(builder.records) == 51
+
+
+class TestThreadsVariable:
+    def test_bad_value_fails_before_any_run(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(cfg_text(preset="exponents", output_dir=str(out)))
+        monkeypatch.setenv("NLSLAB_THREADS", "0")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cpath)])
+        assert exc.value.code != 0
+        assert "NLSLAB_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_set_value_runs(self, tmp_path, monkeypatch):
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(cfg_text(preset="exponents", output_dir=str(tmp_path)))
+        monkeypatch.setenv("NLSLAB_THREADS", "1")
+        assert main(["run", "--config", str(cpath)]) == 0
+
+
+class TestAbortedRun:
+    def small_cfg(self, out):
+        return parse_config(cfg_text(
+            grid={"Nx": 128, "Ny": 4, "L": 40.0},
+            control={"dt": 0.01, "t_end": 0.2, "sample_every": 5},
+            output_dir=str(out)))
+
+    def test_partial_records_and_manifest(self, tmp_path, monkeypatch, capsys):
+        from nlslab import cli
+        from nlslab.integrator import BlowUpError
+
+        def evolve_one_sample(initial, physics, control, sinks=(), **kwargs):
+            for sink in sinks:
+                sink(initial, False)
+            raise BlowUpError("non-finite state at t = 0.05")
+
+        monkeypatch.setattr(cli, "evolve", evolve_one_sample)
+        with pytest.raises(RuntimeError, match="run aborted after record 0"):
+            run_preset(self.small_cfg(tmp_path))
+        lines = (tmp_path / "records.csv").read_text().splitlines()
+        assert len(lines) == 3  # header, one record, marker
+        assert lines[-1].startswith("# PARTIAL FILE")
+        manifest = json.load(open(tmp_path / "manifest.json"))
+        assert manifest["aborted"] is True
+        assert "non-finite state at t = 0.05" in manifest["error"]
+        assert manifest["records_written"] == 1
+        assert manifest["exit_status"] == 1
+
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "records.csv")]) == 1
+        assert "partial records file after 1 rows" in capsys.readouterr().err
+
+    def test_complete_run_not_aborted(self, tmp_path):
+        run_preset(self.small_cfg(tmp_path))
+        manifest = json.load(open(tmp_path / "manifest.json"))
+        assert manifest["aborted"] is False and "error" not in manifest
+        assert not (tmp_path / "records.csv").read_text().startswith("#")

@@ -428,3 +428,48 @@ class TestSnapshotIO:
         open(path, "wb").write(raw[:-8])
         with pytest.raises(ValueError):
             load_field(path)
+
+
+class TestFftWorkers:
+    def test_unset_or_empty_means_all_cores(self, monkeypatch):
+        from nlslab.field import fft_workers
+        monkeypatch.delenv("NLSLAB_THREADS", raising=False)
+        assert fft_workers() == -1
+        monkeypatch.setenv("NLSLAB_THREADS", "")
+        assert fft_workers() == -1
+
+    def test_clamped_to_core_count(self, monkeypatch):
+        import os
+        from nlslab.field import fft_workers
+        monkeypatch.setenv("NLSLAB_THREADS", str(64 * (os.cpu_count() or 1)))
+        assert fft_workers() == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("bad", ["0", "-1", "two", "1.5", " 2"])
+    def test_bad_value_names_the_variable(self, monkeypatch, bad):
+        from nlslab.field import fft_workers
+        monkeypatch.setenv("NLSLAB_THREADS", bad)
+        with pytest.raises(ValueError, match="NLSLAB_THREADS"):
+            fft_workers()
+
+    def test_set_value_reaches_every_transform(self, monkeypatch):
+        import scipy.fft
+        from nlslab import field, integrator
+        seen = []
+        for name in ("fft", "fftn", "ifftn"):
+            def recorded(x, *args, _fn=getattr(scipy.fft, name), **kwargs):
+                seen.append(kwargs.get("workers"))
+                return _fn(x, *args, **kwargs)
+            monkeypatch.setattr(scipy.fft, name, recorded)
+        monkeypatch.setenv("NLSLAB_THREADS", "1")
+        g = field.Grid(2, 16.0, 16, 4)
+        f = field.from_profile(g, lambda x1, x2, y: np.exp(-(x1 ** 2 + x2 ** 2))
+                               * (1 + 0.2 * np.cos(y)))
+        field.SpectralField(g, f.coefficients).samples()
+        field.mixed_norm(f, 4.0, 0.5)
+        field.grad_x_mixed_norm(f, 4.0)
+        field.densities(f, 2.0)
+        field.nonlinear_power(f, 2.0)
+        physics = integrator.PhysicsParams(2.0, 1)
+        integrator.strang_step(f, physics, 1e-3)
+        integrator.evolve(f, physics, integrator.StepControl(1e-3, 2e-3))
+        assert len(seen) > 10 and set(seen) == {1}

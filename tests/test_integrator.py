@@ -222,3 +222,13 @@ class TestEdgeCubeFraction:
     def test_zero_field(self, g1):
         f = from_profile(g1, lambda x, y: 0.0 * x)
         assert edge_cube_fraction(f) == 0.0
+
+
+class TestStepKernel:
+    def test_strang_step_equals_one_step_evolve(self, gaussian):
+        physics = PhysicsParams(2.0, 1)
+        stepped = strang_step(gaussian, physics, 1e-3)
+        evolved = evolve(gaussian, physics, StepControl(dt=1e-3, t_end=1e-3))
+        assert np.array_equal(stepped.samples(), evolved.samples())
+        assert np.array_equal(stepped.coefficients, evolved.coefficients)
+        assert stepped.time_tag == evolved.time_tag

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nlslab.field import Grid, SpectralField, densities, free_evolve, from_profile
+from nlslab.field import cube_sup_mass
 from nlslab.integrator import PhysicsParams, StepControl, evolve, soliton_profile
 from nlslab.morawetz import (
     CubeSupAccumulator,
@@ -286,3 +287,37 @@ class TestRecorder:
         assert [s.t for s in rec.samples] == pytest.approx([0.0, 0.005, 0.01])
         assert rec.samples[0].cube_sup_integral == 0.0
         assert rec.samples[-1].cube_sup_integral > 0.0
+
+
+class TestRecorderSinglePass:
+    """One density pass, one certificate and one cube-sup per recorded sample."""
+
+    @pytest.fixture
+    def moving_d2(self):
+        g = Grid(2, 16.0, 32, 4)
+        return from_profile(
+            g, lambda x1, x2, y: np.exp(-(x1 ** 2 + 2 * x2 ** 2) / 4)
+            * np.exp(0.7j * x1 - 0.4j * x2) * (1 + 0.3 * np.cos(y)))
+
+    def test_sample_equals_public_functions(self, moving_d2):
+        physics = PhysicsParams(3.0, 1)
+        rec = MorawetzRecorder(physics)
+        rec(moving_d2, False)
+        s = rec.samples[-1]
+        assert s.J == morawetz_J(moving_d2)
+        assert (s.lhs, s.rhs) == morawetz_terms(moving_d2, physics)
+        assert s.S == positivity_certificate(moving_d2)
+        assert s.cube_sup == cube_sup_mass(moving_d2, 1.0)
+        assert s.J != 0.0 and s.S > 0.0  # momentum and y-variation reach the sums
+
+    def test_call_counts(self, moving_d2, monkeypatch):
+        from nlslab import morawetz
+        calls = {"densities": 0, "cube_sup_mass": 0, "fftconvolve": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(morawetz, name), _name=name, **kw):
+                calls[_name] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(morawetz, name, counted)
+        MorawetzRecorder(PhysicsParams(3.0, 1))(moving_d2, False)
+        # d=2: S takes 16 convolutions, J 2 and the interaction pair 2
+        assert calls == {"densities": 1, "cube_sup_mass": 1, "fftconvolve": 20}
