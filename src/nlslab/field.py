@@ -140,7 +140,7 @@ class Grid:
 class SpectralField:
     """Immutable field snapshot: grid + plane-wave coefficient array + time tag."""
 
-    __slots__ = ("grid", "coefficients", "time_tag", "_samples")
+    __slots__ = ("grid", "coefficients", "time_tag", "_samples", "_windows")
 
     def __init__(self, grid: Grid, coefficients: np.ndarray, time_tag: float = 0.0):
         coefficients = np.asarray(coefficients, dtype=np.complex128)
@@ -152,6 +152,7 @@ class SpectralField:
         self.coefficients = coefficients
         self.time_tag = float(time_tag)
         self._samples = None
+        self._windows = {}  # r_side -> _cube_window_sums, see _cube_windows
 
     def samples(self) -> np.ndarray:
         """Physical-space values on the grid (lazily computed, then cached)."""
@@ -362,9 +363,16 @@ def _cube_window_sums(fld: SpectralField, r_side: float):
     return window * g.cell, m
 
 
+def _cube_windows(fld: SpectralField, r_side: float):
+    """_cube_window_sums, taken once per snapshot and side and cached on it."""
+    if r_side not in fld._windows:
+        fld._windows[r_side] = _cube_window_sums(fld, r_side)
+    return fld._windows[r_side]
+
+
 def cube_sup_mass(fld: SpectralField, r_side: float) -> float:
     """sup over grid-aligned cubes Q(x0, r_side) of the enclosed mass int int |u|^2."""
-    window, _ = _cube_window_sums(fld, r_side)
+    window, _ = _cube_windows(fld, r_side)
     return float(window.max())
 
 
@@ -377,7 +385,7 @@ def edge_cube_fraction(fld: SpectralField, r_side: float = 1.0,
     around and the periodic surrogate stops tracking the whole-space solution.
     """
     g = fld.grid
-    window, m = _cube_window_sums(fld, r_side)
+    window, m = _cube_windows(fld, r_side)
     total = float(np.sum(np.abs(fld.samples()) ** 2) * g.dy * g.cell)
     if total == 0.0:
         return 0.0

@@ -121,11 +121,16 @@ def morawetz_J(fld: SpectralField, kernels: MorawetzKernels | None = None) -> fl
 
 def _certificate_terms(g: Grid, k: MorawetzKernels, ds: DensitySet) -> float:
     s = 0.0
+    sym = {}  # hess(phi) and K are symmetric: (j, i) reuses the (i, j) convolutions
     for i in range(g.d):
         for j in range(g.d):
             hij = k.hess_component(i, j)
-            s += 4.0 * _pair(g, ds.K[i, j], _conv(g, hij, ds.rho))
-            s += 4.0 * _pair(g, ds.rho, _conv(g, hij, ds.K[i, j]))
+            key = (min(i, j), max(i, j))
+            if key not in sym:
+                sym[key] = (_conv(g, hij, ds.rho), _conv(g, hij, ds.K[i, j]))
+            h_rho, h_K = sym[key]
+            s += 4.0 * _pair(g, ds.K[i, j], h_rho)
+            s += 4.0 * _pair(g, ds.rho, h_K)
             s -= 8.0 * _pair(g, ds.P[i], _conv(g, hij, ds.P[j]))
             s += 2.0 * _pair(g, ds.grad_rho[i], _conv(g, hij, ds.grad_rho[j]))
     return s

@@ -232,3 +232,80 @@ class TestStepKernel:
         assert np.array_equal(stepped.samples(), evolved.samples())
         assert np.array_equal(stepped.coefficients, evolved.coefficients)
         assert stepped.time_tag == evolved.time_tag
+
+
+def plain_strang(u, g, physics, dt, steps):
+    """Unfused numpy Strang loop: half kick, linear flow, half kick per step."""
+    xi = 2 * np.pi * np.fft.fftfreq(g.Nx, d=g.L / g.Nx)
+    n = np.fft.fftfreq(g.Ny, d=1.0 / g.Ny)
+    phase = np.exp(1j * dt * (xi[:, None] ** 2 + n[None, :] ** 2))
+    half = 0.5j * physics.lam * dt
+    for _ in range(steps):
+        u = u * np.exp(half * np.abs(u) ** physics.alpha)
+        u = np.fft.ifft2(np.fft.fft2(u) * phase)
+        u = u * np.exp(half * np.abs(u) ** physics.alpha)
+    return u
+
+
+class TestInPlaceKernel:
+    def test_caller_field_untouched(self, gaussian):
+        physics = PhysicsParams(3.0, 1)
+        samples, coefficients = gaussian.samples().copy(), gaussian.coefficients.copy()
+        strang_step(gaussian, physics, 1e-3)
+        evolve(gaussian, physics, StepControl(dt=1e-3, t_end=5e-3, sample_every=2))
+        assert np.array_equal(gaussian.samples(), samples)
+        assert np.array_equal(gaussian.coefficients, coefficients)
+
+    @pytest.mark.parametrize("every, tags", [(1, range(8)), (3, [0, 3, 6, 7]),
+                                             (7, [0, 7])])
+    def test_fused_chunks_match_plain_loop(self, g1, gaussian, every, tags):
+        physics, dt = PhysicsParams(3.0, 1), 1e-2
+        seen = []
+        evolve(gaussian, physics, StepControl(dt=dt, t_end=7 * dt, sample_every=every),
+               sinks=[lambda f, flag: seen.append((f.time_tag, f.samples()))])
+        assert [t for t, _ in seen] == pytest.approx([k * dt for k in tags])
+        for k, (_, u) in zip(tags, seen):
+            ref = plain_strang(gaussian.samples(), g1, physics, dt, k)
+            assert np.abs(u - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_blowup_reported_at_its_step(self, g1):
+        # a focusing datum near the top of the float range: |u|^alpha overflows
+        # within a few steps, long before the first sample at t = 0.05
+        f = from_profile(g1, lambda x, y: 2.8e61 * np.exp(-x ** 2) * (1 + 0.3 * np.cos(y)))
+        times = []
+        with np.errstate(all="ignore"), pytest.raises(BlowUpError) as err:
+            evolve(f, PhysicsParams(5.0, -1),
+                   StepControl(dt=1e-3, t_end=0.1, sample_every=50),
+                   sinks=[lambda fld, flag: times.append(fld.time_tag)])
+        assert times == [0.0]
+        t_blow = float(str(err.value).rsplit("= ", 1)[1])
+        assert 0.0 < t_blow < 0.05
+
+    def test_initial_datum_checked(self, g1, gaussian):
+        bad = SpectralField(g1, gaussian.coefficients)
+        bad._samples = np.full(g1.shape, np.nan + 0j)
+        seen = []
+        with pytest.raises(BlowUpError, match=r"at t = 0$"):
+            evolve(bad, PhysicsParams(2.0, 1), StepControl(dt=1e-3, t_end=1e-3),
+                   sinks=[lambda fld, flag: seen.append(fld)])
+        assert seen == []
+
+
+class TestCubeWindowsOncePerSample:
+    def test_guard_and_cube_sup_share_one_window_pass(self, g1, gaussian, monkeypatch):
+        from nlslab import field
+        from nlslab.morawetz import MorawetzRecorder
+        original = field._cube_window_sums
+        calls = []
+
+        def counted(fld, r_side):
+            calls.append(fld.time_tag)
+            return original(fld, r_side)
+        monkeypatch.setattr(field, "_cube_window_sums", counted)
+        physics = PhysicsParams(3.0, 1)
+        rec, snaps = MorawetzRecorder(physics), []
+        evolve(gaussian, physics, StepControl(dt=1e-3, t_end=4e-3, sample_every=2),
+               sinks=[rec, lambda fld, flag: snaps.append(fld)], guard_tol=1e-3)
+        assert calls == pytest.approx([0.0, 2e-3, 4e-3])
+        fresh = SpectralField.from_samples(g1, snaps[-1].samples())
+        assert rec.samples[-1].cube_sup == original(fresh, 1.0)[0].max()

@@ -137,6 +137,29 @@ class TestPositivityCertificate:
                                             ds.grad_rho[0]))
                 assert s == pytest.approx(expect, rel=1e-9)
 
+    def test_d2_matches_double_sum(self):
+        # every (i, j) term by O(N^2) sums; the tilted datum and its chirp keep
+        # the off-diagonal pairings from vanishing by symmetry
+        g = Grid(2, 8.0, 16, 4)
+        f = from_profile(g, lambda x1, x2, y: np.exp(-(x1 ** 2 + x1 * x2 + 2 * x2 ** 2) / 2)
+                         * np.exp(0.7j * x1 - 0.4j * x2 + 0.3j * x1 * x2)
+                         * (1 + 0.3 * np.cos(y)))
+        ds = densities(f, 2.0)
+        x1, x2 = (a.ravel() for a in np.meshgrid(g.x_axis(), g.x_axis(), indexing="ij"))
+        s = (np.subtract.outer(x1, x1), np.subtract.outer(x2, x2))
+        b = np.sqrt(1 + s[0] ** 2 + s[1] ** 2)
+        expect = 0.0
+        for i in range(2):
+            for j in range(2):
+                hess = (i == j) / b - s[i] * s[j] / b ** 3
+
+                def pair(a, c):
+                    return float(a.ravel() @ hess @ c.ravel()) * g.cell ** 2
+                expect += (4 * pair(ds.K[i, j], ds.rho) + 4 * pair(ds.rho, ds.K[i, j])
+                           - 8 * pair(ds.P[i], ds.P[j])
+                           + 2 * pair(ds.grad_rho[i], ds.grad_rho[j]))
+        assert positivity_certificate(f) == pytest.approx(expect, rel=1e-9)
+
 
 class TestMorawetzTerms:
     def test_zero_field(self, g1, physics):
@@ -319,5 +342,6 @@ class TestRecorderSinglePass:
                 return _fn(*args, **kw)
             monkeypatch.setattr(morawetz, name, counted)
         MorawetzRecorder(PhysicsParams(3.0, 1))(moving_d2, False)
-        # d=2: S takes 16 convolutions, J 2 and the interaction pair 2
-        assert calls == {"densities": 1, "cube_sup_mass": 1, "fftconvolve": 20}
+        # d=2: S takes 14 convolutions ((1, 0) reuses two of (0, 1)), J 2 and
+        # the interaction pair 2
+        assert calls == {"densities": 1, "cube_sup_mass": 1, "fftconvolve": 18}
