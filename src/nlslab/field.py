@@ -228,16 +228,24 @@ def _lr_x(h_sq: np.ndarray, r: float, cell: float) -> float:
     return float((np.sum(h_sq ** (r / 2.0)) * cell) ** (1.0 / r))
 
 
-def mixed_norm(fld: SpectralField, r: float, gamma: float) -> float:
-    """L^r_x H^gamma_y norm: inner y-Sobolev value at each x point, outer L^r_x."""
+def _y_mode_power(fld: SpectralField) -> np.ndarray:
+    """2 pi |u_n(x)|^2: the L^2_y mass of each y-mode e^{i n y} at each x grid point."""
+    g = fld.grid
+    uy = sfft.fft(fld.samples(), axis=-1, workers=fft_workers()) / g.Ny
+    return TWO_PI * np.abs(uy) ** 2
+
+
+def _mixed_from_power(grid: Grid, power: np.ndarray, r: float, w) -> float:
+    """L^r_x norm of the y-mode multiplier norm with weight w(n), from _y_mode_power."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
+    return _lr_x(np.sum(w * power, axis=-1), r, grid.cell)
+
+
+def mixed_norm(fld: SpectralField, r: float, gamma: float) -> float:
+    """L^r_x H^gamma_y norm: inner y-Sobolev value at each x point, outer L^r_x."""
     g = fld.grid
-    # y-coefficients at each x grid point (amplitudes of e^{i n y})
-    uy = sfft.fft(fld.samples(), axis=-1, workers=fft_workers()) / g.Ny
-    w = (1.0 + g.n_axis() ** 2) ** gamma
-    h_sq = TWO_PI * np.sum(w * np.abs(uy) ** 2, axis=-1)
-    return _lr_x(h_sq, r, g.cell)
+    return _mixed_from_power(g, _y_mode_power(fld), r, (1.0 + g.n_axis() ** 2) ** gamma)
 
 
 def grad_x_mixed_norm(fld: SpectralField, p: float) -> float:
@@ -386,7 +394,7 @@ def edge_cube_fraction(fld: SpectralField, r_side: float = 1.0,
     """
     g = fld.grid
     window, m = _cube_windows(fld, r_side)
-    total = float(np.sum(np.abs(fld.samples()) ** 2) * g.dy * g.cell)
+    total = float(window.sum()) / m ** g.d  # each cell lies in m^d periodic windows
     if total == 0.0:
         return 0.0
     half = g.L / 2.0

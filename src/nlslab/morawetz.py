@@ -2,13 +2,16 @@
 
 Every bilinear quantity has the shape
 
-    sum_{x1,x2} a(x1) k(x1 - x2) b(x2) * cell^2
+    <a, k * b> = sum_{x1,x2} a(x1) k(x1 - x2) b(x2) * cell^2
 
 with k a derivative of phi(x) = <x> = sqrt(1 + |x|^2).  The double sums are
-evaluated as zero-padded (linear) FFT convolutions against kernels sampled at
-the true displacement x1 - x2 on the doubled grid, so they agree with the
-whole-space convolution exactly; no wrap-around touches the inequality
-checks as long as the boundary-mass guard holds.
+taken by Parseval on a zero-padded grid of M = 2 Nx points per axis: k sits
+at its wrapped displacement there, and since M >= 2 Nx - 1 no wrap-around
+touches a pairing, so each equals the whole-space double sum exactly.  The
+kernel spectra are built once per grid; each density is transformed once
+per sample, and a pairing is one weighted sum over the half spectrum, with
+no inverse transform.  No wrap-around touches the inequality checks as long
+as the boundary-mass guard holds.
 
 The tracked objects:
 
@@ -18,6 +21,8 @@ The tracked objects:
     lhs  = S + (2a/(a+2)) [nu (lap * rho) + rho (lap * nu)]  (= dJ/dt)
     rhs  = (4a/(a+2)) nu (lap * rho)
 
+Since hess and lap are even, 4 K:(hess * rho) + 4 rho (hess * K) =
+8 K:(hess * rho) and the two interaction pairings coincide, so lhs = S + rhs.
 For defocusing dynamics lhs - rhs = S >= 0 pointwise-in-time.
 """
 
@@ -25,12 +30,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Tuple, Union
+from typing import Callable, Dict, Tuple, Union
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sfft
+from scipy.signal import fftconvolve  # noqa: F401  not called; perfbench/tracing.py wraps it
 
-from .field import DensitySet, Grid, SpectralField, _x_gradient, cube_sup_mass, densities
+from .field import (DensitySet, Grid, SpectralField, _x_gradient, cube_sup_mass, densities,
+                    fft_workers)
 from .integrator import PhysicsParams
 
 
@@ -39,28 +46,17 @@ from .integrator import PhysicsParams
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MorawetzKernels:
-    """phi = <x> and derivatives sampled at displacements on the doubled grid.
+class SampledKernels:
+    """Derivatives of phi = <x> at the true displacements x1 - x2, on the
+    centred (2 Nx - 1)^d grid; d=2 stores the Hessian as (xx, xy, yy)."""
 
-    For d=2 the Hessian is stored as its 3 independent components in the
-    order (xx, xy, yy).
-    """
-
-    grid: Grid
-    phi: np.ndarray
     grad_phi: Tuple[np.ndarray, ...]
     hess_phi: Tuple[np.ndarray, ...]
     lap_phi: np.ndarray
 
-    def hess_component(self, i: int, j: int) -> np.ndarray:
-        if self.grid.d == 1:
-            return self.hess_phi[0]
-        order = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
-        return self.hess_phi[order[(i, j)]]
 
-
-@lru_cache(maxsize=8)
-def make_kernels(grid: Grid) -> MorawetzKernels:
+def sample_kernels(grid: Grid) -> SampledKernels:
+    """The spatial kernels behind make_kernels (not cached)."""
     d, N, dx = grid.d, grid.Nx, grid.dx
     s1 = (np.arange(2 * N - 1) - (N - 1)) * dx  # true displacements
     if d == 1:
@@ -69,7 +65,6 @@ def make_kernels(grid: Grid) -> MorawetzKernels:
         comps = (s1[:, None] + 0.0 * s1[None, :], 0.0 * s1[:, None] + s1[None, :])
     r_sq = sum(c ** 2 for c in comps)
     bracket = np.sqrt(1.0 + r_sq)  # <s>
-    phi = bracket
     grad = tuple(c / bracket for c in comps)
     inv = 1.0 / bracket
     inv3 = inv ** 3
@@ -82,29 +77,94 @@ def make_kernels(grid: Grid) -> MorawetzKernels:
             inv - comps[1] ** 2 * inv3,
         )
     lap = ((d - 1) * r_sq + d) * inv3
-    return MorawetzKernels(grid, phi, grad, hess, lap)
+    return SampledKernels(grad, hess, lap)
 
 
-def _conv(grid: Grid, kern: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """(kern * den)(x1) = sum_{x2} kern(x1 - x2) den(x2) * cell."""
-    full = fftconvolve(den, kern, mode="full")
-    N = grid.Nx
-    sl = (slice(N - 1, 2 * N - 1),) * grid.d
-    return full[sl] * grid.cell
+@dataclass(frozen=True)
+class MorawetzKernels:
+    """Half spectra of phi's derivatives on the padded grid, as float arrays.
+
+    Each holds the rfftn of the kernel at its wrapped displacement on the
+    (2 Nx)^d grid, times the half-spectrum Parseval weight (1 at bins 0 and
+    Nx of the last axis, 2 elsewhere) and cell^2 / (2 Nx)^d.  The kernels are
+    even (hess, lap) or odd (grad), so only the real or the imaginary part
+    is kept.  For d=2 the Hessian is stored as (xx, xy, yy).
+    """
+
+    grid: Grid
+    grad_phi: Tuple[np.ndarray, ...]
+    hess_phi: Tuple[np.ndarray, ...]
+    lap_phi: np.ndarray
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        """The padded grid."""
+        return (2 * self.grid.Nx,) * self.grid.d
+
+    def hess_component(self, i: int, j: int) -> np.ndarray:
+        if self.grid.d == 1:
+            return self.hess_phi[0]
+        order = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
+        return self.hess_phi[order[(i, j)]]
+
+
+@lru_cache(maxsize=8)
+def make_kernels(grid: Grid) -> MorawetzKernels:
+    d, M = grid.d, 2 * grid.Nx
+    w = np.full(M // 2 + 1, 2.0)
+    w[0] = w[-1] = 1.0
+    w *= grid.cell ** 2 / M ** d
+
+    def spectrum(centred: np.ndarray) -> np.ndarray:
+        # one leading zero per axis puts displacement 0 at index M/2 and the
+        # never-used displacement -Nx at index 0; ifftshift then wraps it
+        wrapped = np.fft.ifftshift(np.pad(centred, [(1, 0)] * d))
+        return sfft.rfftn(wrapped, workers=fft_workers())
+
+    sk = sample_kernels(grid)
+    return MorawetzKernels(
+        grid,
+        tuple(spectrum(k).imag * w for k in sk.grad_phi),
+        tuple(spectrum(k).real * w for k in sk.hess_phi),
+        spectrum(sk.lap_phi).real * w)
 
 
 # ---------------------------------------------------------------------------
-# core quantities
+# pairings
 # ---------------------------------------------------------------------------
 
-def _pair(grid: Grid, a: np.ndarray, conv_b: np.ndarray) -> float:
-    return float(np.sum(a * conv_b) * grid.cell)
+class _DensitySpectra:
+    """Half spectra of one density set on the padded grid, each taken on
+    first use: ``sp("rho")``, ``sp("P", i)``, ``sp("K", i, j)`` with i <= j."""
+
+    def __init__(self, k: MorawetzKernels, ds: DensitySet):
+        self._shape, self._ds = k.shape, ds
+        self._memo: Dict[tuple, np.ndarray] = {}
+
+    def __call__(self, name: str, *idx: int) -> np.ndarray:
+        key = (name,) + idx
+        if key not in self._memo:
+            den = getattr(self._ds, name)[idx]
+            self._memo[key] = sfft.rfftn(den, s=self._shape, workers=fft_workers())
+        return self._memo[key]
 
 
-def _J(g: Grid, k: MorawetzKernels, ds: DensitySet) -> float:
+# Elementwise products and np.sum: a BLAS level-1 dot of complex arrays can
+# cost milliseconds whatever its length.
+def _even(k: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """<a, k * b> for an even kernel, from the half spectra of k, a and b."""
+    return float(np.sum((a.conj() * b).real * k))
+
+
+def _odd(k: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """<a, k * b> for an odd kernel, from the half spectra of k, a and b."""
+    return float(np.sum((a * b.conj()).imag * k))
+
+
+def _J(k: MorawetzKernels, sp: _DensitySpectra) -> float:
     total = 0.0
-    for i in range(g.d):
-        total += _pair(g, ds.P[i], _conv(g, k.grad_phi[i], ds.rho))
+    for i in range(k.grid.d):
+        total += _odd(k.grad_phi[i], sp("P", i), sp("rho"))
     return -4.0 * total
 
 
@@ -114,54 +174,47 @@ def morawetz_J(fld: SpectralField, kernels: MorawetzKernels | None = None) -> fl
     Equals the full two-term momentum pairing: the rho-against-(grad_phi * P)
     partner coincides with this one because grad_phi is odd.
     """
-    g = fld.grid
+    k = kernels or make_kernels(fld.grid)
     ds = densities(fld, alpha=2.0)  # alpha irrelevant: only rho and P used
-    return _J(g, kernels or make_kernels(g), ds)
+    return _J(k, _DensitySpectra(k, ds))
 
 
-def _certificate_terms(g: Grid, k: MorawetzKernels, ds: DensitySet) -> float:
+def _certificate_terms(k: MorawetzKernels, sp: _DensitySpectra) -> float:
     s = 0.0
-    sym = {}  # hess(phi) and K are symmetric: (j, i) reuses the (i, j) convolutions
-    for i in range(g.d):
-        for j in range(g.d):
-            hij = k.hess_component(i, j)
-            key = (min(i, j), max(i, j))
-            if key not in sym:
-                sym[key] = (_conv(g, hij, ds.rho), _conv(g, hij, ds.K[i, j]))
-            h_rho, h_K = sym[key]
-            s += 4.0 * _pair(g, ds.K[i, j], h_rho)
-            s += 4.0 * _pair(g, ds.rho, h_K)
-            s -= 8.0 * _pair(g, ds.P[i], _conv(g, hij, ds.P[j]))
-            s += 2.0 * _pair(g, ds.grad_rho[i], _conv(g, hij, ds.grad_rho[j]))
+    for i in range(k.grid.d):
+        for j in range(i, k.grid.d):
+            h = k.hess_component(i, j)
+            term = (8.0 * _even(h, sp("K", i, j), sp("rho"))
+                    - 8.0 * _even(h, sp("P", i), sp("P", j))
+                    + 2.0 * _even(h, sp("grad_rho", i), sp("grad_rho", j)))
+            # hess_phi, K and the pairings are symmetric: (j, i) repeats (i, j)
+            s += term if i == j else 2.0 * term
     return s
 
 
 def positivity_certificate(fld: SpectralField,
                            kernels: MorawetzKernels | None = None) -> float:
     """S >= 0: y-integrated image of the pointwise bound 4 A hess(phi) conj(A) >= 0."""
-    g = fld.grid
+    k = kernels or make_kernels(fld.grid)
     ds = densities(fld, alpha=2.0)  # nu not used
-    return _certificate_terms(g, kernels or make_kernels(g), ds)
+    return _certificate_terms(k, _DensitySpectra(k, ds))
 
 
-def _chain(g: Grid, k: MorawetzKernels, ds: DensitySet,
+def _chain(k: MorawetzKernels, sp: _DensitySpectra,
            physics: PhysicsParams) -> Tuple[float, float, float]:
     """(S, lhs, rhs) from one density set."""
-    s = _certificate_terms(g, k, ds)
+    s = _certificate_terms(k, sp)
     a = physics.alpha
-    nu_lap_rho = _pair(g, ds.nu, _conv(g, k.lap_phi, ds.rho))
-    nl = nu_lap_rho + _pair(g, ds.rho, _conv(g, k.lap_phi, ds.nu))
-    lhs = s + (2.0 * a / (a + 2.0)) * physics.lam * nl
-    rhs = (4.0 * a / (a + 2.0)) * physics.lam * nu_lap_rho
-    return s, lhs, rhs
+    rhs = (4.0 * a / (a + 2.0)) * physics.lam * _even(k.lap_phi, sp("nu"), sp("rho"))
+    return s, s + rhs, rhs
 
 
 def morawetz_terms(fld: SpectralField, physics: PhysicsParams,
                    kernels: MorawetzKernels | None = None) -> Tuple[float, float]:
     """(lhs, rhs): lhs = I+II+III = dJ/dt; rhs the interaction lower bound."""
-    g = fld.grid
-    return _chain(g, kernels or make_kernels(g), densities(fld, physics.alpha),
-                  physics)[1:]
+    k = kernels or make_kernels(fld.grid)
+    ds = densities(fld, physics.alpha)
+    return _chain(k, _DensitySpectra(k, ds), physics)[1:]
 
 
 def inequality_tolerance(lhs: float, rhs: float, mass_value: float) -> float:
@@ -263,11 +316,10 @@ class MorawetzRecorder:
         self._acc = CubeSupAccumulator(r_side, physics.alpha)
 
     def __call__(self, fld: SpectralField, guard_breached: bool) -> None:
-        g = fld.grid
-        k = make_kernels(g)  # cached per grid
-        ds = densities(fld, self.physics.alpha)
-        s, lhs, rhs = _chain(g, k, ds, self.physics)
+        k = make_kernels(fld.grid)  # cached per grid
+        sp = _DensitySpectra(k, densities(fld, self.physics.alpha))
+        s, lhs, rhs = _chain(k, sp, self.physics)
         integral = self._acc.update(fld.time_tag, fld)
         self.samples.append(MorawetzSample(
-            t=fld.time_tag, J=_J(g, k, ds), lhs=lhs, rhs=rhs, S=s,
+            t=fld.time_tag, J=_J(k, sp), lhs=lhs, rhs=rhs, S=s,
             cube_sup=self._acc.cube_sup, cube_sup_integral=integral))

@@ -48,6 +48,8 @@ from nlslab.morawetz import (
 )
 from nlslab.scattering import pullback
 
+pytestmark = pytest.mark.acceptance
+
 
 def report(num: int, ok: bool, detail: str) -> bool:
     record_acceptance(

@@ -223,6 +223,21 @@ class TestEdgeCubeFraction:
         f = from_profile(g1, lambda x, y: 0.0 * x)
         assert edge_cube_fraction(f) == 0.0
 
+    @pytest.mark.parametrize("grid, sampler", [
+        (Grid(1, 40.0, 256, 16),
+         lambda x, y: np.exp(-4 * (x - 19.0) ** 2) * (1 + 0.3 * np.cos(y))),
+        (Grid(2, 20.0, 64, 8),
+         lambda x1, x2, y: np.exp(-2 * ((x1 - 9.0) ** 2 + (x2 - 1.0) ** 2))
+         * (1 + 0.3 * np.cos(y))),
+    ])
+    def test_total_is_the_mass(self, grid, sampler):
+        # the heaviest unit cube sits in the edge band, so the fraction is
+        # cube_sup / total, and the total the guard divides by must be the mass
+        from nlslab.field import cube_sup_mass
+        f = from_profile(grid, sampler)
+        assert edge_cube_fraction(f) == pytest.approx(
+            cube_sup_mass(f, 1.0) / mass(f), rel=1e-12)
+
 
 class TestStepKernel:
     def test_strang_step_equals_one_step_evolve(self, gaussian):

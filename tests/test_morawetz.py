@@ -16,8 +16,10 @@ from nlslab.morawetz import (
     morawetz_J,
     morawetz_terms,
     positivity_certificate,
-    _conv,
-    _pair,
+    sample_kernels,
+    _DensitySpectra,
+    _even,
+    _odd,
 )
 
 
@@ -48,6 +50,37 @@ def direct_pair(g, a, kern_fn, b):
     return float(a @ (kern_fn(s) @ b) * g.cell ** 2)
 
 
+def d2_case():
+    """A d=2 datum with its displacement components s and <s> on the
+    flattened x grid; the tilted datum and its chirp keep the off-diagonal
+    pairings from vanishing by symmetry."""
+    g = Grid(2, 8.0, 16, 4)
+    f = from_profile(g, lambda x1, x2, y: np.exp(-(x1 ** 2 + x1 * x2 + 2 * x2 ** 2) / 2)
+                     * np.exp(0.7j * x1 - 0.4j * x2 + 0.3j * x1 * x2)
+                     * (1 + 0.3 * np.cos(y)))
+    x1, x2 = (a.ravel() for a in np.meshgrid(g.x_axis(), g.x_axis(), indexing="ij"))
+    s = (np.subtract.outer(x1, x1), np.subtract.outer(x2, x2))
+    return g, f, s, np.sqrt(1 + s[0] ** 2 + s[1] ** 2)
+
+
+def pair2(g, a, kern, c):
+    """d=2 double sum over all pairs of the flattened x grid, kernel given per pair."""
+    return float(a.ravel() @ kern @ c.ravel()) * g.cell ** 2
+
+
+def d2_certificate(g, ds, s, b):
+    """S term by term: every (i, j) of the Hessian, both K pairings."""
+    expect = 0.0
+    for i in range(2):
+        for j in range(2):
+            hess = (i == j) / b - s[i] * s[j] / b ** 3
+            expect += (4 * pair2(g, ds.K[i, j], hess, ds.rho)
+                       + 4 * pair2(g, ds.rho, hess, ds.K[i, j])
+                       - 8 * pair2(g, ds.P[i], hess, ds.P[j])
+                       + 2 * pair2(g, ds.grad_rho[i], hess, ds.grad_rho[j]))
+    return expect
+
+
 def k_grad(s):
     return s / np.sqrt(1 + s ** 2)
 
@@ -63,15 +96,18 @@ def k_lap(s):
 
 class TestKernels:
     def test_pointwise_properties(self, g1):
-        k = make_kernels(g1)
+        k = sample_kernels(g1)
         assert np.all(k.lap_phi > 0)
         assert np.all(k.hess_phi[0] > 0)  # d=1: 1/<s>^3 > 0
         assert np.allclose(k.grad_phi[0], -k.grad_phi[0][::-1])
-        assert np.allclose(k.phi, k.phi[::-1])
+        assert np.allclose(k.lap_phi, k.lap_phi[::-1])
+        s = (np.arange(2 * g1.Nx - 1) - (g1.Nx - 1)) * g1.dx
+        assert np.allclose(k.grad_phi[0], k_grad(s), rtol=1e-14, atol=0)
+        assert np.allclose(k.lap_phi, k_lap(s), rtol=1e-14, atol=0)
 
     def test_d2_hessian_psd(self):
         g = Grid(2, 10.0, 16, 4)
-        k = make_kernels(g)
+        k = sample_kernels(g)
         xx, xy, yy = k.hess_phi
         assert np.all(xx > 0) and np.all(yy > 0)
         det = xx * yy - xy ** 2
@@ -79,6 +115,31 @@ class TestKernels:
 
     def test_cached_per_grid(self, g1):
         assert make_kernels(g1) is make_kernels(Grid(1, 40.0, 256, 8))
+
+    @pytest.mark.parametrize("grid", [Grid(1, 40.0, 256, 8), Grid(2, 10.0, 16, 4)])
+    def test_spectra_keep_the_whole_transform(self, grid):
+        # wrap each sampled kernel onto the padded grid index by index: the
+        # even kernels must have a real spectrum and the odd ones an
+        # imaginary one, up to rounding, and the cache holds the kept part
+        # times the half-spectrum Parseval weights
+        N, M, d = grid.Nx, 2 * grid.Nx, grid.d
+        wrap = np.ix_(*[(np.arange(2 * N - 1) - (N - 1)) % M] * d)
+        w = np.where(np.isin(np.arange(N + 1), (0, N)), 1.0, 2.0)
+        w = w * grid.cell ** 2 / M ** d
+        sk, k = sample_kernels(grid), make_kernels(grid)
+        pairs = ([(a, b, "odd") for a, b in zip(sk.grad_phi, k.grad_phi)]
+                 + [(a, b, "even") for a, b in zip(sk.hess_phi, k.hess_phi)]
+                 + [(sk.lap_phi, k.lap_phi, "even")])
+        assert len(pairs) == {1: 3, 2: 6}[d]
+        for centred, cached, parity in pairs:
+            padded = np.zeros((M,) * d)
+            padded[wrap] = centred
+            spec = np.fft.rfftn(padded)
+            kept, dropped = ((spec.real, spec.imag) if parity == "even"
+                             else (spec.imag, spec.real))
+            assert np.abs(dropped).max() < 1e-12 * np.abs(kept).max()
+            assert np.allclose(cached, kept * w, rtol=1e-12,
+                               atol=1e-14 * np.abs(kept * w).max())
 
 
 class TestMorawetzJ:
@@ -99,10 +160,19 @@ class TestMorawetzJ:
     def test_two_pairings_coincide(self, g1, bumps):
         # rho against (grad_phi * P) equals P against (grad_phi * rho) by oddness
         k = make_kernels(g1)
-        ds = densities(bumps, 2.0)
-        a = _pair(g1, ds.P[0], _conv(g1, k.grad_phi[0], ds.rho))
-        b = _pair(g1, ds.rho, _conv(g1, k.grad_phi[0], ds.P[0]))
+        sp = _DensitySpectra(k, densities(bumps, 2.0))
+        a = _odd(k.grad_phi[0], sp("P", 0), sp("rho"))
+        b = _odd(k.grad_phi[0], sp("rho"), sp("P", 0))
+        assert a != 0.0
         assert a == pytest.approx(-b, rel=1e-12)
+
+    def test_d2_matches_double_sum(self):
+        g, f, s, b = d2_case()
+        ds = densities(f, 2.0)
+        expect = -4.0 * sum(pair2(g, ds.P[i], s[i] / b, ds.rho) for i in range(2))
+        got = morawetz_J(f)
+        assert got != 0.0
+        assert got == pytest.approx(expect, rel=1e-9)
 
 
 class TestPositivityCertificate:
@@ -138,27 +208,10 @@ class TestPositivityCertificate:
                 assert s == pytest.approx(expect, rel=1e-9)
 
     def test_d2_matches_double_sum(self):
-        # every (i, j) term by O(N^2) sums; the tilted datum and its chirp keep
-        # the off-diagonal pairings from vanishing by symmetry
-        g = Grid(2, 8.0, 16, 4)
-        f = from_profile(g, lambda x1, x2, y: np.exp(-(x1 ** 2 + x1 * x2 + 2 * x2 ** 2) / 2)
-                         * np.exp(0.7j * x1 - 0.4j * x2 + 0.3j * x1 * x2)
-                         * (1 + 0.3 * np.cos(y)))
+        g, f, s, b = d2_case()
         ds = densities(f, 2.0)
-        x1, x2 = (a.ravel() for a in np.meshgrid(g.x_axis(), g.x_axis(), indexing="ij"))
-        s = (np.subtract.outer(x1, x1), np.subtract.outer(x2, x2))
-        b = np.sqrt(1 + s[0] ** 2 + s[1] ** 2)
-        expect = 0.0
-        for i in range(2):
-            for j in range(2):
-                hess = (i == j) / b - s[i] * s[j] / b ** 3
-
-                def pair(a, c):
-                    return float(a.ravel() @ hess @ c.ravel()) * g.cell ** 2
-                expect += (4 * pair(ds.K[i, j], ds.rho) + 4 * pair(ds.rho, ds.K[i, j])
-                           - 8 * pair(ds.P[i], ds.P[j])
-                           + 2 * pair(ds.grad_rho[i], ds.grad_rho[j]))
-        assert positivity_certificate(f) == pytest.approx(expect, rel=1e-9)
+        assert positivity_certificate(f) == pytest.approx(d2_certificate(g, ds, s, b),
+                                                          rel=1e-9)
 
 
 class TestMorawetzTerms:
@@ -179,11 +232,26 @@ class TestMorawetzTerms:
         assert rhs == pytest.approx(rhs_exp, rel=1e-9)
 
     def test_symmetric_interaction_terms_equal(self, g1, physics, bumps):
+        # bitwise equal with lap_phi's spectrum stored real, so lhs takes it once
         k = make_kernels(g1)
-        ds = densities(bumps, physics.alpha)
-        t1 = _pair(g1, ds.nu, _conv(g1, k.lap_phi, ds.rho))
-        t2 = _pair(g1, ds.rho, _conv(g1, k.lap_phi, ds.nu))
-        assert t1 == pytest.approx(t2, rel=1e-12)
+        sp = _DensitySpectra(k, densities(bumps, physics.alpha))
+        t1 = _even(k.lap_phi, sp("nu"), sp("rho"))
+        t2 = _even(k.lap_phi, sp("rho"), sp("nu"))
+        assert t1 != 0.0
+        assert t1 == t2
+
+    def test_d2_matches_double_sum(self):
+        g, f, s, b = d2_case()
+        physics = PhysicsParams(3.0, 1)
+        a = physics.alpha
+        ds = densities(f, a)
+        lap = (s[0] ** 2 + s[1] ** 2 + 2) / b ** 3
+        nl = pair2(g, ds.nu, lap, ds.rho) + pair2(g, ds.rho, lap, ds.nu)
+        lhs_exp = d2_certificate(g, ds, s, b) + 2 * a / (a + 2) * nl
+        rhs_exp = 4 * a / (a + 2) * pair2(g, ds.nu, lap, ds.rho)
+        lhs, rhs = morawetz_terms(f, physics)
+        assert lhs == pytest.approx(lhs_exp, rel=1e-9)
+        assert rhs == pytest.approx(rhs_exp, rel=1e-9)
 
     def test_defocusing_inequality_along_run(self, g1, physics):
         from nlslab.integrator import mass
@@ -334,14 +402,18 @@ class TestRecorderSinglePass:
         assert s.J != 0.0 and s.S > 0.0  # momentum and y-variation reach the sums
 
     def test_call_counts(self, moving_d2, monkeypatch):
+        import scipy.fft
         from nlslab import morawetz
-        calls = {"densities": 0, "cube_sup_mass": 0, "fftconvolve": 0}
-        for name in calls:
-            def counted(*args, _fn=getattr(morawetz, name), _name=name, **kw):
+        make_kernels(moving_d2.grid)  # built once per grid, not per sample
+        calls = {"densities": 0, "cube_sup_mass": 0, "fftconvolve": 0, "rfftn": 0}
+        for module, name in ((morawetz, "densities"), (morawetz, "cube_sup_mass"),
+                             (morawetz, "fftconvolve"), (scipy.fft, "rfftn")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kw):
                 calls[_name] += 1
                 return _fn(*args, **kw)
-            monkeypatch.setattr(morawetz, name, counted)
+            monkeypatch.setattr(module, name, counted)
         MorawetzRecorder(PhysicsParams(3.0, 1))(moving_d2, False)
-        # d=2: S takes 14 convolutions ((1, 0) reuses two of (0, 1)), J 2 and
-        # the interaction pair 2
-        assert calls == {"densities": 1, "cube_sup_mass": 1, "fftconvolve": 18}
+        # d=2: one transform each of rho, nu, P_0, P_1, K_00, K_01, K_11 and
+        # the two components of grad rho; no convolutions
+        assert calls == {"densities": 1, "cube_sup_mass": 1, "fftconvolve": 0,
+                         "rfftn": 9}

@@ -162,6 +162,23 @@ class TestSpacetimeAccumulators:
         expect = 0.1 * mixed_norm(f, r_th, 0.5 + 1 / 20) ** q_th
         assert acc.totals["theta_norm"] == pytest.approx(expect, rel=1e-12)
 
+    def test_u_and_dy_norms_match_mixed_norm(self, g1, tuples):
+        # the y-derivative norm against mixed_norm of d_y u built as a field
+        from nlslab.field import SpectralField
+        params, base, theta, aux = tuples
+        acc = SpacetimeAccumulators(params, base, theta, aux)
+        f = from_profile(g1, lambda x, y: np.exp(-x ** 2) * (1 + 0.5 * np.exp(2j * y))
+                         + 0.3 * np.exp(-(x - 2) ** 2 - 1j * y))
+        dy = SpectralField(g1, f.coefficients * (1j * g1.n_grid()))
+        acc.update(0.0, f)
+        acc.update(0.1, f)
+        p, ell = float(aux.p), float(aux.l)
+        assert acc.totals["u_lp"] == pytest.approx(0.1 * mixed_norm(f, p, 0.0) ** ell,
+                                                   rel=1e-12)
+        assert acc.totals["dy_lp"] == pytest.approx(0.1 * mixed_norm(dy, p, 0.0) ** ell,
+                                                    rel=1e-12)
+        assert acc.totals["dy_lp"] > 0.0
+
     def test_delta_constraint_enforced(self, tuples):
         params, base, theta, aux = tuples
         with pytest.raises(ValueError):
