@@ -53,7 +53,7 @@ from .field import (
 )
 from .integrator import PhysicsParams, StepControl, energy, evolve, mass, \
     soliton_profile
-from .morawetz import MorawetzRecorder, inequality_tolerance
+from .morawetz import CubeSupAccumulator, inequality_tolerance, morawetz_sample
 from .scattering import (
     SpacetimeAccumulators,
     geometric_sample_times,
@@ -292,7 +292,7 @@ class RecordBuilder:
         sample_dt = cfg.dt * cfg.sample_every
         self._schedule = geometric_sample_times(10 * sample_dt, cfg.t_end, sample_dt) \
             if cfg.preset in ("soliton-control", "scattering") else []
-        self._morawetz = MorawetzRecorder(self.physics_params, cfg.r_side)
+        self._cube = CubeSupAccumulator(cfg.r_side, self.physics_params.alpha)
         self._acc: Optional[SpacetimeAccumulators] = None
         alpha = cfg.alpha_fraction()
         try:
@@ -311,12 +311,11 @@ class RecordBuilder:
                     params, base, th_tuple, aux, as_fraction(cfg.delta))
 
     def __call__(self, fld: SpectralField, guard_breached: bool) -> None:
-        self._morawetz(fld, guard_breached)
-        ms = self._morawetz.samples[-1]
+        ms, ds = morawetz_sample(fld, self.physics_params, self._cube)
         acc_totals = {k: 0.0 for k in _ACC_KEYS}
         theta_norm = 0.0
         if self._acc is not None:
-            acc_totals = self._acc.update(fld.time_tag, fld)
+            acc_totals = self._acc.update(fld.time_tag, fld, ds)
             theta_norm = self._acc.theta_mixed_norm
         self.records.append(DiagnosticsRecord(
             t=fld.time_tag,

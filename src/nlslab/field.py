@@ -28,9 +28,6 @@ from scipy.integrate import quad
 
 TWO_PI = 2.0 * np.pi
 
-# floor for |u| before fractional powers, so log/pow never sees an exact zero
-_ABS_FLOOR = 1e-300
-
 
 def fft_workers() -> int:
     """scipy.fft worker count: -1 (all cores) unless NLSLAB_THREADS is set to a
@@ -248,13 +245,6 @@ def mixed_norm(fld: SpectralField, r: float, gamma: float) -> float:
     return _mixed_from_power(g, _y_mode_power(fld), r, (1.0 + g.n_axis() ** 2) ** gamma)
 
 
-def grad_x_mixed_norm(fld: SpectralField, p: float) -> float:
-    """L^p_x L^2_y norm of |grad_x u|."""
-    g = fld.grid
-    h_sq = sum(np.sum(np.abs(du) ** 2, axis=-1) * g.dy for du in _u_x_gradients(fld))
-    return _lr_x(h_sq, p, g.cell)
-
-
 @lru_cache(maxsize=None)
 def dq_normalizer(s: float) -> float:
     """c(s) = int_R |e^{ir} - 1|^2 / |r|^{1+2s} dr by adaptive quadrature.
@@ -327,8 +317,7 @@ def nonlinear_power(fld: SpectralField, alpha: float) -> SpectralField:
     mesh = np.ix_(*idx)
     big[mesh] = fld.coefficients
     vals = sfft.ifftn(big, workers=fft_workers()) * (Mx ** g.d * My)
-    amp = np.maximum(np.abs(vals), _ABS_FLOOR)
-    out = vals * amp ** alpha
+    out = vals * np.abs(vals) ** alpha
     big_out = sfft.fftn(out, workers=fft_workers()) / (Mx ** g.d * My)
     return SpectralField(g, big_out[mesh], fld.time_tag)
 
@@ -463,22 +452,17 @@ def _x_gradient(grid: Grid, arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _u_x_gradients(fld: SpectralField) -> list:
-    """Spectral x-derivatives d_i u on the full grid, one array per x axis."""
-    g = fld.grid
-    return [sfft.ifftn(fld.coefficients * (1j * xg) * g.x_phase(),
-                       workers=fft_workers()) * g.ntot
-            for xg in g.xi_grids()]
-
-
 def densities(fld: SpectralField, alpha: float) -> DensitySet:
     """Extract rho, P, K, nu and grad rho by y rectangle-rule integration."""
     g = fld.grid
     u = fld.samples()
     absu = np.abs(u)
     rho = np.sum(absu ** 2, axis=-1) * g.dy
-    nu = np.sum(np.maximum(absu, _ABS_FLOOR) ** (alpha + 2.0), axis=-1) * g.dy
-    grads = _u_x_gradients(fld)
+    nu = np.sum(absu ** (alpha + 2.0), axis=-1) * g.dy
+    # spectral x-derivatives d_i u on the full grid, one array per x axis
+    grads = [sfft.ifftn(fld.coefficients * (1j * xg) * g.x_phase(),
+                        workers=fft_workers()) * g.ntot
+             for xg in g.xi_grids()]
 
     P = np.empty((g.d,) + rho.shape)
     for i in range(g.d):

@@ -101,12 +101,6 @@ class MorawetzKernels:
         """The padded grid."""
         return (2 * self.grid.Nx,) * self.grid.d
 
-    def hess_component(self, i: int, j: int) -> np.ndarray:
-        if self.grid.d == 1:
-            return self.hess_phi[0]
-        order = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
-        return self.hess_phi[order[(i, j)]]
-
 
 @lru_cache(maxsize=8)
 def make_kernels(grid: Grid) -> MorawetzKernels:
@@ -168,34 +162,33 @@ def _J(k: MorawetzKernels, sp: _DensitySpectra) -> float:
     return -4.0 * total
 
 
-def morawetz_J(fld: SpectralField, kernels: MorawetzKernels | None = None) -> float:
+def morawetz_J(fld: SpectralField) -> float:
     """J = -4 sum P(x1) . (grad_phi * rho)(x1) * cell.
 
     Equals the full two-term momentum pairing: the rho-against-(grad_phi * P)
     partner coincides with this one because grad_phi is odd.
     """
-    k = kernels or make_kernels(fld.grid)
+    k = make_kernels(fld.grid)
     ds = densities(fld, alpha=2.0)  # alpha irrelevant: only rho and P used
     return _J(k, _DensitySpectra(k, ds))
 
 
 def _certificate_terms(k: MorawetzKernels, sp: _DensitySpectra) -> float:
     s = 0.0
-    for i in range(k.grid.d):
-        for j in range(i, k.grid.d):
-            h = k.hess_component(i, j)
-            term = (8.0 * _even(h, sp("K", i, j), sp("rho"))
-                    - 8.0 * _even(h, sp("P", i), sp("P", j))
-                    + 2.0 * _even(h, sp("grad_rho", i), sp("grad_rho", j)))
-            # hess_phi, K and the pairings are symmetric: (j, i) repeats (i, j)
-            s += term if i == j else 2.0 * term
+    d = k.grid.d
+    # hess_phi holds the i <= j components in this loop order: (xx, xy, yy) at d=2
+    for (i, j), h in zip([(i, j) for i in range(d) for j in range(i, d)], k.hess_phi):
+        term = (8.0 * _even(h, sp("K", i, j), sp("rho"))
+                - 8.0 * _even(h, sp("P", i), sp("P", j))
+                + 2.0 * _even(h, sp("grad_rho", i), sp("grad_rho", j)))
+        # hess_phi, K and the pairings are symmetric: (j, i) repeats (i, j)
+        s += term if i == j else 2.0 * term
     return s
 
 
-def positivity_certificate(fld: SpectralField,
-                           kernels: MorawetzKernels | None = None) -> float:
+def positivity_certificate(fld: SpectralField) -> float:
     """S >= 0: y-integrated image of the pointwise bound 4 A hess(phi) conj(A) >= 0."""
-    k = kernels or make_kernels(fld.grid)
+    k = make_kernels(fld.grid)
     ds = densities(fld, alpha=2.0)  # nu not used
     return _certificate_terms(k, _DensitySpectra(k, ds))
 
@@ -209,10 +202,9 @@ def _chain(k: MorawetzKernels, sp: _DensitySpectra,
     return s, s + rhs, rhs
 
 
-def morawetz_terms(fld: SpectralField, physics: PhysicsParams,
-                   kernels: MorawetzKernels | None = None) -> Tuple[float, float]:
+def morawetz_terms(fld: SpectralField, physics: PhysicsParams) -> Tuple[float, float]:
     """(lhs, rhs): lhs = I+II+III = dJ/dt; rhs the interaction lower bound."""
-    k = kernels or make_kernels(fld.grid)
+    k = make_kernels(fld.grid)
     ds = densities(fld, physics.alpha)
     return _chain(k, _DensitySpectra(k, ds), physics)[1:]
 
@@ -258,15 +250,13 @@ def local_mass_flux_residual(f_minus: SpectralField, f_plus: SpectralField,
 
 
 def finite_difference_dJdt_check(f_minus: SpectralField, f_center: SpectralField,
-                                 f_plus: SpectralField, physics: PhysicsParams,
-                                 kernels: MorawetzKernels | None = None) -> float:
+                                 f_plus: SpectralField, physics: PhysicsParams) -> float:
     """|(J(t+d) - J(t-d)) / 2d - lhs(t)|, O(delta^2) for exact trajectories."""
-    k = kernels or make_kernels(f_center.grid)
     delta2 = f_plus.time_tag - f_minus.time_tag
     if delta2 <= 0:
         raise ValueError("snapshots must be time-ordered")
-    fd = (morawetz_J(f_plus, k) - morawetz_J(f_minus, k)) / delta2
-    lhs, _ = morawetz_terms(f_center, physics, k)
+    fd = (morawetz_J(f_plus) - morawetz_J(f_minus)) / delta2
+    lhs, _ = morawetz_terms(f_center, physics)
     return abs(fd - lhs)
 
 
@@ -307,6 +297,19 @@ class CubeSupAccumulator:
         return self.integral
 
 
+def morawetz_sample(fld: SpectralField, physics: PhysicsParams,
+                    cube: CubeSupAccumulator) -> Tuple[MorawetzSample, DensitySet]:
+    """One sample of a run from one density pass, returned with that pass for
+    the other per-sample figures that need x-gradients."""
+    k = make_kernels(fld.grid)  # cached per grid
+    ds = densities(fld, physics.alpha)
+    sp = _DensitySpectra(k, ds)
+    s, lhs, rhs = _chain(k, sp, physics)
+    integral = cube.update(fld.time_tag, fld)
+    return MorawetzSample(t=fld.time_tag, J=_J(k, sp), lhs=lhs, rhs=rhs, S=s,
+                          cube_sup=cube.cube_sup, cube_sup_integral=integral), ds
+
+
 class MorawetzRecorder:
     """Sink producing one MorawetzSample per snapshot of a run."""
 
@@ -316,10 +319,4 @@ class MorawetzRecorder:
         self._acc = CubeSupAccumulator(r_side, physics.alpha)
 
     def __call__(self, fld: SpectralField, guard_breached: bool) -> None:
-        k = make_kernels(fld.grid)  # cached per grid
-        sp = _DensitySpectra(k, densities(fld, self.physics.alpha))
-        s, lhs, rhs = _chain(k, sp, self.physics)
-        integral = self._acc.update(fld.time_tag, fld)
-        self.samples.append(MorawetzSample(
-            t=fld.time_tag, J=_J(k, sp), lhs=lhs, rhs=rhs, S=s,
-            cube_sup=self._acc.cube_sup, cube_sup_integral=integral))
+        self.samples.append(morawetz_sample(fld, self.physics, self._acc)[0])

@@ -25,11 +25,12 @@ from .exponents import (
     verify_tuple,
 )
 from .field import (
+    DensitySet,
     SpectralField,
+    _lr_x,
     _mixed_from_power,
     _y_mode_power,
     free_evolve,
-    grad_x_mixed_norm,
     lebesgue_norm,
     mixed_norm,  # not called here; perfbench/tracing.py wraps scattering.mixed_norm
     sobolev_h1,
@@ -124,6 +125,9 @@ class SpacetimeAccumulators:
 
     theta_norm: ||u||^{q_theta} in L^{r_theta}_x H^{1/2+delta}_y
     u_lp, dy_lp, grad_lp: ||u||^l, ||d_y u||^l, ||grad_x u||^l in L^p_x L^2_y
+
+    Each update takes the sample's DensitySet: trace K is the y-integrated
+    |grad_x u|^2, so grad_lp needs no gradient pass of its own.
     """
 
     params: ProblemParams
@@ -151,7 +155,7 @@ class SpacetimeAccumulators:
         self._last_vals = None
         self.theta_mixed_norm: float | None = None
 
-    def _instant(self, fld: SpectralField) -> Dict[str, float]:
+    def _instant(self, fld: SpectralField, ds: DensitySet) -> Dict[str, float]:
         q_th = float(self.theta.q_theta)
         r_th = float(self.theta.r_theta)
         gamma = 0.5 + float(self.delta)
@@ -165,11 +169,11 @@ class SpacetimeAccumulators:
             "theta_norm": self.theta_mixed_norm ** q_th,
             "u_lp": _mixed_from_power(g, power, p, 1.0) ** ell,
             "dy_lp": _mixed_from_power(g, power, p, n_sq) ** ell,
-            "grad_lp": grad_x_mixed_norm(fld, p) ** ell,
+            "grad_lp": _lr_x(np.trace(ds.K), p, g.cell) ** ell,
         }
 
-    def update(self, t: float, fld: SpectralField) -> Dict[str, float]:
-        vals = self._instant(fld)
+    def update(self, t: float, fld: SpectralField, ds: DensitySet) -> Dict[str, float]:
+        vals = self._instant(fld, ds)
         if self._last_t is not None:
             if t <= self._last_t:
                 raise ValueError("stream must be strictly time-ordered")

@@ -41,7 +41,6 @@ from nlslab.field import (
 from nlslab.integrator import PhysicsParams, StepControl, energy, evolve, mass
 from nlslab.morawetz import (
     inequality_tolerance,
-    make_kernels,
     morawetz_J,
     morawetz_terms,
     positivity_certificate,
@@ -189,7 +188,6 @@ def test_criterion_04_morawetz_oracle():
     t0 = time.perf_counter()
     g = Grid(1, 40.0, 256, 16)
     ph = PhysicsParams(5.0, 1)
-    k = make_kernels(g)
     x = g.x_axis()
     s = x[:, None] - x[None, :]
     br = np.sqrt(1.0 + s ** 2)
@@ -213,9 +211,9 @@ def test_criterion_04_morawetz_oracle():
         a = 5.0
         lhs_d = S_d + (2 * a / (a + 2)) * (nl1 + nl2)
         rhs_d = (4 * a / (a + 2)) * nl1
-        lhs, rhs = morawetz_terms(f, ph, k)
-        for got, want in ((morawetz_J(f, k), J_d),
-                          (positivity_certificate(f, k), S_d),
+        lhs, rhs = morawetz_terms(f, ph)
+        for got, want in ((morawetz_J(f), J_d),
+                          (positivity_certificate(f), S_d),
                           (lhs, lhs_d), (rhs, rhs_d)):
             worst = max(worst, abs(got - want) / max(abs(want), 1e-30))
     wall = time.perf_counter() - t0
@@ -235,13 +233,12 @@ def test_criterion_05_morawetz_inequality(decay_run, richardson_snaps):
         if r.positivity_S < -1e-10 * max(scale, 1.0):
             ok_pos = False
     snaps, dt, ph = richardson_snaps
-    k = make_kernels(snaps[1.0].grid)
-    lhs, _ = morawetz_terms(snaps[1.0], ph, k)
+    lhs, _ = morawetz_terms(snaps[1.0], ph)
     res = {}
     for m in (1, 4, 8):
         d = m * dt
-        fd = (morawetz_J(snaps[round(1 + d, 12)], k)
-              - morawetz_J(snaps[round(1 - d, 12)], k)) / (2 * d)
+        fd = (morawetz_J(snaps[round(1 + d, 12)])
+              - morawetz_J(snaps[round(1 - d, 12)])) / (2 * d)
         res[m] = abs(fd - lhs)
     order = math.log2(res[8] / res[4])
     small = res[1] / abs(lhs)

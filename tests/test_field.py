@@ -466,7 +466,6 @@ class TestFftWorkers:
                                * (1 + 0.2 * np.cos(y)))
         field.SpectralField(g, f.coefficients).samples()
         field.mixed_norm(f, 4.0, 0.5)
-        field.grad_x_mixed_norm(f, 4.0)
         field.densities(f, 2.0)
         field.nonlinear_power(f, 2.0)
         physics = integrator.PhysicsParams(2.0, 1)

@@ -185,7 +185,6 @@ class TestPositivityCertificate:
         assert positivity_certificate(f) >= 0.0
 
     def test_random_fields_nonnegative_and_match_oracle(self, g1):
-        k = make_kernels(g1)
         for seed in range(200):
             rng = np.random.default_rng(seed)
             c = np.zeros(g1.shape, complex)
@@ -193,7 +192,7 @@ class TestPositivityCertificate:
                 + 1j * rng.standard_normal((g1.Nx, 2))
             c *= np.exp(-g1.xi_sq() / 10.0)
             f = SpectralField(g1, c)
-            s = positivity_certificate(f, k)
+            s = positivity_certificate(f)
             from nlslab.integrator import mass
             from nlslab.field import sobolev_h1
             scale = (mass(f) + sobolev_h1(f)) ** 4
@@ -417,3 +416,30 @@ class TestRecorderSinglePass:
         # the two components of grad rho; no convolutions
         assert calls == {"densities": 1, "cube_sup_mass": 1, "fftconvolve": 0,
                          "rfftn": 9}
+
+    @pytest.mark.parametrize("d, alpha", [(1, "5"), (2, "3")])
+    def test_record_builder_call_counts(self, d, alpha, monkeypatch):
+        # the Morawetz pairings and the gradient accumulator share one
+        # density pass, whose x-gradients are the only full-grid inverse FFTs
+        import json
+        import scipy.fft
+        from nlslab import cli, morawetz
+        cfg = cli.parse_config(json.dumps(
+            {"preset": "scattering", "d": d, "alpha": alpha,
+             "grid": {"Nx": 32, "Ny": 4, "L": 16.0}}))
+        fld = cli.build_datum(cfg)
+        builder = cli.RecordBuilder(cfg)
+        assert builder._acc is not None  # the space-time accumulators run
+        calls = {"densities": 0, "ifftn": 0}
+
+        def densities_counted(*args, _fn=morawetz.densities, **kw):
+            calls["densities"] += 1
+            return _fn(*args, **kw)
+
+        def ifftn_counted(x, *args, _fn=scipy.fft.ifftn, **kw):
+            calls["ifftn"] += np.size(x) == fld.grid.ntot
+            return _fn(x, *args, **kw)
+        monkeypatch.setattr(morawetz, "densities", densities_counted)
+        monkeypatch.setattr(scipy.fft, "ifftn", ifftn_counted)
+        builder(fld, False)
+        assert calls == {"densities": 1, "ifftn": d}

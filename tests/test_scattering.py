@@ -10,7 +10,7 @@ from nlslab.exponents import (
     critical_tuple,
     theta_tuple,
 )
-from nlslab.field import Grid, from_profile, free_evolve, mixed_norm, sobolev_h1
+from nlslab.field import Grid, densities, from_profile, free_evolve, mixed_norm, sobolev_h1
 from nlslab.integrator import PhysicsParams, StepControl, evolve, soliton_profile
 from nlslab.scattering import (
     SpacetimeAccumulators,
@@ -135,6 +135,11 @@ class TestDecaySeries:
         assert ds[8.0].outside_range
 
 
+def feed(acc, t, f):
+    """One accumulator update with the sample's density pass."""
+    return acc.update(t, f, densities(f, float(acc.params.alpha)))
+
+
 class TestSpacetimeAccumulators:
     @pytest.fixture
     def tuples(self):
@@ -149,15 +154,15 @@ class TestSpacetimeAccumulators:
         acc = SpacetimeAccumulators(params, base, theta, aux)
         zero = from_profile(g1, lambda x, y: 0.0 * x)
         for t in (0.0, 0.1, 0.2):
-            totals = acc.update(t, zero)
+            totals = feed(acc, t, zero)
         assert all(v == 0.0 for v in totals.values())
 
     def test_single_increment_quadrature(self, g1, tuples):
         params, base, theta, aux = tuples
         acc = SpacetimeAccumulators(params, base, theta, aux)
         f = from_profile(g1, lambda x, y: np.exp(1j * y) + 0 * x)
-        acc.update(0.0, f)
-        acc.update(0.1, f)
+        feed(acc, 0.0, f)
+        feed(acc, 0.1, f)
         q_th, r_th = float(theta.q_theta), float(theta.r_theta)
         expect = 0.1 * mixed_norm(f, r_th, 0.5 + 1 / 20) ** q_th
         assert acc.totals["theta_norm"] == pytest.approx(expect, rel=1e-12)
@@ -170,14 +175,49 @@ class TestSpacetimeAccumulators:
         f = from_profile(g1, lambda x, y: np.exp(-x ** 2) * (1 + 0.5 * np.exp(2j * y))
                          + 0.3 * np.exp(-(x - 2) ** 2 - 1j * y))
         dy = SpectralField(g1, f.coefficients * (1j * g1.n_grid()))
-        acc.update(0.0, f)
-        acc.update(0.1, f)
+        feed(acc, 0.0, f)
+        feed(acc, 0.1, f)
         p, ell = float(aux.p), float(aux.l)
         assert acc.totals["u_lp"] == pytest.approx(0.1 * mixed_norm(f, p, 0.0) ** ell,
                                                    rel=1e-12)
         assert acc.totals["dy_lp"] == pytest.approx(0.1 * mixed_norm(dy, p, 0.0) ** ell,
                                                     rel=1e-12)
         assert acc.totals["dy_lp"] > 0.0
+
+    def test_grad_norm_plane_wave(self, g1, tuples):
+        # |d_x u| = |A xi0| everywhere: ||grad_x u||_{L^p_x L^2_y} = L^{1/p} sqrt(2 pi) |A xi0|
+        params, base, theta, aux = tuples
+        acc = SpacetimeAccumulators(params, base, theta, aux)
+        A, xi0 = 0.7, 2 * np.pi * 3 / g1.L
+        f = from_profile(g1, lambda x, y: A * np.exp(1j * xi0 * x) + 0 * y)
+        feed(acc, 0.0, f)
+        feed(acc, 0.1, f)
+        p, ell = float(aux.p), float(aux.l)
+        norm = g1.L ** (1 / p) * np.sqrt(2 * np.pi) * A * xi0
+        assert acc.totals["grad_lp"] == pytest.approx(0.1 * norm ** ell, rel=1e-12)
+
+    def test_grad_norm_d2_matches_numpy_derivative(self):
+        from nlslab.exponents import max_feasible_theta
+        params = ProblemParams(2, F(3))
+        base, _ = critical_tuple(params)
+        theta, _ = theta_tuple(base, params, max_feasible_theta(base, params, F(1, 100)))
+        aux, _ = auxiliary_pair(params, base, "equality")
+        acc = SpacetimeAccumulators(params, base, theta, aux)
+        g = Grid(2, 16.0, 32, 4)
+        f = from_profile(g, lambda x1, x2, y: np.exp(-(x1 ** 2 + 2 * x2 ** 2) / 4)
+                         * np.exp(0.7j * x1 - 0.4j * x2) * (1 + 0.3 * np.cos(y)))
+        feed(acc, 0.0, f)
+        feed(acc, 0.1, f)
+        u = f.samples()
+        k = 2 * np.pi * np.fft.fftfreq(g.Nx, d=g.dx)
+        h_sq = 0.0
+        for ax, shape in ((0, (-1, 1, 1)), (1, (1, -1, 1))):
+            du = np.fft.ifft(1j * k.reshape(shape) * np.fft.fft(u, axis=ax), axis=ax)
+            h_sq = h_sq + np.sum(np.abs(du) ** 2, axis=-1) * g.dy
+        p, ell = float(aux.p), float(aux.l)
+        norm = (np.sum(h_sq ** (p / 2)) * g.dx ** 2) ** (1 / p)
+        assert norm > 0.0
+        assert acc.totals["grad_lp"] == pytest.approx(0.1 * norm ** ell, rel=1e-12)
 
     def test_delta_constraint_enforced(self, tuples):
         params, base, theta, aux = tuples
