@@ -18,12 +18,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, TextIO
+from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -44,13 +45,17 @@ from .exponents import (
 from .field import (
     Grid,
     SpectralField,
+    abs_power,
+    abs_sq,
     fft_workers,
     from_profile,
-    lebesgue_norm,
+    lebesgue_norm,  # not called here; perfbench/tracing.py wraps cli.lebesgue_norm
     load_field,
     mixed_norm,  # not called here; perfbench/tracing.py wraps cli.mixed_norm
-    sobolev_h1,
+    sobolev_h1,  # not called here; perfbench/tracing.py wraps cli.sobolev_h1
 )
+# mass and energy are not called here; perfbench/tracing.py wraps cli.mass
+# and cli.energy
 from .integrator import PhysicsParams, StepControl, energy, evolve, mass, \
     soliton_profile
 from .morawetz import CubeSupAccumulator, inequality_tolerance, morawetz_sample
@@ -162,11 +167,90 @@ def emit_config(cfg: RunConfig) -> str:
     return json.dumps(cfg.to_dict(), indent=2)
 
 
-def _validate(cfg: RunConfig) -> None:
+def _check(ok: bool, name: str, value, rule: str) -> None:
+    if not ok:
+        raise ConfigError(f"{name} = {value!r}: {rule}")
+
+
+def _is_int(v) -> bool:
+    """An exact JSON integer (bool, float and str are not)."""
+    return type(v) is int
+
+
+def _is_number(v) -> bool:
+    """A finite JSON number (bool and str are not)."""
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _rational(name: str, value) -> Fraction:
+    _check(not isinstance(value, bool), name, value, "must be a rational 'p/q'")
     try:
-        alpha = cfg.alpha_fraction()
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"physics.alpha = {cfg.alpha!r}: {e}") from None
+        return as_fraction(value)
+    except (ValueError, TypeError, ZeroDivisionError) as e:
+        raise ConfigError(f"{name} = {value!r}: {e}") from None
+
+
+def _check_types(cfg: RunConfig) -> None:
+    """Type and range checks that hold for every preset, one field at a time."""
+    _check(_is_int(cfg.d) and cfg.d >= 1, "grid.d", cfg.d, "must be an integer >= 1")
+    for name in ("Nx", "Ny"):
+        _check(_is_int(getattr(cfg, name)), f"grid.{name}", getattr(cfg, name),
+               "must be an integer")
+    _check(_is_number(cfg.L) and cfg.L > 0, "grid.L", cfg.L,
+           "must be a finite number > 0")
+    _check(_is_int(cfg.lam) and cfg.lam in (-1, 0, 1), "physics.lam", cfg.lam,
+           "must be the integer 1, -1 or 0")
+    _check(_is_number(cfg.dt) and cfg.dt != 0, "control.dt", cfg.dt,
+           "must be a finite nonzero number")
+    _check(_is_number(cfg.t_end), "control.t_end", cfg.t_end,
+           "must be a finite number")
+    _check(_is_int(cfg.sample_every) and cfg.sample_every >= 1,
+           "control.sample_every", cfg.sample_every, "must be an integer >= 1")
+    _check(isinstance(cfg.datum, dict), "datum", cfg.datum, "must be an object")
+    q_list = cfg.q_list
+    _check(isinstance(q_list, list) and len(q_list) > 0
+           and all(type(q) in (int, float) and q > 2 for q in q_list)
+           and len(set(q_list)) == len(q_list), "q_list", q_list,
+           "must be a non-empty list of distinct numbers q > 2 (inf allowed)")
+    if cfg.r is not None:
+        _rational("r", cfg.r)
+    for name in ("epsilon", "theta_resolution", "delta"):
+        _check(_rational(name, getattr(cfg, name)) > 0, name,
+               getattr(cfg, name), "must be positive")
+    _check(_is_number(cfg.r_side) and cfg.r_side > 0, "r_side", cfg.r_side,
+           "must be a finite number > 0")
+    _check(_is_number(cfg.guard_tol) and 0 < cfg.guard_tol <= 1, "guard_tol",
+           cfg.guard_tol, "must be a finite number in (0, 1]")
+    _check(isinstance(cfg.output_dir, str) and cfg.output_dir != "",
+           "output_dir", cfg.output_dir, "must be a non-empty path")
+
+
+def _check_run(cfg: RunConfig) -> None:
+    """Grid, step and datum checks for the presets that run dynamics."""
+    _check(cfg.d in (1, 2), "grid.d", cfg.d, "must be 1 or 2")
+    for name in ("Nx", "Ny"):
+        n = getattr(cfg, name)
+        _check(n >= 4 and n & (n - 1) == 0, f"grid.{name}", n,
+               "must be a power of two >= 4")
+    dx = cfg.L / cfg.Nx
+    _check(cfg.r_side >= dx, "r_side", cfg.r_side,
+           f"must be at least one grid cell ({dx:g})")
+    try:
+        cfg.control().n_steps
+    except ValueError as e:
+        raise ConfigError(f"control.t_end = {cfg.t_end!r}: {e}") from None
+    kind = cfg.datum.get("kind")
+    if kind not in ("gaussian", "soliton", "plane_wave", "file"):
+        raise ConfigError(f"datum.kind = {kind!r}: unknown datum kind")
+    if kind == "file":
+        path = cfg.datum.get("path")
+        _check(isinstance(path, str) and path != "", "datum.path", path,
+               "datum.kind 'file' needs the snapshot file path")
+
+
+def _validate(cfg: RunConfig) -> None:
+    _check_types(cfg)
+    alpha = _rational("physics.alpha", cfg.alpha)
     if alpha <= 0:
         raise ConfigError(f"physics.alpha = {cfg.alpha}: must be positive")
     d = cfg.d
@@ -192,11 +276,7 @@ def _validate(cfg: RunConfig) -> None:
                 f"(got d={d}, alpha={cfg.alpha}, lam={cfg.lam})"
             )
     if cfg.preset != "exponents":
-        cfg.grid()  # raises on bad grid fields
-        cfg.control()
-        kind = cfg.datum.get("kind")
-        if kind not in ("gaussian", "soliton", "plane_wave", "file"):
-            raise ConfigError(f"datum.kind = {kind!r}: unknown datum kind")
+        _check_run(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +397,17 @@ class RecordBuilder:
         if self._acc is not None:
             acc_totals = self._acc.update(fld.time_tag, fld, ds)
             theta_norm = self._acc.theta_mixed_norm
+        mass_value, kinetic, h1_norm = _quadratic_terms(fld)
+        physics = self.physics_params
+        # the potential term from nu, the y-integral of |u|^{alpha+2}
+        potential = physics.lam / (physics.alpha + 2.0) * float(
+            np.sum(ds.nu)) * fld.grid.cell
         self.records.append(DiagnosticsRecord(
             t=fld.time_tag,
-            mass=mass(fld),
-            energy=energy(fld, self.physics_params),
-            h1_norm=sobolev_h1(fld),
-            lq_norms={q: lebesgue_norm(fld, q) for q in self.cfg.q_list},
+            mass=mass_value,
+            energy=kinetic + potential,
+            h1_norm=h1_norm,
+            lq_norms=_lq_norms(fld, self.cfg.q_list),
             J=ms.J,
             morawetz_lhs=ms.lhs,
             morawetz_rhs=ms.rhs,
@@ -335,6 +420,36 @@ class RecordBuilder:
         ))
         if any(abs(fld.time_tag - t) < 1e-9 * max(1.0, t) for t in self._schedule):
             self.snapshots.append(fld)
+
+
+def _quadratic_terms(fld: SpectralField) -> Tuple[float, float, float]:
+    """(mass, kinetic energy, H^1 norm) of a record from one |c|^2.
+
+    The oracles are integrator.mass, the kinetic part of integrator.energy
+    and field.sobolev_h1; the Laplace symbol |xi|^2 + n^2 is separable, so
+    its weighted sum is taken over the x and y frequencies apart.
+    """
+    g = fld.grid
+    c2 = abs_sq(fld.coefficients)
+    by_x = np.sum(c2, axis=-1)
+    mass_value = g.measure * float(np.sum(by_x))
+    lap_sum = float(np.sum(g.xi_sq()[..., 0] * by_x)) \
+        + float(np.sum(c2 @ g.n_axis() ** 2))
+    kinetic = 0.5 * g.measure * lap_sum
+    return mass_value, kinetic, float(np.sqrt(mass_value + 2.0 * kinetic))
+
+
+def _lq_norms(fld: SpectralField, q_list: Sequence[float]) -> Dict[float, float]:
+    """L^q norms from one |u|^2 (field.lebesgue_norm is their oracle)."""
+    s = abs_sq(fld.samples())
+    w = fld.grid.weight
+    out = {}
+    for q in q_list:
+        if q == np.inf:
+            out[q] = float(np.sqrt(s.max()))
+        else:
+            out[q] = float((np.sum(abs_power(s, q)) * w) ** (1.0 / q))
+    return out
 
 
 def build_datum(cfg: RunConfig) -> SpectralField:

@@ -189,6 +189,27 @@ def from_profile(grid: Grid,
 # norms
 # ---------------------------------------------------------------------------
 
+def abs_power(s: np.ndarray, p: float) -> np.ndarray:
+    """|u|^p from s = |u|^2: products of s for an integer p, with one sqrt when
+    p is odd, and np.power(s, p/2) otherwise.  A new array unless p = 2."""
+    if p >= 1 and float(p).is_integer():
+        n, odd = divmod(int(p), 2)  # |u|^p = s^n sqrt(s)^odd
+        if n == 1 and not odd:
+            return s
+        out = np.sqrt(s) if odd else s * s
+        for _ in range(n if odd else n - 2):
+            out *= s
+        return out
+    return np.power(s, p / 2.0)
+
+
+def abs_sq(u: np.ndarray) -> np.ndarray:
+    """s = |u|^2 as a new float array."""
+    s = np.abs(u)
+    s *= s
+    return s
+
+
 def lebesgue_norm(fld: SpectralField, q: float) -> float:
     """L^q norm over the full box; q = inf gives the sup of |u|."""
     a = np.abs(fld.samples())
@@ -228,15 +249,19 @@ def _lr_x(h_sq: np.ndarray, r: float, cell: float) -> float:
 def _y_mode_power(fld: SpectralField) -> np.ndarray:
     """2 pi |u_n(x)|^2: the L^2_y mass of each y-mode e^{i n y} at each x grid point."""
     g = fld.grid
-    uy = sfft.fft(fld.samples(), axis=-1, workers=fft_workers()) / g.Ny
-    return TWO_PI * np.abs(uy) ** 2
+    uy = sfft.fft(fld.samples(), axis=-1, workers=fft_workers())
+    power = np.square(uy.real)
+    power += np.square(uy.imag, out=uy.real)
+    power *= TWO_PI / g.Ny ** 2
+    return power
 
 
-def _mixed_from_power(grid: Grid, power: np.ndarray, r: float, w) -> float:
+def _mixed_from_power(grid: Grid, power: np.ndarray, r: float, w: np.ndarray
+                      ) -> float:
     """L^r_x norm of the y-mode multiplier norm with weight w(n), from _y_mode_power."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    return _lr_x(np.sum(w * power, axis=-1), r, grid.cell)
+    return _lr_x(power @ w, r, grid.cell)
 
 
 def mixed_norm(fld: SpectralField, r: float, gamma: float) -> float:
@@ -452,27 +477,45 @@ def _x_gradient(grid: Grid, arr: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=8)
+def _gradient_multipliers(grid: Grid) -> Tuple[np.ndarray, ...]:
+    """xi_i (-1)^k per x axis, on the x grid and read-only.
+
+    The inverse FFT of c * m_i without normalization is -i d_i u on the
+    grid: the phase and the power-of-two scale are exact, and 1j times it
+    equals ifftn(c * (1j xi_i) * x_phase) * ntot bitwise.
+    """
+    out = tuple(xg * grid.x_phase() for xg in grid.xi_grids())
+    for m in out:
+        m.setflags(write=False)
+    return out
+
+
 def densities(fld: SpectralField, alpha: float) -> DensitySet:
-    """Extract rho, P, K, nu and grad rho by y rectangle-rule integration."""
+    """Extract rho, P, K, nu and grad rho by y rectangle-rule integration.
+
+    s = |u|^2 is formed once and gives both rho and nu.  With h_i = -i d_i u,
+    P_i = Re(conj(u) h_i) and K_ij = Re(h_i conj(h_j)), so each is one real
+    dot over y of the interleaved float views.
+    """
     g = fld.grid
     u = fld.samples()
-    absu = np.abs(u)
-    rho = np.sum(absu ** 2, axis=-1) * g.dy
-    nu = np.sum(absu ** (alpha + 2.0), axis=-1) * g.dy
-    # spectral x-derivatives d_i u on the full grid, one array per x axis
-    grads = [sfft.ifftn(fld.coefficients * (1j * xg) * g.x_phase(),
-                        workers=fft_workers()) * g.ntot
-             for xg in g.xi_grids()]
-
+    s = abs_sq(u)
+    rho = np.einsum("...k->...", s) * g.dy
+    nu = np.einsum("...k->...", abs_power(s, alpha + 2.0)) * g.dy
+    del s  # freed before the full-grid gradients are allocated
+    # h_i on the full grid as float views, one array per x axis
+    h = [sfft.ifftn(fld.coefficients * m, overwrite_x=True, norm="forward",
+                    workers=fft_workers()).view(np.float64)
+         for m in _gradient_multipliers(g)]
+    uf = u.view(np.float64)
     P = np.empty((g.d,) + rho.shape)
-    for i in range(g.d):
-        P[i] = np.sum((np.conj(u) * grads[i]).imag, axis=-1) * g.dy
     K = np.empty((g.d, g.d) + rho.shape)
     for i in range(g.d):
+        P[i] = np.einsum("...k,...k->...", uf, h[i]) * g.dy
         for j in range(i, g.d):
-            kij = np.sum((grads[i] * np.conj(grads[j])).real, axis=-1) * g.dy
-            K[i, j] = kij
-            K[j, i] = kij
+            K[i, j] = np.einsum("...k,...k->...", h[i], h[j]) * g.dy
+            K[j, i] = K[i, j]
     return DensitySet(rho=rho, P=P, K=K, nu=nu, grad_rho=_x_gradient(g, rho))
 
 

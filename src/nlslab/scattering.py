@@ -13,7 +13,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -150,7 +150,8 @@ class SpacetimeAccumulators:
             )
         self.totals = {"theta_norm": 0.0, "u_lp": 0.0, "dy_lp": 0.0,
                        "grad_lp": 0.0}
-        self.increments: Dict[str, List[float]] = {k: [] for k in self.totals}
+        # (last, peak) trapezoid increment per key, for saturation()
+        self._increments: Dict[str, Tuple[float, float]] = {}
         self._last_t = None
         self._last_vals = None
         self.theta_mixed_norm: float | None = None
@@ -167,7 +168,7 @@ class SpacetimeAccumulators:
         self.theta_mixed_norm = _mixed_from_power(g, power, r_th, (1.0 + n_sq) ** gamma)
         return {
             "theta_norm": self.theta_mixed_norm ** q_th,
-            "u_lp": _mixed_from_power(g, power, p, 1.0) ** ell,
+            "u_lp": _mixed_from_power(g, power, p, np.ones_like(n_sq)) ** ell,
             "dy_lp": _mixed_from_power(g, power, p, n_sq) ** ell,
             "grad_lp": _lr_x(np.trace(ds.K), p, g.cell) ** ell,
         }
@@ -181,16 +182,17 @@ class SpacetimeAccumulators:
             for key, v in vals.items():
                 inc = 0.5 * (v + self._last_vals[key]) * dt
                 self.totals[key] += inc
-                self.increments[key].append(inc)
+                peak = self._increments.get(key, (inc, inc))[1]
+                self._increments[key] = (inc, max(peak, inc))
         self._last_t, self._last_vals = t, vals
         return dict(self.totals)
 
     def saturation(self) -> Dict[str, float]:
         """Last increment relative to the peak increment, per accumulator."""
         out = {}
-        for key, incs in self.increments.items():
-            peak = max(incs) if incs else 0.0
-            out[key] = (incs[-1] / peak) if peak > 0 else 0.0
+        for key in self.totals:
+            last, peak = self._increments.get(key, (0.0, 0.0))
+            out[key] = (last / peak) if peak > 0 else 0.0
         return out
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,56 @@ class TestParseConfig:
         again = parse_config(emit_config(cfg))
         assert again == cfg
 
+    @pytest.mark.parametrize("over, field", [
+        ({"Nx": "4096"}, "grid.Nx"),
+        ({"Nx": 4096.0}, "grid.Nx"),
+        ({"Nx": True}, "grid.Nx"),
+        ({"Ny": 24}, "grid.Ny"),
+        ({"d": 3, "alpha": "1"}, "grid.d"),
+        ({"L": -1.0}, "grid.L"),
+        ({"dt": "1e-3"}, "control.dt"),
+        ({"dt": 0.0}, "control.dt"),
+        ({"t_end": float("nan")}, "control.t_end"),
+        ({"t_end": 0.0105}, "control.t_end"),
+        ({"t_end": -1.0}, "control.t_end"),
+        ({"sample_every": 2.5}, "control.sample_every"),
+        ({"sample_every": 0}, "control.sample_every"),
+        ({"lam": True}, "physics.lam"),
+        ({"lam": 2}, "physics.lam"),
+        ({"alpha": True}, "physics.alpha"),
+        ({"guard_tol": -1}, "guard_tol"),
+        ({"guard_tol": float("inf")}, "guard_tol"),
+        ({"q_list": [1.0]}, "q_list"),
+        ({"q_list": []}, "q_list"),
+        ({"q_list": [4.0, 4]}, "q_list"),
+        ({"q_list": 4.0}, "q_list"),
+        ({"q_list": [float("nan")]}, "q_list"),
+        ({"r_side": 0.01}, "r_side"),
+        ({"r_side": float("nan")}, "r_side"),
+        ({"datum": {"kind": "file"}}, "datum.path"),
+        ({"datum": "gaussian"}, "datum"),
+        ({"delta": "0"}, "delta"),
+        ({"epsilon": 0.01}, "epsilon"),
+        ({"output_dir": ""}, "output_dir"),
+    ])
+    def test_bad_field_named(self, over, field):
+        # JSON carries NaN and Infinity as bare words, which json.dumps writes
+        with pytest.raises(ConfigError, match=f"^{re.escape(field)} = "):
+            parse_config(cfg_text(**over))
+
+    def test_accepted_edges(self):
+        cfg = parse_config(cfg_text(q_list=[4, float("inf")], guard_tol=1,
+                                    r_side=200.0 / 4096, L=200))
+        assert cfg.q_list == [4, float("inf")]
+        cfg = parse_config(cfg_text(preset="exponents", Nx=100))
+        assert cfg.Nx == 100  # grid fields do not constrain the exponents preset
+
+    @pytest.mark.parametrize("preset", ["decay", "morawetz", "soliton-control",
+                                        "scattering", "exponents"])
+    def test_preset_defaults_parse(self, preset):
+        cfg = parse_config(cfg_text(preset=preset))
+        assert parse_config(emit_config(cfg)) == cfg
+
 
 class TestBuildDatum:
     def test_gaussian_d1(self):
@@ -117,6 +168,37 @@ class TestBuildDatum:
         f = build_datum(cfg)
         assert np.abs(f.samples()).max() == pytest.approx(
             math.sqrt(2) * 1.5, rel=1e-6)
+
+
+class TestRecordBuilderColumns:
+    @pytest.mark.parametrize("over", [
+        {"preset": "scattering", "grid": {"Nx": 128, "Ny": 8, "L": 40.0}},
+        {"preset": "morawetz", "d": 2, "alpha": "4/3",
+         "grid": {"Nx": 32, "Ny": 4, "L": 16.0},
+         "datum": {"kind": "gaussian", "amplitude": 0.8, "width": 1.5,
+                   "y_modulation": 0.4}},
+    ])
+    def test_scalars_match_oracles(self, over):
+        # the record's own |c|^2, nu and |u|^2 forms against the field and
+        # integrator functions that keep the direct formulas
+        from nlslab.cli import RecordBuilder
+        from nlslab.field import lebesgue_norm, sobolev_h1
+        from nlslab.integrator import energy, mass
+        q_list = [3, 4.0, 10 / 3, 7.0, 2.5, float("inf")]
+        cfg = parse_config(json.dumps(dict(over, q_list=q_list)))
+        f = build_datum(cfg)
+        f = type(f)(f.grid, f.coefficients * np.exp(0.3j * f.grid.xi_grids()[0]))
+        builder = RecordBuilder(cfg)
+        builder(f, False)
+        rec = builder.records[-1]
+        physics = cfg.physics()
+        assert rec.mass == pytest.approx(mass(f), rel=1e-13, abs=0)
+        assert rec.energy == pytest.approx(energy(f, physics), rel=1e-13, abs=0)
+        assert rec.h1_norm == pytest.approx(sobolev_h1(f), rel=1e-13, abs=0)
+        assert list(rec.lq_norms) == q_list
+        for q in q_list:
+            assert rec.lq_norms[q] == pytest.approx(lebesgue_norm(f, q),
+                                                    rel=1e-13, abs=0)
 
 
 def make_record(t, **over):

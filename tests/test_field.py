@@ -6,6 +6,9 @@ import pytest
 from nlslab.field import (
     Grid,
     SpectralField,
+    _gradient_multipliers,
+    abs_power,
+    abs_sq,
     cube_sup_mass,
     densities,
     difference_quotient_hs_y,
@@ -387,6 +390,55 @@ class TestDensities:
         x = g1.x_axis()
         expect = -4.0 * x * np.exp(-2.0 * x ** 2) * 2 * np.pi
         assert np.abs(ds.grad_rho[0] - expect).max() < 1e-8
+
+
+class TestLeanDensityPass:
+    """The record pass's power helper, gradient transform and real contractions
+    against the direct complex formulas they replace."""
+
+    @pytest.mark.parametrize("p", [2, 4, 5, 7, 10 / 3, 2.5, 5.0])
+    def test_abs_power(self, p):
+        rng = np.random.default_rng(3)
+        u = rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8))
+        u[0, 0] = 0.0
+        expect = np.abs(u) ** p
+        got = abs_power(abs_sq(u), p)
+        assert np.abs(got - expect).max() <= 1e-14 * expect.max()
+        assert np.all(np.abs(got - expect) <= 4e-15 * expect)
+
+    @pytest.mark.parametrize("grid", [Grid(1, 40.0, 256, 16), Grid(2, 20.0, 32, 8)])
+    def test_gradient_transform_bitwise(self, grid):
+        from scipy import fft as sfft
+        c = random_field(grid, 31).coefficients
+        for xg, m in zip(grid.xi_grids(), _gradient_multipliers(grid)):
+            direct = sfft.ifftn(c * (1j * xg) * grid.x_phase()) * grid.ntot
+            fused = sfft.ifftn(c * m, overwrite_x=True, norm="forward")
+            assert np.array_equal(1j * fused, direct)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("alpha", [3.0, 5.0, 4.0 / 3.0])
+    def test_densities_match_complex_formulas(self, d, alpha):
+        from scipy import fft as sfft
+        grid = Grid(1, 40.0, 256, 16) if d == 1 else Grid(2, 20.0, 32, 8)
+        f = random_field(grid, 37, decay=10.0)
+        u, c = f.samples(), f.coefficients
+        absu = np.abs(u)
+        grads = [sfft.ifftn(c * (1j * xg) * grid.x_phase()) * grid.ntot
+                 for xg in grid.xi_grids()]
+        dy = grid.dy
+        expect = {
+            "rho": np.sum(absu ** 2, axis=-1) * dy,
+            "nu": np.sum(absu ** (alpha + 2.0), axis=-1) * dy,
+            "P": np.array([np.sum((np.conj(u) * gi).imag, axis=-1) * dy
+                           for gi in grads]),
+            "K": np.array([[np.sum((gi * np.conj(gj)).real, axis=-1) * dy
+                            for gj in grads] for gi in grads]),
+        }
+        ds = densities(f, alpha)
+        for name, want in expect.items():
+            got = getattr(ds, name)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name
 
 
 class TestEmbeddingD2:

@@ -10,7 +10,8 @@ from nlslab.exponents import (
     critical_tuple,
     theta_tuple,
 )
-from nlslab.field import Grid, densities, from_profile, free_evolve, mixed_norm, sobolev_h1
+from nlslab.field import (Grid, SpectralField, densities, from_profile, free_evolve,
+                          mixed_norm, sobolev_h1)
 from nlslab.integrator import PhysicsParams, StepControl, evolve, soliton_profile
 from nlslab.scattering import (
     SpacetimeAccumulators,
@@ -167,9 +168,28 @@ class TestSpacetimeAccumulators:
         expect = 0.1 * mixed_norm(f, r_th, 0.5 + 1 / 20) ** q_th
         assert acc.totals["theta_norm"] == pytest.approx(expect, rel=1e-12)
 
+    def test_saturation_last_over_peak(self, g1, tuples):
+        params, base, theta, aux = tuples
+        acc = SpacetimeAccumulators(params, base, theta, aux)
+        assert acc.saturation() == {k: 0.0 for k in acc.totals}
+        f = from_profile(g1, lambda x, y: np.exp(-x ** 2) * (1 + 0.3 * np.cos(y)))
+        incs = {k: [] for k in acc.totals}
+        before = dict(acc.totals)
+        for t, amp in ((0.0, 1.0), (0.1, 2.0), (0.3, 1.5), (0.35, 0.5)):
+            fa = SpectralField(g1, amp * f.coefficients, t)
+            totals = feed(acc, t, fa)
+            if t > 0.0:
+                for k in incs:
+                    incs[k].append(totals[k] - before[k])
+            before = dict(totals)
+        sat = acc.saturation()
+        assert list(sat) == list(acc.totals)
+        for k, series in incs.items():
+            assert sat[k] == pytest.approx(series[-1] / max(series), rel=1e-12)
+            assert 0.0 < sat[k] < 1.0
+
     def test_u_and_dy_norms_match_mixed_norm(self, g1, tuples):
         # the y-derivative norm against mixed_norm of d_y u built as a field
-        from nlslab.field import SpectralField
         params, base, theta, aux = tuples
         acc = SpacetimeAccumulators(params, base, theta, aux)
         f = from_profile(g1, lambda x, y: np.exp(-x ** 2) * (1 + 0.5 * np.exp(2j * y))
