@@ -190,9 +190,13 @@ def from_profile(grid: Grid,
 # ---------------------------------------------------------------------------
 
 def abs_power(s: np.ndarray, p: float) -> np.ndarray:
-    """|u|^p from s = |u|^2: products of s for an integer p, with one sqrt when
-    p is odd, and np.power(s, p/2) otherwise.  A new array unless p = 2."""
-    if p >= 1 and float(p).is_integer():
+    """|u|^p from s = |u|^2: products of s for an integer p <= 8, with one sqrt
+    when p is odd, and np.power(s, p/2) otherwise.  A new array unless p = 2.
+
+    The product chain costs about p/2 passes over s, so it is kept to the
+    small exponents where it beats one np.power pass.
+    """
+    if 1 <= p <= 8 and float(p).is_integer():
         n, odd = divmod(int(p), 2)  # |u|^p = s^n sqrt(s)^odd
         if n == 1 and not odd:
             return s
@@ -212,14 +216,12 @@ def abs_sq(u: np.ndarray) -> np.ndarray:
 
 def lebesgue_norm(fld: SpectralField, q: float) -> float:
     """L^q norm over the full box; q = inf gives the sup of |u|."""
-    a = np.abs(fld.samples())
     if q == np.inf:
-        return float(a.max())
+        return float(np.abs(fld.samples()).max())
     if q < 1:
         raise ValueError(f"q must be >= 1 or inf, got {q}")
-    if q == 2.0:
-        return float(np.sqrt(np.sum(a * a) * fld.grid.weight))
-    return float((np.sum(a ** q) * fld.grid.weight) ** (1.0 / q))
+    s = abs_sq(fld.samples())
+    return float((np.sum(abs_power(s, q)) * fld.grid.weight) ** (1.0 / q))
 
 
 def _multiplier_norm(fld: SpectralField, w: np.ndarray) -> float:

@@ -123,6 +123,14 @@ class TestLebesgueNorm:
         with pytest.raises(ValueError):
             lebesgue_norm(f, 0.5)
 
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3, 4.0, 5.0, 10 / 3, 100.0, np.inf])
+    def test_matches_inline_sum(self, g2, q):
+        f = random_field(g2, 7)
+        a = np.abs(f.samples())
+        expect = a.max() if q == np.inf else \
+            (np.sum(a ** q) * g2.weight) ** (1.0 / q)
+        assert lebesgue_norm(f, q) == pytest.approx(expect, rel=1e-13, abs=0)
+
     def test_parseval(self, g1):
         for seed in range(10):
             f = random_field(g1, seed)
@@ -396,15 +404,17 @@ class TestLeanDensityPass:
     """The record pass's power helper, gradient transform and real contractions
     against the direct complex formulas they replace."""
 
-    @pytest.mark.parametrize("p", [2, 4, 5, 7, 10 / 3, 2.5, 5.0])
+    @pytest.mark.parametrize("p", [1, 2, 4, 5, 7, 8, 9, 10 / 3, 2.5, 5.0, 100])
     def test_abs_power(self, p):
         rng = np.random.default_rng(3)
         u = rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8))
         u[0, 0] = 0.0
         expect = np.abs(u) ** p
         got = abs_power(abs_sq(u), p)
-        assert np.abs(got - expect).max() <= 1e-14 * expect.max()
-        assert np.all(np.abs(got - expect) <= 4e-15 * expect)
+        # the rounding of s = |u|^2 grows p/2-fold in s^(p/2)
+        rel = 4e-15 * max(1.0, p / 8)
+        assert np.abs(got - expect).max() <= 2.5 * rel * expect.max()
+        assert np.all(np.abs(got - expect) <= rel * expect)
 
     @pytest.mark.parametrize("grid", [Grid(1, 40.0, 256, 16), Grid(2, 20.0, 32, 8)])
     def test_gradient_transform_bitwise(self, grid):
