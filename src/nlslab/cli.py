@@ -24,14 +24,13 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
 from . import __version__
 from .exponents import (
     ProblemParams,
-    RegimeError,
     as_fraction,
     auxiliary_pair,
     critical_tuple,
@@ -59,6 +58,7 @@ from .integrator import PhysicsParams, StepControl, energy, evolve, mass, \
     soliton_profile
 from .morawetz import CubeSupAccumulator, inequality_tolerance, morawetz_sample
 from .scattering import (
+    DECAY_TRANSIENT,
     SpacetimeAccumulators,
     geometric_sample_times,
     make_scatter_report,
@@ -181,6 +181,14 @@ def _is_number(v) -> bool:
     return type(v) in (int, float) and math.isfinite(v)
 
 
+def _defer(section: str, build: Callable):
+    """build(), with the owner's ValueError re-raised as a section-prefixed ConfigError."""
+    try:
+        return build()
+    except ValueError as e:
+        raise ConfigError(f"{section}{e}") from None
+
+
 def _rational(name: str, value) -> Fraction:
     _check(not isinstance(value, bool), name, value, "must be a rational 'p/q'")
     try:
@@ -196,8 +204,7 @@ def _check_types(cfg: RunConfig) -> None:
         _check(_is_int(getattr(cfg, name)), f"grid.{name}", getattr(cfg, name),
                "must be an integer")
     _check(_is_number(cfg.L), "grid.L", cfg.L, "must be a finite number")
-    _check(_is_int(cfg.lam) and cfg.lam in (-1, 0, 1), "physics.lam", cfg.lam,
-           "must be the integer 1, -1 or 0")
+    _check(_is_int(cfg.lam), "physics.lam", cfg.lam, "must be an integer")
     _check(_is_number(cfg.dt), "control.dt", cfg.dt, "must be a finite number")
     _check(_is_number(cfg.t_end), "control.t_end", cfg.t_end,
            "must be a finite number")
@@ -210,7 +217,7 @@ def _check_types(cfg: RunConfig) -> None:
            and len(set(q_list)) == len(q_list), "q_list", q_list,
            "must be a non-empty list of distinct numbers q > 2 (inf allowed)")
     if cfg.r is not None:
-        _rational("r", cfg.r)
+        _check(_rational("r", cfg.r) > 0, "r", cfg.r, "must be positive")
     for name in ("epsilon", "theta_resolution", "delta"):
         _check(_rational(name, getattr(cfg, name)) > 0, name,
                getattr(cfg, name), "must be positive")
@@ -223,21 +230,10 @@ def _check_types(cfg: RunConfig) -> None:
 
 
 def _check_run(cfg: RunConfig) -> None:
-    """Grid, step and datum checks for the presets that run dynamics.
-
-    Grid and StepControl enforce their own rules, and their messages start
-    with the field name, which gets its section prefix here.
-    """
-    try:
-        g = cfg.grid()
-    except ValueError as e:
-        raise ConfigError(f"grid.{e}") from None
-    try:
-        cfg.control().n_steps
-    except ValueError as e:
-        raise ConfigError(f"control.{e}") from None
-    _check(cfg.r_side >= g.dx, "r_side", cfg.r_side,
-           f"must be at least one grid cell ({g.dx:g})")
+    """Grid, step and datum checks for the presets that run dynamics."""
+    g = _defer("grid.", cfg.grid)
+    _defer("control.", lambda: cfg.control().n_steps)
+    _defer("", lambda: g.cube_cells(cfg.r_side))
     kind = cfg.datum.get("kind")
     if kind not in ("gaussian", "soliton", "plane_wave", "file"):
         raise ConfigError(f"datum.kind = {kind!r}: unknown datum kind")
@@ -248,22 +244,18 @@ def _check_run(cfg: RunConfig) -> None:
 
 
 def _validate(cfg: RunConfig) -> None:
+    """Field types, PhysicsParams' and ProblemParams' rules, the preset policies."""
     _check_types(cfg)
     alpha = _rational("physics.alpha", cfg.alpha)
-    if alpha <= 0:
-        raise ConfigError(f"physics.alpha = {cfg.alpha}: must be positive")
     d = cfg.d
-    if d >= 2 and alpha >= Fraction(4, d - 1):
-        raise ConfigError(
-            f"physics.alpha = {cfg.alpha}: alpha >= 4/(d-1) leaves the "
-            "energy-subcritical range"
-        )
+    _defer("physics.", cfg.physics)
+    params = _defer("physics.", lambda: ProblemParams(d, alpha))
     if cfg.preset in ("decay", "morawetz", "scattering") and cfg.lam != 1:
         raise ConfigError(
             f"physics.lam = {cfg.lam}: preset '{cfg.preset}' is a defocusing "
             "experiment (lam must be +1)"
         )
-    if cfg.preset == "scattering" and alpha <= Fraction(4, d):
+    if cfg.preset == "scattering" and params.regime != "scattering":
         raise ConfigError(
             f"physics.alpha = {cfg.alpha}: alpha <= 4/d violates the "
             "scattering regime range 4/d < alpha < 4/(d-1)"
@@ -373,12 +365,8 @@ class RecordBuilder:
             if cfg.preset in ("soliton-control", "scattering") else []
         self._cube = CubeSupAccumulator(cfg.r_side, self.physics_params.alpha)
         self._acc: Optional[SpacetimeAccumulators] = None
-        alpha = cfg.alpha_fraction()
-        try:
-            params = ProblemParams(cfg.d, alpha)
-        except (ValueError, RegimeError):
-            params = None
-        if params is not None and params.regime == "scattering":
+        params = ProblemParams(cfg.d, cfg.alpha_fraction())
+        if params.regime == "scattering":
             base, rep = critical_tuple(
                 params, as_fraction(cfg.r) if cfg.r else None)
             if rep.feasible:
@@ -464,7 +452,10 @@ def build_datum(cfg: RunConfig) -> SpectralField:
         return from_profile(
             g, lambda x1, x2, y: A * np.exp(1j * (xi0 * x1 + n * y)))
     if kind == "file":
-        return load_field(spec["path"])
+        try:
+            return load_field(spec["path"])
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"datum.path: {e}") from None
     raise ConfigError(f"datum.kind = {kind!r}: unknown datum kind")
 
 
@@ -472,18 +463,17 @@ def build_datum(cfg: RunConfig) -> SpectralField:
 # preset checks
 # ---------------------------------------------------------------------------
 
-def _decay_checks(records: List[DiagnosticsRecord], cfg: RunConfig,
-                  transient: float = 1.0) -> Dict[str, bool]:
+def _decay_checks(records: List[DiagnosticsRecord], cfg: RunConfig) -> Dict[str, bool]:
     q0 = cfg.q_list[0]
     lq = [(r.t, r.lq_norms[q0]) for r in records]
     cube = [(r.t, r.cube_sup) for r in records]
     checks = {}
     for name, series in (("lq_decay_factor_3", lq), ("cube_decay_factor_3", cube)):
-        early_max = max(v for t, v in series if t <= transient)
+        early_max = max(v for t, v in series if t <= DECAY_TRANSIENT)
         final = series[-1][1]
         checks[name] = final * 3.0 <= early_max
     for name, series in (("lq_monotone_tail", lq), ("cube_monotone_tail", cube)):
-        tail = [v for t, v in series if t >= transient]
+        tail = [v for t, v in series if t >= DECAY_TRANSIENT]
         checks[name] = all(b <= a * (1 + 1e-8) for a, b in zip(tail, tail[1:]))
     checks["guard_never_fired"] = not any(r.boundary_guard_flag for r in records)
     return checks
@@ -517,11 +507,11 @@ def _soliton_checks(records: List[DiagnosticsRecord], report) -> Dict[str, bool]
             "no_scattering": not report.flags["cauchy_tail_decreasing"]}
 
 
-def _scattering_checks(report, transient: float = 5.0) -> Dict[str, bool]:
+def _scattering_checks(report) -> Dict[str, bool]:
     times = report.times
     C = report.cauchy
     diffs = [(times[i], C[i, i + 1]) for i in range(len(times) - 1)
-             if times[i] >= transient]
+             if times[i] >= 5.0]
     strictly_decreasing = all(b < a for (_, a), (_, b) in zip(diffs, diffs[1:]))
     terminal_small = bool(diffs) and bool(diffs[-1][1] < 0.2 * diffs[0][1])
     sat = report.accumulator_saturation
@@ -577,6 +567,13 @@ def exponent_report(d: int, alpha: Fraction, r: Optional[Fraction] = None,
     return out
 
 
+def config_exponent_report(cfg: RunConfig) -> dict:
+    """exponent_report for a parsed config: the exponents preset and command."""
+    return exponent_report(
+        cfg.d, cfg.alpha_fraction(), as_fraction(cfg.r) if cfg.r else None,
+        as_fraction(cfg.epsilon), as_fraction(cfg.theta_resolution))
+
+
 # ---------------------------------------------------------------------------
 # run orchestration
 # ---------------------------------------------------------------------------
@@ -589,10 +586,7 @@ def run_preset(cfg: RunConfig) -> int:
     artifacts: List[str] = []
 
     if cfg.preset == "exponents":
-        rep = exponent_report(
-            cfg.d, cfg.alpha_fraction(),
-            as_fraction(cfg.r) if cfg.r else None,
-            as_fraction(cfg.epsilon), as_fraction(cfg.theta_resolution))
+        rep = config_exponent_report(cfg)
         path = os.path.join(cfg.output_dir, "exponents.json")
         with open(path, "w") as fh:
             json.dump(rep, fh, indent=2)
@@ -624,9 +618,8 @@ def run_preset(cfg: RunConfig) -> int:
             if cfg.preset == "decay":
                 checks.update(_decay_checks(builder.records, cfg))
         else:
-            report = make_scatter_report(
-                builder.snapshots, cfg.q_list,
-                accumulators=builder._acc if cfg.preset == "scattering" else None)
+            report = make_scatter_report(builder.snapshots, cfg.q_list,
+                                         accumulators=builder._acc)
             spath = os.path.join(cfg.output_dir, "scatter_report.json")
             with open(spath, "w") as fh:
                 fh.write(report.to_json())
@@ -700,18 +693,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as e:
         parser.error(str(e))
 
+    # bad input (the config file, a config field, a datum file) exits with
+    # status 2 here
     if args.command == "run":
-        with open(args.config) as fh:
-            cfg = parse_config(fh.read())
-        return run_preset(cfg)
-    if args.command == "exponents":
-        rep = exponent_report(
-            args.d, as_fraction(args.alpha),
-            as_fraction(args.r) if args.r else None,
-            as_fraction(args.epsilon), as_fraction(args.theta_resolution))
-        json.dump(rep, sys.stdout, indent=2)
-        print()
-        return 0 if rep["all_feasible"] else 1
+        try:
+            with open(args.config) as fh:
+                text = fh.read()
+        except OSError as e:
+            parser.error(f"--config: {e}")
+    try:
+        if args.command == "run":
+            return run_preset(parse_config(text))
+        if args.command == "exponents":
+            cfg = parse_config(json.dumps({
+                "preset": "exponents", "d": args.d, "alpha": args.alpha,
+                "r": args.r, "epsilon": args.epsilon,
+                "theta_resolution": args.theta_resolution}))
+            rep = config_exponent_report(cfg)
+            json.dump(rep, sys.stdout, indent=2)
+            print()
+            return 0 if rep["all_feasible"] else 1
+    except ConfigError as e:
+        parser.error(str(e))
     if args.command == "verify":
         with open(args.records) as fh:
             try:

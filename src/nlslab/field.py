@@ -64,6 +64,12 @@ class Grid:
     def dx(self) -> float:
         return self.L / self.Nx
 
+    def cube_cells(self, r_side: float) -> int:
+        """Cells per side of a cube of side r_side; below one cell is a ValueError."""
+        if not r_side >= self.dx:
+            raise ValueError(f"r_side = {r_side!r} is below one grid cell ({self.dx:g})")
+        return int(round(r_side / self.dx))
+
     @property
     def dy(self) -> float:
         return TWO_PI / self.Ny
@@ -289,14 +295,12 @@ def dq_normalizer(s: float) -> float:
     return 2.0 * (head + 1.0 / s - 2.0 * tail)
 
 
-def difference_quotient_hs_y(fld: SpectralField, s: float,
-                             h_max: float = 50.0, n_h: int = 10_000
-                             ) -> Tuple[float, float]:
+def difference_quotient_hs_y(fld: SpectralField, s: float) -> Tuple[float, float]:
     """Homogeneous H^s_y norm two ways: (multiplier form, difference-quotient form).
 
     The second form integrates ||u(.,y+h) - u(.,y)||^2 / |h|^{1+2s} over a
-    midpoint h-grid on [-h_max, h_max] and divides by the normalizer c(s).
-    The y-integral per h is evaluated exactly through Parseval.
+    10 000-point midpoint h-grid on [-50, 50] and divides by the normalizer
+    c(s).  The y-integral per h is evaluated exactly through Parseval.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0, 1), got {s}")
@@ -307,8 +311,8 @@ def difference_quotient_hs_y(fld: SpectralField, s: float,
     m_n = g.measure * np.sum(np.abs(fld.coefficients) ** 2, axis=axes_x)
     multiplier = float(np.sqrt(np.sum(np.abs(n) ** (2.0 * s) * m_n)))
 
-    dh = 2.0 * h_max / n_h
-    h = -h_max + dh * (np.arange(n_h) + 0.5)
+    dh = 100.0 / 10_000
+    h = -50.0 + dh * (np.arange(10_000) + 0.5)
     # ||u(y+h) - u(y)||^2_{L^2} = sum_n 4 sin^2(n h / 2) m_n   (exact)
     diff_sq = 4.0 * np.sin(0.5 * np.outer(h, n)) ** 2 @ m_n
     weights = np.abs(h) ** (-1.0 - 2.0 * s)
@@ -319,10 +323,10 @@ def difference_quotient_hs_y(fld: SpectralField, s: float,
     integral = float(np.sum(diff_sq * weights) * dh)
     m2 = float(np.sum(n ** 2 * m_n))
     integral += m2 * 2.0 * dh ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-    # analytic remainder for |h| > h_max: 4 sin^2(nh/2) averages to 2 there,
-    # so the tail is 2 * (sum over oscillating modes of m_n) * h_max^{-2s} / s
+    # analytic remainder for |h| > 50: 4 sin^2(nh/2) averages to 2 there,
+    # so the tail is 2 * (sum over oscillating modes of m_n) * 50^{-2s} / s
     m_osc = float(np.sum(m_n[n != 0]))
-    integral += 2.0 * m_osc * h_max ** (-2.0 * s) / s
+    integral += 2.0 * m_osc * 50.0 ** (-2.0 * s) / s
     quadrature = float(np.sqrt(integral / dq_normalizer(s)))
     return multiplier, quadrature
 
@@ -367,16 +371,12 @@ def fractional_leibniz_ratio(fld: SpectralField, s: float, alpha: float) -> floa
 def _cube_window_sums(fld: SpectralField, r_side: float):
     """Masses of all grid-aligned cubes of side r_side, indexed by start cell.
 
-    The window width is r_side rounded to a whole number of grid cells; the
+    The window width is r_side in whole grid cells (Grid.cube_cells); the
     moving-window sums wrap periodically, consistent with the box.  Returns
     (window masses, cells per side).
     """
     g = fld.grid
-    m = int(round(r_side / g.dx))
-    if m < 1:
-        raise ValueError(
-            f"r_side = {r_side} is below one grid cell ({g.dx})"
-        )
+    m = g.cube_cells(r_side)
     rho = np.sum(np.abs(fld.samples()) ** 2, axis=-1) * g.dy
     window = rho
     for ax in range(g.d):
@@ -400,23 +400,23 @@ def cube_sup_mass(fld: SpectralField, r_side: float) -> float:
     return float(window.max())
 
 
-def edge_cube_fraction(fld: SpectralField, r_side: float = 1.0,
-                       band_fraction: float = 0.75) -> float:
-    """Largest cube mass centred in the band |x_i| > band_fraction * L/2, over total mass.
+def edge_cube_fraction(fld: SpectralField) -> float:
+    """Largest unit-cube mass centred in the band |x_i| > (3/4) L/2, over total mass.
 
-    The monitor behind the boundary guard: once any r_side-cube near the box
+    The monitor behind the boundary guard: once any unit cube near the box
     edge holds a non-negligible share of the mass, radiation is about to wrap
     around and the periodic surrogate stops tracking the whole-space solution.
+    On a grid coarser than one unit the cubes are one cell wide.
     """
     g = fld.grid
-    window, m = _cube_windows(fld, r_side)
+    window, m = _cube_windows(fld, max(1.0, g.dx))
     total = float(window.sum()) / m ** g.d  # each cell lies in m^d periodic windows
     if total == 0.0:
         return 0.0
     half = g.L / 2.0
     centers = g.x_axis() + 0.5 * m * g.dx
     centers = (centers + half) % g.L - half
-    edge = np.abs(centers) > band_fraction * half
+    edge = np.abs(centers) > 0.75 * half
     mask = edge if g.d == 1 else edge[:, None] | edge[None, :]
     if not mask.any():
         return 0.0
@@ -539,13 +539,38 @@ def save_field(fld: SpectralField, fh: Union[str, BinaryIO]) -> None:
 
 
 def load_field(fh: Union[str, BinaryIO]) -> SpectralField:
+    """Read a save_field file from a path or a seekable binary stream.
+
+    A bad header, a body shorter or longer than the header implies, or a
+    non-finite L or time tag raises a ValueError that says which, prefixed
+    with the path when one is given.  The body size is checked before the
+    body is read.
+    """
     if isinstance(fh, str):
         with open(fh, "rb") as f:
-            return load_field(f)
-    d, L, Nx, Ny, time_tag = _HEADER.unpack(fh.read(_HEADER.size))
-    grid = Grid(d, L, Nx, Ny)
-    raw = fh.read(16 * grid.ntot)
-    if len(raw) != 16 * grid.ntot:
-        raise ValueError("snapshot file truncated")
-    coeff = np.frombuffer(raw, dtype="<c16").reshape(grid.shape)
+            try:
+                return load_field(f)
+            except ValueError as e:
+                raise ValueError(f"{fh}: {e}") from None
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        raise ValueError(f"snapshot file of {len(head)} bytes is shorter than "
+                         f"its {_HEADER.size}-byte header")
+    d, L, Nx, Ny, time_tag = _HEADER.unpack(head)
+    try:
+        grid = Grid(d, L, Nx, Ny)
+    except ValueError as e:
+        raise ValueError(f"bad snapshot header: {e}") from None
+    if not (np.isfinite(L) and np.isfinite(time_tag)):
+        raise ValueError(f"bad snapshot header: L = {L} and time_tag = {time_tag} "
+                         "must be finite")
+    size = 16 * grid.ntot
+    start = fh.tell()
+    left = fh.seek(0, os.SEEK_END) - start
+    fh.seek(start)
+    if left != size:
+        what = "truncated" if left < size else "followed by trailing bytes"
+        raise ValueError(f"snapshot body {what}: the header implies {size} bytes, "
+                         f"{left} follow it")
+    coeff = np.frombuffer(fh.read(size), dtype="<c16").reshape(grid.shape)
     return SpectralField(grid, coeff.astype(np.complex128), time_tag)

@@ -149,14 +149,13 @@ Sink = Callable[[SpectralField, bool], None]
 
 
 def evolve(initial: SpectralField, physics: PhysicsParams, control: StepControl,
-           sinks: Sequence[Sink] = (), guard_tol: float | None = None,
-           guard_band: float = 0.75) -> SpectralField:
+           sinks: Sequence[Sink] = (), guard_tol: float | None = None) -> SpectralField:
     """Run Strang steps to t_end, feeding immutable snapshots to the sinks.
 
     At every sampling time each sink is called as sink(snapshot, guard_breached).
     If guard_tol is given, the boundary-mass guard trips once the mass fraction
-    in the band |x| > guard_band * L/2 exceeds it; the flag then stays set for
-    all subsequent records.
+    of a unit cube in the band |x| > (3/4) L/2 exceeds it (edge_cube_fraction);
+    the flag then stays set for all subsequent records.
     """
     g = initial.grid
     dt = control.dt
@@ -170,7 +169,7 @@ def evolve(initial: SpectralField, physics: PhysicsParams, control: StepControl,
         nonlocal guard_breached
         snap = SpectralField.from_samples(g, v.copy(), t0 + step * dt)
         if guard_tol is not None and not guard_breached:
-            if edge_cube_fraction(snap, band_fraction=guard_band) > guard_tol:
+            if edge_cube_fraction(snap) > guard_tol:
                 guard_breached = True
         for sink in sinks:
             sink(snap, guard_breached)

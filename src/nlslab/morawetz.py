@@ -28,7 +28,7 @@ For defocusing dynamics lhs - rhs = S >= 0 pointwise-in-time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Callable, Dict, Tuple, Union
 
@@ -281,10 +281,10 @@ class CubeSupAccumulator:
 
     r_side: float
     alpha: float
-    integral: float = 0.0
-    cube_sup: float | None = None  # the last cube_sup_mass value taken
-    _last_t: float | None = None
-    _last_val: float | None = None
+    integral: float = dc_field(default=0.0, init=False)
+    cube_sup: float | None = dc_field(default=None, init=False)  # the last value taken
+    _last_t: float | None = dc_field(default=None, init=False)
+    _last_val: float | None = dc_field(default=None, init=False)
 
     def update(self, t: float, fld: SpectralField) -> float:
         self.cube_sup = cube_sup_mass(fld, self.r_side)
@@ -311,12 +311,12 @@ def morawetz_sample(fld: SpectralField, physics: PhysicsParams,
 
 
 class MorawetzRecorder:
-    """Sink producing one MorawetzSample per snapshot of a run."""
+    """Sink producing one MorawetzSample per snapshot of a run, with unit cubes."""
 
-    def __init__(self, physics: PhysicsParams, r_side: float = 1.0):
+    def __init__(self, physics: PhysicsParams):
         self.physics = physics
         self.samples: list[MorawetzSample] = []
-        self._acc = CubeSupAccumulator(r_side, physics.alpha)
+        self._acc = CubeSupAccumulator(1.0, physics.alpha)
 
     def __call__(self, fld: SpectralField, guard_breached: bool) -> None:
         self.samples.append(morawetz_sample(fld, self.physics, self._acc)[0])

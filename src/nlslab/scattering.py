@@ -85,9 +85,12 @@ class DecaySeries:
     outside_range: bool
 
 
-def decay_series(snapshots: Sequence[SpectralField], q_list: Sequence[float],
-                 transient: float = 1.0) -> Dict[float, DecaySeries]:
-    """L^q norm series per q with a monotone-tail flag for t >= transient.
+DECAY_TRANSIENT = 1.0  # decay tails are judged from this time on
+
+
+def decay_series(snapshots: Sequence[SpectralField], q_list: Sequence[float]
+                 ) -> Dict[float, DecaySeries]:
+    """L^q norm series per q with a monotone-tail flag for t >= DECAY_TRANSIENT.
 
     q values outside 2 < q < 2(d+1)/(d-1) (any q > 2 for d = 1) are still
     computed but flagged, with a warning.
@@ -105,7 +108,7 @@ def decay_series(snapshots: Sequence[SpectralField], q_list: Sequence[float],
                 RuntimeWarning,
             )
         vals = [lebesgue_norm(f, q) for f in snapshots]
-        tail = [v for t, v in zip(times, vals) if t >= transient]
+        tail = [v for t, v in zip(times, vals) if t >= DECAY_TRANSIENT]
         monotone = len(tail) >= 2 and all(
             b <= a * (1.0 + 1e-8) for a, b in zip(tail, tail[1:]))
         out[q] = DecaySeries(
@@ -200,16 +203,15 @@ class SpacetimeAccumulators:
 # report
 # ---------------------------------------------------------------------------
 
-def geometric_sample_times(t0: float, t_end: float, dt: float,
-                           growth: float = 1.3) -> List[float]:
-    """t_i = t0 * growth^i snapped to the step grid, strictly increasing."""
+def geometric_sample_times(t0: float, t_end: float, dt: float) -> List[float]:
+    """t_i = t0 * 1.3^i snapped to the step grid, strictly increasing."""
     times = []
     t = t0
     while t <= t_end * (1 + 1e-12):
         snapped = round(round(t / dt) * dt, 12)
         if not times or snapped > times[-1]:
             times.append(snapped)
-        t *= growth
+        t *= 1.3
     return times
 
 
@@ -247,10 +249,10 @@ class ScatterReport:
 
 def make_scatter_report(snapshots: Sequence[SpectralField],
                         q_list: Sequence[float],
-                        accumulators: SpacetimeAccumulators | None = None,
-                        transient: float = 1.0) -> ScatterReport:
+                        accumulators: SpacetimeAccumulators | None = None
+                        ) -> ScatterReport:
     C = cauchy_table(snapshots)
-    decay = decay_series(snapshots, q_list, transient)
+    decay = decay_series(snapshots, q_list)
     totals = accumulators.totals if accumulators else {}
     sat = accumulators.saturation() if accumulators else {}
     flags = {

@@ -2,9 +2,11 @@ import io
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlslab.cli import (
     ConfigError,
@@ -127,6 +129,18 @@ class TestParseConfig:
         ({"delta": "0"}, "delta"),
         ({"epsilon": 0.01}, "epsilon"),
         ({"output_dir": ""}, "output_dir"),
+        # the physics rules come from PhysicsParams and ProblemParams
+        ({"alpha": "0"}, "physics.alpha"),
+        ({"alpha": "five"}, "physics.alpha"),
+        ({"d": 2, "alpha": "5"}, "physics.alpha"),
+        ({"preset": "scattering", "alpha": "4"}, "physics.alpha"),
+        ({"preset": "exponents", "alpha": "-1"}, "physics.alpha"),
+        ({"preset": "exponents", "d": 3, "alpha": "2"}, "physics.alpha"),
+        ({"preset": "exponents", "lam": 5}, "physics.lam"),
+        ({"lam": -1}, "physics.lam"),
+        ({"r": "1/0"}, "r"),
+        ({"r": 0}, "r"),
+        ({"r_side": 0.75 * 200.0 / 4096}, "r_side"),
     ])
     def test_bad_field_named(self, over, field):
         # JSON carries NaN and Infinity as bare words, which json.dumps writes
@@ -145,6 +159,91 @@ class TestParseConfig:
     def test_preset_defaults_parse(self, preset):
         cfg = parse_config(cfg_text(preset=preset))
         assert parse_config(emit_config(cfg)) == cfg
+
+
+def _not_a_fraction(text):
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return True
+    return False
+
+
+# JSON values of the wrong type for each kind of field
+_NOT_INT = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=6),
+                     st.lists(st.integers(), max_size=2))
+_NOT_NUMBER = st.one_of(st.none(), st.booleans(), st.text(max_size=6),
+                        st.sampled_from([math.nan, math.inf, -math.inf]),
+                        st.lists(st.floats(), max_size=2))
+_NOT_RATIONAL = st.one_of(st.booleans(), st.floats(), st.lists(st.integers(), max_size=2),
+                          st.text(max_size=6).filter(_not_a_fraction))
+_NOT_POSITIVE = st.one_of(st.integers(max_value=0),
+                          st.fractions(max_value=0).map(str))
+_NOT_POWER_OF_TWO = st.integers(min_value=5, max_value=2 ** 20).filter(
+    lambda n: n & (n - 1))
+# dt is 1e-3 in the decay preset, and grid.dx is 200/4096
+_BAD_VALUES = {
+    "preset": ("preset", st.one_of(st.none(), st.integers(), st.text(max_size=8).filter(
+        lambda p: p not in ("decay", "morawetz", "soliton-control", "scattering",
+                            "exponents")))),
+    "d": ("grid.d", st.one_of(_NOT_INT, st.integers(max_value=0))),
+    "L": ("grid.L", st.one_of(_NOT_NUMBER, st.floats(max_value=0),
+                              st.integers(max_value=0))),
+    "Nx": ("grid.Nx", st.one_of(_NOT_INT, st.integers(max_value=3), _NOT_POWER_OF_TWO)),
+    "Ny": ("grid.Ny", st.one_of(_NOT_INT, st.integers(max_value=3), _NOT_POWER_OF_TWO)),
+    "alpha": ("physics.alpha", st.one_of(st.none(), _NOT_RATIONAL, _NOT_POSITIVE)),
+    "lam": ("physics.lam", st.one_of(_NOT_INT, st.integers().filter(lambda v: v != 1))),
+    "dt": ("control.dt", st.one_of(_NOT_NUMBER, st.sampled_from([0, 0.0]))),
+    "t_end": ("control.t_end", st.one_of(
+        _NOT_NUMBER, st.floats(max_value=0),
+        st.integers(1, 10 ** 4).map(lambda k: (k + 0.5) * 1e-3))),
+    "sample_every": ("control.sample_every",
+                     st.one_of(_NOT_INT, st.integers(max_value=0))),
+    "datum": ("datum", st.one_of(st.none(), st.booleans(), st.floats(),
+                                 st.text(max_size=6), st.lists(st.integers()))),
+    "q_list": ("q_list", st.one_of(
+        st.none(), st.booleans(), st.floats(), st.text(max_size=6), st.just([]),
+        st.lists(st.floats(max_value=2), min_size=1, max_size=3),
+        st.lists(st.one_of(st.none(), st.booleans(), st.text(max_size=3)), min_size=1),
+        st.floats(min_value=3, max_value=10).map(lambda q: [q, q]))),
+    "r": ("r", st.one_of(_NOT_RATIONAL, _NOT_POSITIVE)),
+    "epsilon": ("epsilon", st.one_of(st.none(), _NOT_RATIONAL, _NOT_POSITIVE)),
+    "theta_resolution": ("theta_resolution",
+                         st.one_of(st.none(), _NOT_RATIONAL, _NOT_POSITIVE)),
+    "delta": ("delta", st.one_of(st.none(), _NOT_RATIONAL, _NOT_POSITIVE)),
+    "r_side": ("r_side", st.one_of(_NOT_NUMBER, st.floats(max_value=0),
+                                   st.floats(0, 200 / 4096, exclude_max=True))),
+    "guard_tol": ("guard_tol", st.one_of(
+        _NOT_NUMBER, st.floats(max_value=0), st.floats(min_value=1, exclude_min=True))),
+    "output_dir": ("output_dir", st.one_of(st.none(), st.booleans(), st.integers(),
+                                           st.lists(st.text()), st.just(""))),
+}
+_SECTIONS = {"grid": ("d", "L", "Nx", "Ny"), "physics": ("alpha", "lam"),
+             "control": ("dt", "t_end", "sample_every")}
+
+
+@st.composite
+def _one_bad_field(draw):
+    field = draw(st.sampled_from(sorted(_BAD_VALUES)))
+    name, values = _BAD_VALUES[field]
+    value = draw(values)
+    body = {"preset": "decay"}
+    section = next((s for s, fields in _SECTIONS.items() if field in fields), None)
+    if section and draw(st.booleans()):
+        body[section] = {field: value}
+    else:
+        body[field] = value
+    return name, body
+
+
+@given(_one_bad_field())
+@settings(deadline=None, max_examples=300)
+def test_every_bad_field_is_named(case):
+    # one field of the decay preset set to a wrong type or out of range, at
+    # the top level or in its section: the error starts with its section name
+    name, body = case
+    with pytest.raises(ConfigError, match=f"^{re.escape(name)} "):
+        parse_config(json.dumps(body))
 
 
 class TestBuildDatum:
@@ -168,6 +267,18 @@ class TestBuildDatum:
         f = build_datum(cfg)
         assert np.abs(f.samples()).max() == pytest.approx(
             math.sqrt(2) * 1.5, rel=1e-6)
+
+    def test_bad_file_is_a_datum_path_error(self, tmp_path):
+        path = tmp_path / "datum.bin"
+        path.write_bytes(b"\0" * 20)
+        cfg = parse_config(cfg_text(datum={"kind": "file", "path": str(path)}))
+        with pytest.raises(ConfigError, match=f"^datum.path: {re.escape(str(path))}: "
+                                              ".*shorter than its 36-byte header"):
+            build_datum(cfg)
+        cfg = parse_config(cfg_text(datum={"kind": "file",
+                                           "path": str(tmp_path / "missing.bin")}))
+        with pytest.raises(ConfigError, match="^datum.path: .*No such file"):
+            build_datum(cfg)
 
 
 class TestRecordBuilderColumns:
@@ -359,6 +470,49 @@ class TestMain:
         with open(rpath, "w") as fh:
             emit_records([make_record(0.0)], fh, [4.0])
         assert main(["verify", str(rpath)]) == 0
+
+    @pytest.mark.parametrize("args, message", [
+        (["--d", "1", "--alpha", "five"], "physics.alpha = 'five': "),
+        (["--d", "0", "--alpha", "5"], "grid.d = 0: "),
+        (["--d", "2", "--alpha", "5"], "physics.alpha = 5 >= 4/(d-1) = 4: "),
+        (["--d", "1", "--alpha", "5", "--r", "1/0"], "r = '1/0': "),
+    ])
+    def test_bad_exponents_input_exits_2(self, capsys, args, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["exponents"] + args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(f"nlslab: error: {message}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("config, message", [
+        ('{"preset": "decay", "lam": 2}', "physics.lam must be +1, -1 or 0"),
+        ("{not json", "malformed config JSON"),
+        ('{"preset": "decay", "datum": {"kind": "file", "path": "DATUM"}, '
+         '"output_dir": "OUT"}', "datum.path: DATUM: snapshot body truncated"),
+    ], ids=["bad-field", "bad-json", "truncated-datum"])
+    def test_bad_run_input_exits_2(self, tmp_path, capsys, config, message):
+        from nlslab.field import SpectralField, save_field
+        datum = tmp_path / "datum.bin"
+        grid = parse_config(cfg_text()).grid()
+        save_field(SpectralField(grid, np.zeros(grid.shape)), str(datum))
+        datum.write_bytes(datum.read_bytes()[:-16])
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(config.replace("DATUM", str(datum))
+                         .replace("OUT", str(tmp_path / "out")))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cpath)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(
+            "nlslab: error: " + message.replace("DATUM", str(datum)))
+        assert "Traceback" not in err
+
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(tmp_path / "none.json")])
+        assert exc.value.code == 2
+        assert "--config: " in capsys.readouterr().err
 
 
 class TestRecordBuilder:

@@ -1,4 +1,6 @@
 import io
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -296,6 +298,9 @@ class TestCubeSupMass:
         f = from_profile(g1, lambda x, y: np.exp(-x ** 2) + 0.0 * y)
         with pytest.raises(ValueError):
             cube_sup_mass(f, g1.dx / 4)
+        # the one rule is a whole cell, not a side that rounds to one cell
+        with pytest.raises(ValueError, match="below one grid cell"):
+            cube_sup_mass(f, 0.75 * g1.dx)
 
     def test_d2(self, g2):
         f = from_profile(g2, lambda x1, x2, y: 1.0 + 0.0 * (x1 + x2 + y))
@@ -490,6 +495,31 @@ class TestSnapshotIO:
         open(path, "wb").write(raw[:-8])
         with pytest.raises(ValueError):
             load_field(path)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda raw: raw[:20], "shorter than its 36-byte header"),
+        (lambda raw: raw[:-8], "body truncated: the header implies 4096 bytes, 4088"),
+        (lambda raw: raw + b"\0", "trailing bytes: the header implies 4096 bytes, 4097"),
+        # Nx = 2**40 passes Grid; the size check must come before any read
+        (lambda raw: raw[:12] + struct.pack("<q", 2 ** 40) + raw[20:],
+         "body truncated: the header implies 70368744177664 bytes, 4096"),
+        (lambda raw: raw[:28] + struct.pack("<d", float("nan")) + raw[36:],
+         "time_tag = nan must be finite"),
+        (lambda raw: struct.pack("<i", 2021161080) + raw[4:],
+         "bad snapshot header: d must be 1 or 2"),
+    ], ids=["short", "truncated", "trailing", "huge-Nx", "nan-time-tag", "bad-d"])
+    def test_bad_file_named(self, tmp_path, damage, message):
+        f = random_field(Grid(1, 40.0, 64, 4), 27)
+        buf = io.BytesIO()
+        save_field(f, buf)
+        path = str(tmp_path / "snap.bin")
+        with open(path, "wb") as fh:
+            fh.write(damage(buf.getvalue()))
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: .*{re.escape(message)}"):
+            load_field(path)
+        with open(path, "rb") as fh, pytest.raises(ValueError) as exc:
+            load_field(fh)
+        assert message in str(exc.value) and path not in str(exc.value)
 
 
 class TestFftWorkers:

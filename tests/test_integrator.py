@@ -223,6 +223,12 @@ class TestEdgeCubeFraction:
         f = from_profile(g1, lambda x, y: 0.0 * x)
         assert edge_cube_fraction(f) == 0.0
 
+    def test_grid_coarser_than_unit_cubes(self):
+        # dx = 1.5: the guard's cubes are one cell wide, as rounding gave them
+        g = Grid(1, 48.0, 32, 4)
+        f = from_profile(g, lambda x, y: 1.0 + 0.0 * (x + y))
+        assert edge_cube_fraction(f) == pytest.approx(1 / g.Nx, rel=1e-12)
+
     @pytest.mark.parametrize("grid, sampler", [
         (Grid(1, 40.0, 256, 16),
          lambda x, y: np.exp(-4 * (x - 19.0) ** 2) * (1 + 0.3 * np.cos(y))),
