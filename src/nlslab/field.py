@@ -541,10 +541,8 @@ def save_field(fld: SpectralField, fh: Union[str, BinaryIO]) -> None:
 def load_field(fh: Union[str, BinaryIO]) -> SpectralField:
     """Read a save_field file from a path or a seekable binary stream.
 
-    A bad header, a body shorter or longer than the header implies, or a
-    non-finite L or time tag raises a ValueError that says which, prefixed
-    with the path when one is given.  The body size is checked before the
-    body is read.
+    The header, then the body size it implies, are checked before the body
+    is read; a ValueError says what is wrong and names the path, given one.
     """
     if isinstance(fh, str):
         with open(fh, "rb") as f:
