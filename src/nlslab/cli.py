@@ -247,6 +247,8 @@ def _validate(cfg: RunConfig) -> None:
     """Field types, PhysicsParams' and ProblemParams' rules, the preset policies."""
     _check_types(cfg)
     alpha = _rational("physics.alpha", cfg.alpha)
+    _check(abs(alpha) <= sys.float_info.max, "physics.alpha", cfg.alpha,
+           "is too large for a float")
     d = cfg.d
     _defer("physics.", cfg.physics)
     params = _defer("physics.", lambda: ProblemParams(d, alpha))
@@ -453,9 +455,13 @@ def build_datum(cfg: RunConfig) -> SpectralField:
             g, lambda x1, x2, y: A * np.exp(1j * (xi0 * x1 + n * y)))
     if kind == "file":
         try:
-            return load_field(spec["path"])
+            fld = load_field(spec["path"])
         except (OSError, ValueError) as e:
             raise ConfigError(f"datum.path: {e}") from None
+        if fld.grid != g:
+            raise ConfigError(f"datum.path: {spec['path']}: grid {fld.grid} does "
+                              f"not match the config's {g}")
+        return fld
     raise ConfigError(f"datum.kind = {kind!r}: unknown datum kind")
 
 
@@ -581,12 +587,12 @@ def config_exponent_report(cfg: RunConfig) -> dict:
 def run_preset(cfg: RunConfig) -> int:
     """Execute the preset, write artifacts, return the exit status."""
     t_start = time.perf_counter()
-    os.makedirs(cfg.output_dir, exist_ok=True)
     checks: Dict[str, bool] = {}
     artifacts: List[str] = []
 
     if cfg.preset == "exponents":
         rep = config_exponent_report(cfg)
+        os.makedirs(cfg.output_dir, exist_ok=True)
         path = os.path.join(cfg.output_dir, "exponents.json")
         with open(path, "w") as fh:
             json.dump(rep, fh, indent=2)
@@ -595,6 +601,7 @@ def run_preset(cfg: RunConfig) -> int:
     else:
         builder = RecordBuilder(cfg)
         initial = build_datum(cfg)
+        os.makedirs(cfg.output_dir, exist_ok=True)
         path = os.path.join(cfg.output_dir, "records.csv")
         error: Optional[Exception] = None
         try:

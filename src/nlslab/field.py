@@ -161,8 +161,10 @@ class SpectralField:
         """Physical-space values on the grid (lazily computed, then cached)."""
         if self._samples is None:
             g = self.grid
-            c = self.coefficients * g.x_phase()
-            self._samples = sfft.ifftn(c, workers=fft_workers()) * g.ntot
+            u = sfft.ifftn(self.coefficients * g.x_phase(), overwrite_x=True,
+                           workers=fft_workers())
+            u *= g.ntot
+            self._samples = u
         return self._samples
 
     @classmethod
@@ -173,7 +175,11 @@ class SpectralField:
             raise ValueError(
                 f"sample shape {samples.shape} does not match grid {grid.shape}"
             )
-        c = sfft.fftn(samples, workers=fft_workers()) / grid.ntot * grid.x_phase()
+        # in place: bitwise the result of fftn(...) / ntot * x_phase, without
+        # its two full-grid temporaries
+        c = sfft.fftn(samples, workers=fft_workers())
+        c /= grid.ntot
+        c *= grid.x_phase()
         out = cls(grid, c, time_tag)
         out._samples = samples
         return out
@@ -535,7 +541,7 @@ def save_field(fld: SpectralField, fh: Union[str, BinaryIO]) -> None:
             return save_field(fld, f)
     g = fld.grid
     fh.write(_HEADER.pack(g.d, g.L, g.Nx, g.Ny, fld.time_tag))
-    fh.write(np.ascontiguousarray(fld.coefficients).astype("<c16").tobytes())
+    fh.write(np.ascontiguousarray(fld.coefficients, dtype="<c16"))
 
 
 def load_field(fh: Union[str, BinaryIO]) -> SpectralField:
@@ -570,5 +576,9 @@ def load_field(fh: Union[str, BinaryIO]) -> SpectralField:
         what = "truncated" if left < size else "followed by trailing bytes"
         raise ValueError(f"snapshot body {what}: the header implies {size} bytes, "
                          f"{left} follow it")
-    coeff = np.frombuffer(fh.read(size), dtype="<c16").reshape(grid.shape)
-    return SpectralField(grid, coeff.astype(np.complex128), time_tag)
+    coeff = np.empty(grid.shape, dtype="<c16")
+    got = fh.readinto(coeff)
+    if got != size:
+        raise ValueError(f"snapshot body truncated: the header implies {size} "
+                         f"bytes, {got} could be read")
+    return SpectralField(grid, coeff, time_tag)

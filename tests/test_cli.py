@@ -141,6 +141,8 @@ class TestParseConfig:
         ({"r": "1/0"}, "r"),
         ({"r": 0}, "r"),
         ({"r_side": 0.75 * 200.0 / 4096}, "r_side"),
+        # its float image overflows
+        ({"alpha": "1" + "0" * 400}, "physics.alpha"),
     ])
     def test_bad_field_named(self, over, field):
         # JSON carries NaN and Infinity as bare words, which json.dumps writes
@@ -279,6 +281,18 @@ class TestBuildDatum:
                                            "path": str(tmp_path / "missing.bin")}))
         with pytest.raises(ConfigError, match="^datum.path: .*No such file"):
             build_datum(cfg)
+
+    def test_file_grid_must_match_the_config(self, tmp_path):
+        from nlslab.field import Grid, SpectralField, save_field
+        path = tmp_path / "datum.bin"
+        body = {"kind": "file", "path": str(path)}
+        small = Grid(1, 40.0, 64, 4)
+        save_field(SpectralField(small, np.ones(small.shape)), str(path))
+        with pytest.raises(ConfigError, match=f"^datum.path: {re.escape(str(path))}: "
+                                              "grid .* does not match the config's"):
+            build_datum(parse_config(cfg_text(datum=body)))
+        cfg = parse_config(cfg_text(datum=body, grid={"L": 40.0, "Nx": 64, "Ny": 4}))
+        assert build_datum(cfg).grid == small
 
 
 class TestRecordBuilderColumns:
@@ -507,6 +521,7 @@ class TestMain:
         assert err.splitlines()[-1].startswith(
             "nlslab: error: " + message.replace("DATUM", str(datum)))
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -521,6 +521,35 @@ class TestSnapshotIO:
             load_field(fh)
         assert message in str(exc.value) and path not in str(exc.value)
 
+    def test_short_read_rejected(self, g1):
+        class ShortRead(io.BytesIO):
+            def readinto(self, buf):
+                return super().readinto(memoryview(buf).cast("B")[:-16])
+        buf = io.BytesIO()
+        save_field(random_field(g1, 29), buf)
+        with pytest.raises(ValueError, match="body truncated: the header implies "
+                                             "65536 bytes, 65520 could be read"):
+            load_field(ShortRead(buf.getvalue()))
+
+
+@pytest.mark.parametrize("grid", [
+    Grid(1, 200.0, 4096, 32), Grid(2, 64.0, 256, 16), Grid(1, 1024.0, 16384, 16)],
+    ids=["decay-1d", "morawetz-2d", "scattering-1d"])
+@pytest.mark.parametrize("mod", [0.0, 0.3])
+def test_transforms_bitwise_equal_to_out_of_place_formulas(grid, mod):
+    # the benchmark's grids; a y-independent datum (mod = 0) leaves many
+    # exact zeros in the spectrum, where the sign of zero shows
+    from scipy import fft as sfft
+    from nlslab.field import fft_workers
+    mesh = np.meshgrid(*[grid.x_axis()] * grid.d, grid.y_axis(), indexing="ij")
+    r2 = sum(x ** 2 for x in mesh[:-1])
+    u = np.exp(-r2 + 0.3j * mesh[0]) * (1 + mod * np.cos(mesh[-1]))
+    w = fft_workers()
+    c = sfft.fftn(u, workers=w) / grid.ntot * grid.x_phase()
+    assert SpectralField.from_samples(grid, u).coefficients.tobytes() == c.tobytes()
+    back = sfft.ifftn(c * grid.x_phase(), workers=w) * grid.ntot
+    assert SpectralField(grid, c).samples().tobytes() == back.tobytes()
+
 
 class TestFftWorkers:
     def test_unset_or_empty_means_all_cores(self, monkeypatch):

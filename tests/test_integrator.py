@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from nlslab.field import (
     Grid,
@@ -15,6 +16,7 @@ from nlslab.integrator import (
     BlowUpError,
     PhysicsParams,
     StepControl,
+    _linear_phase,
     energy,
     evolve,
     mass,
@@ -59,6 +61,50 @@ class TestParams:
             evolve(gaussian, PhysicsParams(2.0, 0), StepControl(dt=0.1, t_end=0.1))
 
 
+# the benchmark's grids and step sizes (decay-1d, morawetz-2d, scattering-1d),
+# the fixture grid, and a backward step
+@pytest.mark.parametrize("grid, dt", [
+    (Grid(1, 200.0, 4096, 32), 1e-3), (Grid(2, 64.0, 256, 16), 1e-3),
+    (Grid(1, 1024.0, 16384, 16), 2e-3), (Grid(1, 40.0, 256, 16), 1e-2),
+    (Grid(2, 16.0, 16, 4), -1e-3)])
+def test_separable_phase_matches_full_grid_exp(grid, dt):
+    phase = _linear_phase(grid, dt)
+    assert phase.shape == grid.shape
+    assert np.abs(phase - np.exp(1j * dt * grid.laplace_symbol())).max() <= 2e-15
+
+
+class _CountedFFT:
+    """scipy.fft with each complex transform of a full grid counted."""
+
+    def __init__(self, size):
+        self.size, self.calls = size, 0
+
+    def __getattr__(self, name):
+        fn = getattr(scipy.fft, name)
+        if name not in ("fft", "ifft", "fftn", "ifftn", "fft2", "ifft2"):
+            return fn
+
+        def counted(x, *args, **kwargs):
+            self.calls += np.size(x) == self.size
+            return fn(x, *args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("steps, every", [(1, 1), (4, 2), (7, 3), (5, 10)])
+def test_transforms_per_run(g1, gaussian, monkeypatch, steps, every):
+    # two per step, none for the step-0 snapshot (the datum, samples cached)
+    # and one forward transform for each later snapshot; the guard adds none
+    from nlslab import field, integrator
+    fake = _CountedFFT(g1.ntot)
+    monkeypatch.setattr(field, "sfft", fake)
+    monkeypatch.setattr(integrator, "sfft", fake)
+    seen = []
+    evolve(gaussian, PhysicsParams(3.0, 1),
+           StepControl(dt=1e-3, t_end=steps * 1e-3, sample_every=every),
+           sinks=[lambda f, flag: seen.append(f)], guard_tol=1e-3)
+    assert fake.calls == 2 * steps + len(seen) - 1
+
+
 class TestStrangStep:
     def test_zero_field(self, g1):
         f = from_profile(g1, lambda x, y: 0.0 * x)
@@ -101,12 +147,15 @@ class TestEvolve:
 
     def test_sinks_receive_snapshots(self, g1, gaussian):
         seen = []
-        evolve(gaussian, PhysicsParams(2.0, 1),
-               StepControl(dt=0.01, t_end=0.1, sample_every=5),
-               sinks=[lambda f, flag: seen.append((f.time_tag, flag))])
-        times = [t for t, _ in seen]
+        out = evolve(gaussian, PhysicsParams(2.0, 1),
+                     StepControl(dt=0.01, t_end=0.1, sample_every=5),
+                     sinks=[lambda f, flag: seen.append((f, flag))])
+        times = [f.time_tag for f, _ in seen]
         assert times == pytest.approx([0.0, 0.05, 0.1])
         assert all(flag is False for _, flag in seen)
+        # the datum is the step-0 snapshot, the last snapshot is the result
+        assert seen[0][0] is gaussian
+        assert out is seen[-1][0]
 
     def test_guard_flag_latches(self, g1):
         # datum concentrated at the box edge trips the guard immediately
