@@ -51,6 +51,7 @@ from .field import (
     load_field,
     mixed_norm,  # not called here; perfbench/tracing.py wraps cli.mixed_norm
     sobolev_h1,  # not called here; perfbench/tracing.py wraps cli.sobolev_h1
+    y_independent,
 )
 # mass and energy are not called here; perfbench/tracing.py wraps cli.mass
 # and cli.energy
@@ -589,6 +590,7 @@ def run_preset(cfg: RunConfig) -> int:
     t_start = time.perf_counter()
     checks: Dict[str, bool] = {}
     artifacts: List[str] = []
+    reduced: Optional[bool] = None  # whether evolve steps one y column
 
     if cfg.preset == "exponents":
         rep = config_exponent_report(cfg)
@@ -601,6 +603,7 @@ def run_preset(cfg: RunConfig) -> int:
     else:
         builder = RecordBuilder(cfg)
         initial = build_datum(cfg)
+        reduced = y_independent(initial)
         os.makedirs(cfg.output_dir, exist_ok=True)
         path = os.path.join(cfg.output_dir, "records.csv")
         error: Optional[Exception] = None
@@ -616,7 +619,7 @@ def run_preset(cfg: RunConfig) -> int:
         artifacts.append(path)
         if error is not None:
             n = len(builder.records)
-            _write_manifest(cfg, t_start, checks, artifacts, 1,
+            _write_manifest(cfg, t_start, checks, artifacts, 1, reduced,
                             error=str(error), records_written=n)
             raise RuntimeError(f"run aborted after record {n - 1}: {error}") from error
 
@@ -637,13 +640,18 @@ def run_preset(cfg: RunConfig) -> int:
                 checks.update(_scattering_checks(report))
 
     status = 0 if all(checks.values()) else 1
-    _write_manifest(cfg, t_start, checks, artifacts, status)
+    _write_manifest(cfg, t_start, checks, artifacts, status, reduced)
     return status
 
 
 def _write_manifest(cfg: RunConfig, t_start: float, checks: Dict[str, bool],
-                    artifacts: List[str], status: int, **abort) -> None:
-    """Write manifest.json; ``abort`` (error, records_written) marks an aborted run."""
+                    artifacts: List[str], status: int,
+                    reduced: Optional[bool], **abort) -> None:
+    """Write manifest.json; ``abort`` (error, records_written) marks an aborted run.
+
+    ``y_independent`` says whether evolve stepped one y column (null for a
+    preset without a datum).
+    """
     manifest = {
         "version": __version__,
         "config": cfg.to_dict(),
@@ -652,6 +660,7 @@ def _write_manifest(cfg: RunConfig, t_start: float, checks: Dict[str, bool],
         "checks": checks,
         "exit_status": status,
         "artifacts": artifacts,
+        "y_independent": reduced,
         "aborted": bool(abort),
         **abort,
         "wall_time_s": time.perf_counter() - t_start,

@@ -413,6 +413,7 @@ class TestRunPreset:
         manifest = json.load(open(tmp_path / "manifest.json"))
         assert manifest["exit_status"] == 0
         assert manifest["alpha_exact"] == "5"
+        assert manifest["y_independent"] is None  # no datum, no run
 
     def test_small_decay_run_writes_artifacts(self, tmp_path):
         cfg = parse_config(cfg_text(
@@ -426,6 +427,17 @@ class TestRunPreset:
                                            "guard_never_fired"}
         assert manifest["checks"]["morawetz_inequality"] is True
         assert manifest["checks"]["positivity"] is True
+        assert manifest["y_independent"] is True  # the decay preset's Gaussian
+
+    def test_y_modulated_datum_takes_the_full_path(self, tmp_path):
+        cfg = parse_config(cfg_text(
+            grid={"Nx": 256, "Ny": 4, "L": 60.0},
+            control={"dt": 0.01, "t_end": 0.1, "sample_every": 10},
+            datum={"kind": "gaussian", "y_modulation": 0.3},
+            output_dir=str(tmp_path)))
+        run_preset(cfg)
+        manifest = json.load(open(tmp_path / "manifest.json"))
+        assert manifest["y_independent"] is False
 
     def test_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -612,6 +624,7 @@ class TestAbortedRun:
         assert "non-finite state at t = 0.05" in manifest["error"]
         assert manifest["records_written"] == 1
         assert manifest["exit_status"] == 1
+        assert manifest["y_independent"] is True
 
         capsys.readouterr()
         assert main(["verify", str(tmp_path / "records.csv")]) == 1

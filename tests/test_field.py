@@ -9,6 +9,7 @@ from nlslab.field import (
     Grid,
     SpectralField,
     _gradient_multipliers,
+    _linear_phase,
     abs_power,
     abs_sq,
     cube_sup_mass,
@@ -26,6 +27,7 @@ from nlslab.field import (
     nonlinear_power,
     save_field,
     sobolev_h1,
+    y_independent,
 )
 
 
@@ -359,6 +361,39 @@ class TestFreeEvolve:
         for s, gamma in [(0.5, 0.5), (1.0, 0.0), (0.1, 0.9)]:
             assert hs_x_hgamma_y(out, s, gamma) == pytest.approx(
                 hs_x_hgamma_y(f, s, gamma), rel=1e-12)
+
+    # the scattering preset's grid and pull-back times, a decay grid and d = 2
+    @pytest.mark.parametrize("grid", [Grid(1, 1024.0, 16384, 16),
+                                      Grid(1, 200.0, 4096, 32),
+                                      Grid(2, 64.0, 256, 16)])
+    @pytest.mark.parametrize("t", [40.0, -40.0])
+    def test_phase_within_rounding_of_full_grid_exp(self, grid, t):
+        # both forms round the phase angle t (|xi|^2 + n^2) to about eps times
+        # its size; measured 0.63-0.81 eps |t| max symbol on these grids
+        symbol = grid.laplace_symbol()
+        diff = np.abs(_linear_phase(grid, t) - np.exp(1j * t * symbol)).max()
+        assert diff <= 2.0 * np.finfo(float).eps * abs(t) * symbol.max()
+
+    def test_uses_the_separable_phase(self, g1):
+        f = random_field(g1, 13)
+        out = free_evolve(f, -40.0)
+        assert np.array_equal(out.coefficients,
+                              f.coefficients * _linear_phase(g1, -40.0))
+        assert out.time_tag == -40.0
+
+
+class TestYIndependent:
+    def test_constant_along_y(self, g1, g2):
+        assert y_independent(from_profile(g1, lambda x, y: np.exp(-x ** 2) + 0.0 * y))
+        assert y_independent(from_profile(
+            g2, lambda x1, x2, y: np.exp(-x1 ** 2 - 1j * x2) + 0.0 * y))
+
+    def test_any_y_dependence(self, g1):
+        assert not y_independent(from_profile(
+            g1, lambda x, y: np.exp(-x ** 2) * (1 + 1e-3 * np.cos(y))))
+        u = from_profile(g1, lambda x, y: np.exp(-x ** 2) + 0.0 * y).samples().copy()
+        u[7, -1] += 1j * 1e-300
+        assert not y_independent(SpectralField.from_samples(g1, u))
 
 
 class TestDensities:

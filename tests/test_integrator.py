@@ -7,16 +7,18 @@ import scipy.fft
 from nlslab.field import (
     Grid,
     SpectralField,
+    _linear_phase,
     edge_cube_fraction,
     free_evolve,
     from_profile,
     lebesgue_norm,
+    y_independent,
 )
 from nlslab.integrator import (
     BlowUpError,
     PhysicsParams,
     StepControl,
-    _linear_phase,
+    _advance,
     energy,
     evolve,
     mass,
@@ -33,6 +35,15 @@ def g1():
 @pytest.fixture
 def gaussian(g1):
     return from_profile(g1, lambda x, y: 1.5 * np.exp(-x ** 2) * (1 + 0.3 * np.cos(y)))
+
+
+# y-independent data with some momentum
+def _x_profile_1d(x, y):
+    return 1.5 * np.exp(-x ** 2) * (1 + 0.2j * np.sin(x)) + 0.0 * y
+
+
+def _x_profile_2d(x1, x2, y):
+    return np.exp(-(x1 ** 2 + x2 ** 2)) * (1 + 0.2j * np.cos(x1 - x2)) + 0.0 * y
 
 
 class TestParams:
@@ -103,6 +114,22 @@ def test_transforms_per_run(g1, gaussian, monkeypatch, steps, every):
            StepControl(dt=1e-3, t_end=steps * 1e-3, sample_every=every),
            sinks=[lambda f, flag: seen.append(f)], guard_tol=1e-3)
     assert fake.calls == 2 * steps + len(seen) - 1
+
+
+def test_transforms_per_y_independent_run(g1, monkeypatch):
+    # the steps run on one y column, so only the later snapshots' forward
+    # transforms touch the full grid
+    from nlslab import field, integrator
+    datum = from_profile(g1, _x_profile_1d)
+    fake = _CountedFFT(g1.ntot)
+    monkeypatch.setattr(field, "sfft", fake)
+    monkeypatch.setattr(integrator, "sfft", fake)
+    seen = []
+    evolve(datum, PhysicsParams(3.0, 1),
+           StepControl(dt=1e-3, t_end=7e-3, sample_every=3),
+           sinks=[lambda f, flag: seen.append(f)], guard_tol=1e-3)
+    assert len(seen) == 4
+    assert fake.calls == len(seen) - 1
 
 
 class TestStrangStep:
@@ -379,3 +406,90 @@ class TestCubeWindowsOncePerSample:
         assert calls == pytest.approx([0.0, 2e-3, 4e-3])
         fresh = SpectralField.from_samples(g1, snaps[-1].samples())
         assert rec.samples[-1].cube_sup == original(fresh, 1.0)[0].max()
+
+
+def full_width_run(initial, physics, control):
+    """evolve's snapshots with every step taken on the full grid."""
+    g, dt, t0 = initial.grid, control.dt, initial.time_tag
+    phase, v = _linear_phase(g, dt), initial.samples().copy()
+    snaps = [initial]
+    for start in range(0, control.n_steps, control.sample_every):
+        n = min(control.sample_every, control.n_steps - start)
+        v = _advance(v, phase, physics, dt, n, t0 + start * dt)
+        snaps.append(SpectralField.from_samples(g, v.copy(), t0 + (start + n) * dt))
+    return snaps
+
+
+def _spy_advance(monkeypatch):
+    """Record the state shape of every _advance call evolve makes."""
+    from nlslab import integrator
+    shapes = []
+
+    def spy(v, *args):
+        shapes.append(v.shape)
+        return _advance(v, *args)
+    monkeypatch.setattr(integrator, "_advance", spy)
+    return shapes
+
+
+class TestYIndependentRuns:
+    """A y-independent datum is stepped on one y column, bit for bit."""
+
+    @pytest.mark.parametrize("grid, profile, alpha, lam, dt, every", [
+        (Grid(1, 40.0, 256, 16), _x_profile_1d, 2.0, 1, 1e-2, 1),
+        (Grid(1, 40.0, 256, 16), _x_profile_1d, 3.0, -1, 1e-2, 3),
+        (Grid(1, 40.0, 256, 16), _x_profile_1d, 4.0 / 3.0, 1, 1e-2, 7),
+        (Grid(1, 40.0, 256, 16), _x_profile_1d, 3.0, 1, -1e-2, 3),
+        (Grid(2, 16.0, 32, 8), _x_profile_2d, 3.0, 1, 1e-2, 3),
+        (Grid(2, 16.0, 32, 8), _x_profile_2d, 4.0 / 3.0, -1, 1e-2, 1),
+        (Grid(2, 16.0, 32, 8), _x_profile_2d, 2.0, -1, 1e-2, 7),
+    ])
+    def test_snapshots_equal_the_full_width_run(self, monkeypatch, grid, profile,
+                                                alpha, lam, dt, every):
+        f = from_profile(grid, profile)
+        physics = PhysicsParams(alpha, lam)
+        control = StepControl(dt=dt, t_end=7 * dt, sample_every=every)
+        expect = full_width_run(f, physics, control)
+        shapes = _spy_advance(monkeypatch)
+        seen = []
+        out = evolve(f, physics, control, sinks=[lambda fld, flag: seen.append(fld)])
+        assert set(shapes) == {grid.shape[:-1] + (1,)}
+        assert len(seen) == len(expect)
+        for snap, ref in zip(seen, expect):
+            assert snap.time_tag == ref.time_tag
+            assert np.array_equal(snap.samples(), ref.samples())
+            assert np.array_equal(snap.coefficients, ref.coefficients)
+        assert out is seen[-1]
+
+    def test_one_ulp_off_takes_the_full_path(self, g1, monkeypatch):
+        u = from_profile(g1, _x_profile_1d).samples().copy()
+        u[100, 5] = np.nextafter(u[100, 5].real, np.inf) + 1j * u[100, 5].imag
+        f = SpectralField.from_samples(g1, u)
+        assert not y_independent(f)
+        shapes = _spy_advance(monkeypatch)
+        evolve(f, PhysicsParams(3.0, 1), StepControl(dt=1e-2, t_end=2e-2))
+        assert shapes == [g1.shape] * 2
+
+    def test_blowup_reported_at_its_step(self, g1):
+        # the peak of the y-modulated blow-up datum above, constant in y
+        f = from_profile(g1, lambda x, y: 3.64e61 * np.exp(-x ** 2) + 0.0 * y)
+        assert y_independent(f)
+        physics = PhysicsParams(5.0, -1)
+        control = StepControl(dt=1e-3, t_end=0.1, sample_every=50)
+        times = []
+        with np.errstate(all="ignore"), pytest.raises(BlowUpError) as err:
+            evolve(f, physics, control,
+                   sinks=[lambda fld, flag: times.append(fld.time_tag)])
+        assert times == [0.0]
+        t_blow = float(str(err.value).rsplit("= ", 1)[1])
+        assert 0.0 < t_blow < 0.05
+        with np.errstate(all="ignore"), pytest.raises(BlowUpError) as full:
+            full_width_run(f, physics, control)
+        assert str(err.value) == str(full.value)
+
+    def test_caller_field_untouched(self, g1):
+        f = from_profile(g1, _x_profile_1d)
+        samples, coefficients = f.samples().copy(), f.coefficients.copy()
+        evolve(f, PhysicsParams(3.0, 1), StepControl(dt=1e-3, t_end=5e-3, sample_every=2))
+        assert np.array_equal(f.samples(), samples)
+        assert np.array_equal(f.coefficients, coefficients)
