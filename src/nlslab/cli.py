@@ -39,7 +39,6 @@ from .exponents import (
     perturbed_tuple,
     subcritical_pair,
     theta_tuple,
-    verify_tuple,
 )
 from .field import (
     Grid,
@@ -367,7 +366,7 @@ class RecordBuilder:
         self._schedule = geometric_sample_times(10 * sample_dt, cfg.t_end, sample_dt) \
             if cfg.preset in ("soliton-control", "scattering") else []
         self._cube = CubeSupAccumulator(cfg.r_side, self.physics_params.alpha)
-        self._acc: Optional[SpacetimeAccumulators] = None
+        self.accumulators: Optional[SpacetimeAccumulators] = None
         params = ProblemParams(cfg.d, cfg.alpha_fraction())
         if params.regime == "scattering":
             base, rep = critical_tuple(
@@ -377,16 +376,16 @@ class RecordBuilder:
                     base, params, as_fraction(cfg.theta_resolution))
                 th_tuple, _ = theta_tuple(base, params, theta)
                 aux, _ = auxiliary_pair(params, base, "equality")
-                self._acc = SpacetimeAccumulators(
+                self.accumulators = SpacetimeAccumulators(
                     params, base, th_tuple, aux, as_fraction(cfg.delta))
 
     def __call__(self, fld: SpectralField, guard_breached: bool) -> None:
         ms, ds = morawetz_sample(fld, self.physics_params, self._cube)
         acc_totals = {k: 0.0 for k in _ACC_KEYS}
         theta_norm = 0.0
-        if self._acc is not None:
-            acc_totals = self._acc.update(fld.time_tag, fld, ds)
-            theta_norm = self._acc.theta_mixed_norm
+        if self.accumulators is not None:
+            acc_totals = self.accumulators.update(fld.time_tag, fld, ds)
+            theta_norm = self.accumulators.theta_mixed_norm
         mass_value, kinetic, h1_norm = _quadratic_terms(fld)
         physics = self.physics_params
         # the potential term from nu, the y-integral of |u|^{alpha+2}
@@ -409,7 +408,8 @@ class RecordBuilder:
             boundary_guard_flag=guard_breached,
         ))
         if any(abs(fld.time_tag - t) < 1e-9 * max(1.0, t) for t in self._schedule):
-            self.snapshots.append(fld)
+            # coefficients only: the report reads its L^q series from the records
+            self.snapshots.append(SpectralField(fld.grid, fld.coefficients, fld.time_tag))
 
 
 def _quadratic_terms(fld: SpectralField) -> Tuple[float, float, float]:
@@ -628,8 +628,11 @@ def run_preset(cfg: RunConfig) -> int:
             if cfg.preset == "decay":
                 checks.update(_decay_checks(builder.records, cfg))
         else:
-            report = make_scatter_report(builder.snapshots, cfg.q_list,
-                                         accumulators=builder._acc)
+            kept = {f.time_tag for f in builder.snapshots}
+            rows = [r for r in builder.records if r.t in kept]
+            lq = {q: [r.lq_norms[q] for r in rows] for q in cfg.q_list}
+            report = make_scatter_report(builder.snapshots, lq,
+                                         accumulators=builder.accumulators)
             spath = os.path.join(cfg.output_dir, "scatter_report.json")
             with open(spath, "w") as fh:
                 fh.write(report.to_json())

@@ -448,8 +448,8 @@ def localized_gn_check(fld: SpectralField) -> Tuple[float, Tuple[float, float]]:
     """
     g = fld.grid
     lhs = lebesgue_norm(fld, 2.0 + 4.0 / (g.d + 1))
-    side = max(1, int(round(1.0 / g.dx))) * g.dx
-    f1 = float(np.sqrt(cube_sup_mass(fld, side)))
+    # the guard's unit cube, so that both read one cached window pass
+    f1 = float(np.sqrt(cube_sup_mass(fld, max(1.0, g.dx))))
     f2 = sobolev_h1(fld)
     return lhs, (f1, f2)
 

@@ -31,7 +31,7 @@ from .field import (
     _mixed_from_power,
     _y_mode_power,
     free_evolve,
-    lebesgue_norm,
+    lebesgue_norm,  # not called here; perfbench/tracing.py wraps scattering.lebesgue_norm
     mixed_norm,  # not called here; perfbench/tracing.py wraps scattering.mixed_norm
     sobolev_h1,
 )
@@ -42,17 +42,16 @@ def pullback(fld: SpectralField) -> SpectralField:
     return free_evolve(fld, -fld.time_tag)
 
 
-def _check_increasing(snapshots: Sequence[SpectralField], minimum: int) -> None:
-    if len(snapshots) < minimum:
-        raise ValueError(f"need at least {minimum} snapshots, got {len(snapshots)}")
-    times = [f.time_tag for f in snapshots]
+def _check_increasing(times: Sequence[float], minimum: int) -> None:
+    if len(times) < minimum:
+        raise ValueError(f"need at least {minimum} snapshots, got {len(times)}")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("snapshot times must be strictly increasing")
 
 
 def cauchy_table(snapshots: Sequence[SpectralField]) -> np.ndarray:
     """C_ij = ||w(t_i) - w(t_j)||_{H^1}; symmetric with zero diagonal."""
-    _check_increasing(snapshots, 3)
+    _check_increasing([f.time_tag for f in snapshots], 3)
     ws = [pullback(f) for f in snapshots]
     m = len(ws)
     C = np.zeros((m, m))
@@ -78,7 +77,6 @@ def cauchy_tail_decreasing(C: np.ndarray) -> bool:
 @dataclass
 class DecaySeries:
     q: float
-    times: List[float]
     values: List[float]
     ratio_last_to_max: float
     monotone_tail: bool
@@ -88,32 +86,31 @@ class DecaySeries:
 DECAY_TRANSIENT = 1.0  # decay tails are judged from this time on
 
 
-def decay_series(snapshots: Sequence[SpectralField], q_list: Sequence[float]
-                 ) -> Dict[float, DecaySeries]:
-    """L^q norm series per q with a monotone-tail flag for t >= DECAY_TRANSIENT.
+def decay_series(times: Sequence[float], d: int,
+                 lq: Dict[float, Sequence[float]]) -> Dict[float, DecaySeries]:
+    """Monotone-tail flags for t >= DECAY_TRANSIENT of each L^q norm series.
 
-    q values outside 2 < q < 2(d+1)/(d-1) (any q > 2 for d = 1) are still
-    computed but flagged, with a warning.
+    lq maps q to the norms ||u(t)||_{L^q} at the given times, which are those
+    of the run's records.  q values outside 2 < q < 2(d+1)/(d-1) (any q > 2
+    for d = 1) are still judged but flagged, with a warning.
     """
-    _check_increasing(snapshots, 2)
-    d = snapshots[0].grid.d
+    _check_increasing(times, 2)
     q_hi = np.inf if d == 1 else 2.0 * (d + 1) / (d - 1)
-    times = [f.time_tag for f in snapshots]
     out: Dict[float, DecaySeries] = {}
-    for q in q_list:
+    for q, vals in lq.items():
+        if len(vals) != len(times):
+            raise ValueError(f"q = {q}: {len(vals)} values for {len(times)} times")
         outside = not (2.0 < q <= q_hi)
         if outside:
             warnings.warn(
                 f"q = {q} lies outside the dispersive-decay range (2, {q_hi}]",
                 RuntimeWarning,
             )
-        vals = [lebesgue_norm(f, q) for f in snapshots]
         tail = [v for t, v in zip(times, vals) if t >= DECAY_TRANSIENT]
         monotone = len(tail) >= 2 and all(
             b <= a * (1.0 + 1e-8) for a, b in zip(tail, tail[1:]))
         out[q] = DecaySeries(
-            q=q, times=list(times), values=vals,
-            ratio_last_to_max=vals[-1] / max(vals),
+            q=q, values=list(vals), ratio_last_to_max=vals[-1] / max(vals),
             monotone_tail=monotone, outside_range=outside)
     return out
 
@@ -223,7 +220,6 @@ class ScatterReport:
     accumulator_totals: Dict[str, float]
     accumulator_saturation: Dict[str, float]
     flags: Dict[str, bool]
-    f_plus: SpectralField
 
     def to_json_dict(self) -> dict:
         return {
@@ -248,11 +244,13 @@ class ScatterReport:
 
 
 def make_scatter_report(snapshots: Sequence[SpectralField],
-                        q_list: Sequence[float],
+                        lq: Dict[float, Sequence[float]],
                         accumulators: SpacetimeAccumulators | None = None
                         ) -> ScatterReport:
+    """The report of the kept snapshots; lq holds each L^q series at their times."""
+    times = [f.time_tag for f in snapshots]
     C = cauchy_table(snapshots)
-    decay = decay_series(snapshots, q_list)
+    decay = decay_series(times, snapshots[0].grid.d, lq)
     totals = accumulators.totals if accumulators else {}
     sat = accumulators.saturation() if accumulators else {}
     flags = {
@@ -260,11 +258,10 @@ def make_scatter_report(snapshots: Sequence[SpectralField],
         "all_monotone_tails": all(s.monotone_tail for s in decay.values()),
     }
     return ScatterReport(
-        times=[f.time_tag for f in snapshots],
+        times=times,
         cauchy=C,
         decay=decay,
         accumulator_totals=dict(totals),
         accumulator_saturation=dict(sat),
         flags=flags,
-        f_plus=pullback(snapshots[-1]),
     )

@@ -577,6 +577,41 @@ class TestRecordBuilder:
             assert times == expect
             assert len(builder.records) == 51
 
+    def run_with_capture(self, tmp_path, monkeypatch):
+        """run_preset on small_cfg, with a second sink that keeps every
+        emitted snapshot; returns (builder, emitted, scatter report JSON)."""
+        from nlslab import cli, integrator
+        seen, emitted = {}, []
+
+        def evolve(initial, physics, control, sinks=(), **kw):
+            seen["builder"] = sinks[0]
+            return integrator.evolve(
+                initial, physics, control,
+                sinks=[*sinks, lambda fld, flag: emitted.append(fld)], **kw)
+        monkeypatch.setattr(cli, "evolve", evolve)
+        cfg = self.small_cfg()
+        cfg.output_dir = str(tmp_path)
+        run_preset(cfg)
+        with open(tmp_path / "scatter_report.json") as fh:
+            return seen["builder"], emitted, json.load(fh)
+
+    def test_report_decay_is_the_records_lq(self, tmp_path, monkeypatch):
+        from nlslab.field import lebesgue_norm
+        builder, emitted, report = self.run_with_capture(tmp_path, monkeypatch)
+        kept = [f for f in emitted if f.time_tag in report["times"]]
+        assert len(kept) == len(report["times"]) == len(builder.snapshots) >= 3
+        for q in builder.cfg.q_list:
+            assert report["decay"][str(q)]["values"] == \
+                [lebesgue_norm(f, q) for f in kept]
+
+    def test_kept_snapshots_hold_coefficients_only(self, tmp_path, monkeypatch):
+        builder, emitted, _ = self.run_with_capture(tmp_path, monkeypatch)
+        by_time = {f.time_tag: f for f in emitted}
+        for snap in builder.snapshots:
+            assert snap._samples is None
+            assert np.shares_memory(snap.coefficients,
+                                    by_time[snap.time_tag].coefficients)
+
 
 class TestThreadsVariable:
     def test_bad_value_fails_before_any_run(self, tmp_path, monkeypatch, capsys):

@@ -332,6 +332,27 @@ class TestLocalizedGN:
             ratio = lhs / (f1 ** (2 / (d + 3)) * f2 ** ((d + 1) / (d + 3)))
             assert ratio <= C_CAL_GN_D1 * 1.0000001
 
+    @pytest.mark.parametrize("L, Nx", [(20.0, 128), (96.0, 64), (160.0, 64)],
+                             ids=["dx<1", "1<dx<2", "dx>=2"])
+    def test_unit_cube_is_the_guards(self, L, Nx, monkeypatch):
+        from nlslab import field
+        g = Grid(1, L, Nx, 4)
+        f = from_profile(g, lambda x, y: np.exp(-(x / 4.0) ** 2)
+                         * (1 + 0.3 * np.cos(y)))
+        twin = SpectralField.from_samples(g, f.samples().copy())
+        old_side = max(1, int(round(1.0 / g.dx))) * g.dx
+        expect = float(np.sqrt(cube_sup_mass(twin, old_side)))
+        calls = []
+
+        def counted(fld, r_side, _fn=field._cube_window_sums):
+            calls.append(r_side)
+            return _fn(fld, r_side)
+        monkeypatch.setattr(field, "_cube_window_sums", counted)
+        field.edge_cube_fraction(f)
+        _, (f1, _) = localized_gn_check(f)
+        assert f1 == expect
+        assert len(calls) == 1
+
 
 class TestFreeEvolve:
     def test_t_zero_identity(self, g1):

@@ -429,7 +429,7 @@ class TestRecorderSinglePass:
              "grid": {"Nx": 32, "Ny": 4, "L": 16.0}}))
         fld = cli.build_datum(cfg)
         builder = cli.RecordBuilder(cfg)
-        assert builder._acc is not None  # the space-time accumulators run
+        assert builder.accumulators is not None  # the space-time accumulators run
         calls = {"densities": 0, "ifftn": 0}
 
         def densities_counted(*args, _fn=morawetz.densities, **kw):

@@ -2,6 +2,7 @@
 integrator._nonlinear_kick in its self-test; these tests fail when a refactor
 removes a name it relies on."""
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -9,6 +10,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
+SRC = os.path.join(ROOT, "src", "nlslab")
 
 
 def load_tracing():
@@ -26,6 +28,32 @@ def test_every_wrapped_name_exists():
                + tracing.layer_targets(tracer))
     with tracing.patched(targets):
         pass
+
+
+def test_unused_imports_are_wrapped_names():
+    """A module-level import that its module never reads is kept only for
+    the tracer, so it must be a name the tracer patches."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    targets = {(module.__name__, attr) for module, attr, _ in
+               tracing.timing_targets(tracer, lambda *a, **k: None)
+               + tracing.layer_targets(tracer)}
+    unused = []
+    for fname in sorted(os.listdir(SRC)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, fname)) as fh:
+            tree = ast.parse(fh.read())
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        module = "nlslab" if fname == "__init__.py" else f"nlslab.{fname[:-3]}"
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+                unused += [(module, n) for n in names if n not in read]
+    assert [u for u in unused if u not in targets] == []
 
 
 def test_selftest_passes():

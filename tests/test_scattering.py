@@ -11,7 +11,7 @@ from nlslab.exponents import (
     theta_tuple,
 )
 from nlslab.field import (Grid, SpectralField, densities, from_profile, free_evolve,
-                          mixed_norm, sobolev_h1)
+                          lebesgue_norm, mixed_norm, sobolev_h1)
 from nlslab.integrator import PhysicsParams, StepControl, evolve, soliton_profile
 from nlslab.scattering import (
     SpacetimeAccumulators,
@@ -96,12 +96,22 @@ class TestCauchyTable:
         assert cauchy_tail_maxima(C)[-1] > 1.0
 
 
+def lq_series(snaps, q_list):
+    """Each L^q norm series of the snapshots, as the records hold it."""
+    return {q: [lebesgue_norm(f, q) for f in snaps] for q in q_list}
+
+
+def series_of(snaps, q_list):
+    return decay_series([f.time_tag for f in snaps], snaps[0].grid.d,
+                        lq_series(snaps, q_list))
+
+
 class TestDecaySeries:
     def test_free_gaussian_matches_closed_form(self, gaussian):
         # |u(t,x)| = (1+16t^2)^{-1/4} exp(-x^2/(1+16t^2)) for e^{-x^2} datum
         times = [0.5, 1.0, 2.0, 4.0]
         snaps = [free_evolve(gaussian, t) for t in times]
-        ds = decay_series(snaps, [4.0])
+        ds = series_of(snaps, [4.0])
         t = np.array(times)
         exact = ((np.pi / 4) ** 0.125 * (1 + 16 * t ** 2) ** (-1 / 8)
                  * (2 * np.pi) ** 0.25)
@@ -114,7 +124,7 @@ class TestDecaySeries:
         sol = soliton_profile(g, 1.0)
         times = [1.0, 2.0, 3.0]
         snaps = segments(sol, PhysicsParams(2.0, -1), times, 1e-3)
-        ds = decay_series(snaps, [4.0, np.inf])
+        ds = series_of(snaps, [4.0, np.inf])
         for q in (4.0, np.inf):
             vals = np.array(ds[q].values)
             assert vals.max() / vals.min() - 1 < 1e-3
@@ -122,18 +132,28 @@ class TestDecaySeries:
     def test_out_of_range_flagged(self, gaussian):
         snaps = [free_evolve(gaussian, t) for t in (0.5, 1.0)]
         with pytest.warns(RuntimeWarning):
-            ds = decay_series(snaps, [1.5])
+            ds = series_of(snaps, [1.5])
         assert ds[1.5].outside_range
 
     def test_d2_range_boundary(self):
         g = Grid(2, 20.0, 16, 4)
         f = from_profile(g, lambda x1, x2, y: np.exp(-x1 ** 2 - x2 ** 2) + 0 * y)
         snaps = [free_evolve(f, t) for t in (0.5, 1.0)]
-        ds = decay_series(snaps, [4.0])  # within (2, 6] for d=2
+        ds = series_of(snaps, [4.0])  # within (2, 6] for d=2
         assert not ds[4.0].outside_range
         with pytest.warns(RuntimeWarning):
-            ds = decay_series(snaps, [8.0])
+            ds = series_of(snaps, [8.0])
         assert ds[8.0].outside_range
+
+    def test_times_must_increase_and_match_the_series(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            decay_series([1.0], 1, {4.0: [1.0]})
+        with pytest.raises(ValueError, match="strictly increasing"):
+            decay_series([1.0, 0.5, 2.0], 1, {4.0: [3.0, 2.0, 1.0]})
+        with pytest.raises(ValueError, match="strictly increasing"):
+            decay_series([1.0, 1.0], 1, {4.0: [2.0, 1.0]})
+        with pytest.raises(ValueError, match="2 values for 3 times"):
+            decay_series([0.5, 1.0, 2.0], 1, {4.0: [2.0, 1.0]})
 
 
 def feed(acc, t, f):
@@ -257,18 +277,13 @@ class TestSpacetimeAccumulators:
 class TestReport:
     def test_json_roundtrip(self, gaussian):
         snaps = [free_evolve(gaussian, t) for t in (0.5, 1.0, 2.0, 4.0)]
-        rep = make_scatter_report(snaps, [4.0])
-        blob = json.loads(rep.to_json())
+        lq = lq_series(snaps, [4.0])
+        blob = json.loads(make_scatter_report(snaps, lq).to_json())
         assert blob["times"] == [0.5, 1.0, 2.0, 4.0]
+        assert blob["decay"]["4.0"]["values"] == lq[4.0]
         assert len(blob["cauchy_matrix"]) == 16
         assert blob["decay"]["4.0"]["monotone_tail"] is True
         assert blob["flags"]["cauchy_tail_decreasing"] in (True, False)
-
-    def test_f_plus_is_last_pullback(self, gaussian):
-        snaps = [free_evolve(gaussian, t) for t in (0.5, 1.0, 2.0)]
-        rep = make_scatter_report(snaps, [4.0])
-        expect = pullback(snaps[-1])
-        assert np.abs(rep.f_plus.coefficients - expect.coefficients).max() == 0.0
 
 
 class TestGeometricTimes:
