@@ -57,12 +57,9 @@ from .field import (
 from .integrator import PhysicsParams, StepControl, energy, evolve, mass, \
     soliton_profile
 from .morawetz import CubeSupAccumulator, inequality_tolerance, morawetz_sample
-from .scattering import (
-    DECAY_TRANSIENT,
-    SpacetimeAccumulators,
-    geometric_sample_times,
-    make_scatter_report,
-)
+from .scattering import (ACCUMULATORS, DECAY_TRANSIENT, SpacetimeAccumulators, all_finite,
+                         geometric_sample_times, make_scatter_report, settled_tail,
+                         strictly_decreasing)
 
 PRESETS = ("decay", "morawetz", "soliton-control", "scattering", "exponents")
 
@@ -143,15 +140,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"preset = {preset!r}: must be one of {PRESETS}")
 
     merged = dict(_PRESET_DEFAULTS[preset])
-    # flatten optional nested sections
-    flat: dict = {}
-    for key, val in raw.items():
-        if key in ("grid", "physics", "control", "exponent_options",
-                   "morawetz_options") and isinstance(val, dict):
-            flat.update(val)
-        else:
-            flat[key] = val
-    merged.update(flat)
+    for key, val in raw.items():  # flatten the nested sections
+        nested = key in ("grid", "physics", "control") and isinstance(val, dict)
+        merged.update(val if nested else {key: val})
     merged["preset"] = preset
     known = set(RunConfig.__dataclass_fields__)
     unknown = set(merged) - known
@@ -294,40 +285,31 @@ class DiagnosticsRecord:
     boundary_guard_flag: bool
 
 
-_ACC_KEYS = ("theta_norm", "u_lp", "dy_lp", "grad_lp")
-
-
-def _columns(q_list: Sequence[float]) -> List[str]:
-    cols = ["t", "mass", "energy", "h1_norm"]
-    cols += [f"lq_{q:g}" for q in q_list]
-    cols += ["J", "morawetz_lhs", "morawetz_rhs", "positivity_S",
-             "cube_sup", "cube_sup_integral", "mixed_norm_theta"]
-    cols += [f"acc_{k}" for k in _ACC_KEYS]
-    cols += ["boundary_guard_flag"]
-    return cols
+def _columns(q_list: Sequence[float]) -> List[Tuple[str, Callable]]:
+    """records.csv's columns in order, each with the record value it holds."""
+    def attr(name):
+        return name, lambda r: getattr(r, name)
+    return ([attr(n) for n in ("t", "mass", "energy", "h1_norm")]
+            + [(f"lq_{q:g}", lambda r, q=q: r.lq_norms[q]) for q in q_list]
+            + [attr(n) for n in ("J", "morawetz_lhs", "morawetz_rhs",
+                                 "positivity_S", "cube_sup",
+                                 "cube_sup_integral", "mixed_norm_theta")]
+            + [(f"acc_{k}", lambda r, k=k: r.accumulators[k])
+               for k in ACCUMULATORS]
+            + [("boundary_guard_flag", lambda r: int(r.boundary_guard_flag))])
 
 
 _PARTIAL_MARKER = "# PARTIAL FILE"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def emit_records(records: Sequence[DiagnosticsRecord], fh: TextIO,
                  q_list: Sequence[float]) -> None:
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(_columns(q_list))
+    columns = _columns(q_list)
+    writer.writerow([name for name, _ in columns])
     try:
         for r in records:
-            row = [_fmt(r.t), _fmt(r.mass), _fmt(r.energy), _fmt(r.h1_norm)]
-            row += [_fmt(r.lq_norms[q]) for q in q_list]
-            row += [_fmt(r.J), _fmt(r.morawetz_lhs), _fmt(r.morawetz_rhs),
-                    _fmt(r.positivity_S), _fmt(r.cube_sup),
-                    _fmt(r.cube_sup_integral), _fmt(r.mixed_norm_theta)]
-            row += [_fmt(r.accumulators.get(k, 0.0)) for k in _ACC_KEYS]
-            row += ["1" if r.boundary_guard_flag else "0"]
-            writer.writerow(row)
+            writer.writerow([f"{value(r):.17g}" for _, value in columns])
     except Exception:
         fh.write(f"{_PARTIAL_MARKER}: emission aborted\n")
         raise
@@ -339,11 +321,11 @@ def read_records(fh: TextIO) -> List[dict]:
     for row in reader:
         if str(row.get("t")).startswith(_PARTIAL_MARKER):
             raise ValueError(f"partial records file after {len(out)} rows")
-        parsed = {}
-        for key, val in row.items():
-            parsed[key] = bool(int(val)) if key == "boundary_guard_flag" \
-                else float(val)
-        out.append(parsed)
+        if None in row or None in row.values():  # short or overlong
+            raise ValueError(f"row {len(out)} does not have the header's "
+                             f"{len(reader.fieldnames)} fields")
+        out.append({k: bool(int(v)) if k == "boundary_guard_flag" else float(v)
+                    for k, v in row.items()})
     return out
 
 
@@ -381,7 +363,7 @@ class RecordBuilder:
 
     def __call__(self, fld: SpectralField, guard_breached: bool) -> None:
         ms, ds = morawetz_sample(fld, self.physics_params, self._cube)
-        acc_totals = {k: 0.0 for k in _ACC_KEYS}
+        acc_totals = dict.fromkeys(ACCUMULATORS, 0.0)
         theta_norm = 0.0
         if self.accumulators is not None:
             acc_totals = self.accumulators.update(fld.time_tag, fld, ds)
@@ -404,7 +386,7 @@ class RecordBuilder:
             cube_sup=ms.cube_sup,
             cube_sup_integral=ms.cube_sup_integral,
             mixed_norm_theta=theta_norm,
-            accumulators=dict(acc_totals),
+            accumulators=acc_totals,
             boundary_guard_flag=guard_breached,
         ))
         if any(abs(fld.time_tag - t) < 1e-9 * max(1.0, t) for t in self._schedule):
@@ -467,34 +449,37 @@ def build_datum(cfg: RunConfig) -> SpectralField:
 
 
 # ---------------------------------------------------------------------------
-# preset checks
+# preset checks: each holds only when the values it reads are finite
 # ---------------------------------------------------------------------------
 
 def _decay_checks(records: List[DiagnosticsRecord], cfg: RunConfig) -> Dict[str, bool]:
-    q0 = cfg.q_list[0]
-    lq = [(r.t, r.lq_norms[q0]) for r in records]
-    cube = [(r.t, r.cube_sup) for r in records]
+    times = [r.t for r in records]
+    series = {"lq": [r.lq_norms[cfg.q_list[0]] for r in records],
+              "cube": [r.cube_sup for r in records]}
     checks = {}
-    for name, series in (("lq_decay_factor_3", lq), ("cube_decay_factor_3", cube)):
-        early_max = max(v for t, v in series if t <= DECAY_TRANSIENT)
-        final = series[-1][1]
-        checks[name] = final * 3.0 <= early_max
-    for name, series in (("lq_monotone_tail", lq), ("cube_monotone_tail", cube)):
-        tail = [v for t, v in series if t >= DECAY_TRANSIENT]
-        checks[name] = all(b <= a * (1 + 1e-8) for a, b in zip(tail, tail[1:]))
+    for name, vals in series.items():
+        early = [v for t, v in zip(times, vals) if t <= DECAY_TRANSIENT]
+        checks[f"{name}_decay_factor_3"] = all_finite(early + vals[-1:]) \
+            and vals[-1] * 3.0 <= max(early)
+    for name, vals in series.items():
+        checks[f"{name}_monotone_tail"] = settled_tail(times, vals)
     checks["guard_never_fired"] = not any(r.boundary_guard_flag for r in records)
     return checks
 
 
 def _violations(lhs: float, rhs: float, mass: float, h1_norm: float,
                 S: float) -> Dict[str, str]:
-    """Morawetz inequality and positivity violations of one sample, by check name."""
+    """Morawetz inequality and positivity violations of one sample, by check
+    name: a check holds when the values it reads are finite and its margin >= 0."""
     out = {}
-    if lhs - rhs < -inequality_tolerance(lhs, rhs, mass):
-        out["morawetz_inequality"] = \
-            f"morawetz inequality violated (lhs - rhs = {lhs - rhs:.3g})"
-    if S < -1e-10 * max((mass + h1_norm) ** 4, 1.0):
-        out["positivity"] = f"positivity violated (S = {S:.3g})"
+    if not (all_finite((lhs, rhs, mass))
+            and lhs - rhs >= -inequality_tolerance(lhs, rhs, mass)):
+        out["morawetz_inequality"] = "morawetz inequality violated " \
+            f"(lhs - rhs = {lhs - rhs:.3g}, mass = {mass:.3g})"
+    if not (all_finite((S, mass, h1_norm))
+            and S >= -1e-10 * max((mass + h1_norm) ** 4, 1.0)):
+        out["positivity"] = f"positivity violated (S = {S:.3g}, mass = " \
+            f"{mass:.3g}, h1_norm = {h1_norm:.3g})"
     return out
 
 
@@ -505,25 +490,21 @@ def _morawetz_checks(records: List[DiagnosticsRecord]) -> Dict[str, bool]:
 
 
 def _soliton_checks(records: List[DiagnosticsRecord], report) -> Dict[str, bool]:
-    no_decay = True
-    for q in records[0].lq_norms:
-        vals = [r.lq_norms[q] for r in records]
-        if max(vals) / min(vals) - 1 > 1e-3:
-            no_decay = False
-    return {"no_decay": no_decay,
-            "no_scattering": not report.flags["cauchy_tail_decreasing"]}
+    series = [[r.lq_norms[q] for r in records] for q in records[0].lq_norms]
+    return {"no_decay": all(all_finite(v) and max(v) / min(v) - 1 <= 1e-3
+                            for v in series),
+            "no_scattering": all_finite(report.cauchy.ravel())
+            and not report.flags["cauchy_tail_decreasing"]}
 
 
 def _scattering_checks(report) -> Dict[str, bool]:
-    times = report.times
-    C = report.cauchy
-    diffs = [(times[i], C[i, i + 1]) for i in range(len(times) - 1)
-             if times[i] >= 5.0]
-    strictly_decreasing = all(b < a for (_, a), (_, b) in zip(diffs, diffs[1:]))
-    terminal_small = bool(diffs) and bool(diffs[-1][1] < 0.2 * diffs[0][1])
+    times, C = report.times, report.cauchy
+    diffs = [C[i, i + 1] for i in range(len(times) - 1) if times[i] >= 5.0]
+    terminal_small = bool(diffs) and all_finite(diffs) \
+        and bool(diffs[-1] < 0.2 * diffs[0])
     sat = report.accumulator_saturation
     saturated = all(v < 1e-4 for v in sat.values()) if sat else False
-    return {"cauchy_strictly_decreasing": strictly_decreasing,
+    return {"cauchy_strictly_decreasing": strictly_decreasing(diffs),
             "cauchy_terminal_small": terminal_small,
             "accumulators_saturated": saturated}
 
@@ -606,11 +587,11 @@ def run_preset(cfg: RunConfig) -> int:
         reduced = y_independent(initial)
         os.makedirs(cfg.output_dir, exist_ok=True)
         path = os.path.join(cfg.output_dir, "records.csv")
-        error: Optional[Exception] = None
+        error: Optional[BaseException] = None
         try:
             evolve(initial, cfg.physics(), cfg.control(), sinks=[builder],
                    guard_tol=cfg.guard_tol)
-        except Exception as e:
+        except (Exception, KeyboardInterrupt) as e:
             error = e
         with open(path, "w") as fh:
             emit_records(builder.records, fh, cfg.q_list)
@@ -620,7 +601,10 @@ def run_preset(cfg: RunConfig) -> int:
         if error is not None:
             n = len(builder.records)
             _write_manifest(cfg, t_start, checks, artifacts, 1, reduced,
-                            error=str(error), records_written=n)
+                            error=str(error) or type(error).__name__,
+                            records_written=n)
+            if isinstance(error, KeyboardInterrupt):
+                raise error
             raise RuntimeError(f"run aborted after record {n - 1}: {error}") from error
 
         if cfg.preset in ("decay", "morawetz"):

@@ -28,7 +28,7 @@ For defocusing dynamics lhs - rhs = S >= 0 pointwise-in-time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Tuple, Union
 
@@ -39,6 +39,7 @@ from scipy.signal import fftconvolve  # noqa: F401  not called; perfbench/tracin
 from .field import (DensitySet, Grid, SpectralField, _x_gradient, cube_sup_mass, densities,
                     fft_workers)
 from .integrator import PhysicsParams
+from .scattering import TrapezoidFold
 
 
 # ---------------------------------------------------------------------------
@@ -275,26 +276,17 @@ class MorawetzSample:
     cube_sup_integral: float
 
 
-@dataclass
-class CubeSupAccumulator:
+class CubeSupAccumulator(TrapezoidFold):
     """Trapezoid fold of cube_sup_mass(., r_side)^{(alpha+4)/2} over a run."""
 
-    r_side: float
-    alpha: float
-    integral: float = dc_field(default=0.0, init=False)
-    cube_sup: float | None = dc_field(default=None, init=False)  # the last value taken
-    _last_t: float | None = dc_field(default=None, init=False)
-    _last_val: float | None = dc_field(default=None, init=False)
+    def __init__(self, r_side: float, alpha: float):
+        super().__init__(("cube",))
+        self.r_side, self.alpha = r_side, alpha
+        self.cube_sup: float | None = None  # the last value taken
 
     def update(self, t: float, fld: SpectralField) -> float:
         self.cube_sup = cube_sup_mass(fld, self.r_side)
-        val = self.cube_sup ** ((self.alpha + 4.0) / 2.0)
-        if self._last_t is not None:
-            if t <= self._last_t:
-                raise ValueError("stream must be strictly time-ordered")
-            self.integral += 0.5 * (val + self._last_val) * (t - self._last_t)
-        self._last_t, self._last_val = t, val
-        return self.integral
+        return self.fold(t, {"cube": self.cube_sup ** ((self.alpha + 4.0) / 2.0)})["cube"]
 
 
 def morawetz_sample(fld: SpectralField, physics: PhysicsParams,

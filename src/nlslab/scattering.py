@@ -10,6 +10,7 @@ the corresponding L^q_t spaces.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,9 +70,19 @@ def cauchy_tail_maxima(C: np.ndarray) -> List[float]:
     return [float(C[k:, k:].max()) for k in range(m - 1)]
 
 
+def all_finite(values) -> bool:
+    return all(map(math.isfinite, values))
+
+
+def strictly_decreasing(values: Sequence[float]) -> bool:
+    """Every value finite and each one below the one before it."""
+    return all_finite(values) and all(
+        b < a for a, b in zip(values, values[1:]))
+
+
 def cauchy_tail_decreasing(C: np.ndarray) -> bool:
-    tail = cauchy_tail_maxima(C)
-    return all(b < a for a, b in zip(tail, tail[1:]))
+    """Every entry finite and the tail maxima strictly decreasing."""
+    return all_finite(C.ravel()) and strictly_decreasing(cauchy_tail_maxima(C))
 
 
 @dataclass
@@ -84,6 +95,14 @@ class DecaySeries:
 
 
 DECAY_TRANSIENT = 1.0  # decay tails are judged from this time on
+
+
+def settled_tail(times: Sequence[float], values: Sequence[float]) -> bool:
+    """The values at t >= DECAY_TRANSIENT are at least two, all finite, and
+    none rises above the one before it by more than 1e-8 relative."""
+    tail = [v for t, v in zip(times, values) if t >= DECAY_TRANSIENT]
+    return len(tail) >= 2 and all_finite(tail) and all(
+        b <= a * (1.0 + 1e-8) for a, b in zip(tail, tail[1:]))
 
 
 def decay_series(times: Sequence[float], d: int,
@@ -106,12 +125,9 @@ def decay_series(times: Sequence[float], d: int,
                 f"q = {q} lies outside the dispersive-decay range (2, {q_hi}]",
                 RuntimeWarning,
             )
-        tail = [v for t, v in zip(times, vals) if t >= DECAY_TRANSIENT]
-        monotone = len(tail) >= 2 and all(
-            b <= a * (1.0 + 1e-8) for a, b in zip(tail, tail[1:]))
         out[q] = DecaySeries(
             q=q, values=list(vals), ratio_last_to_max=vals[-1] / max(vals),
-            monotone_tail=monotone, outside_range=outside)
+            monotone_tail=settled_tail(times, vals), outside_range=outside)
     return out
 
 
@@ -119,8 +135,47 @@ def decay_series(times: Sequence[float], d: int,
 # space-time accumulators
 # ---------------------------------------------------------------------------
 
+class TrapezoidFold:
+    """Trapezoid integrals over t of named values on a strictly increasing
+    time stream, with each key's last and peak increment."""
+
+    def __init__(self, keys: Sequence[str]):
+        self.totals = dict.fromkeys(keys, 0.0)
+        self._increments = dict.fromkeys(keys, (0.0, 0.0))  # (last, peak)
+        self._last: Tuple[float, Dict[str, float]] | None = None
+
+    def fold(self, t: float, values: Dict[str, float]) -> Dict[str, float]:
+        """Add 0.5 (v + v0) (t - t0) per key; returns the running totals.
+        A peak turns NaN for good once an increment is not finite."""
+        if self._last is not None:
+            t0, v0 = self._last
+            if t <= t0:
+                raise ValueError("stream must be strictly time-ordered")
+            for key, v in values.items():
+                inc = 0.5 * (v + v0[key]) * (t - t0)
+                self.totals[key] += inc
+                peak = self._increments[key][1]
+                self._increments[key] = (
+                    inc, max(peak, inc) if math.isfinite(inc) else math.nan)
+        self._last = (t, values)
+        return self.totals
+
+    def saturation(self) -> Dict[str, float]:
+        """Last increment relative to the peak increment, per key.
+
+        NaN once any increment was not finite.  A peak of 0 gives 0.0: an
+        integrand that is identically zero (such as d_y u of a y-independent
+        datum) counts as saturated, and so does a fold with no increment yet.
+        """
+        return {k: 0.0 if peak == 0 else last / peak
+                for k, (last, peak) in self._increments.items()}
+
+
+ACCUMULATORS = ("theta_norm", "u_lp", "dy_lp", "grad_lp")
+
+
 @dataclass
-class SpacetimeAccumulators:
+class SpacetimeAccumulators(TrapezoidFold):
     """Trapezoid folds of the global space-time norms along a run.
 
     theta_norm: ||u||^{q_theta} in L^{r_theta}_x H^{1/2+delta}_y
@@ -148,12 +203,7 @@ class SpacetimeAccumulators:
                 f"1/2 + delta + s = {Fraction(1, 2) + self.delta + self.base.s} "
                 "exceeds 1"
             )
-        self.totals = {"theta_norm": 0.0, "u_lp": 0.0, "dy_lp": 0.0,
-                       "grad_lp": 0.0}
-        # (last, peak) trapezoid increment per key, for saturation()
-        self._increments: Dict[str, Tuple[float, float]] = {}
-        self._last_t = None
-        self._last_vals = None
+        super().__init__(ACCUMULATORS)
         self.theta_mixed_norm: float | None = None
 
     def _instant(self, fld: SpectralField, ds: DensitySet) -> Dict[str, float]:
@@ -166,34 +216,14 @@ class SpacetimeAccumulators:
         power = _y_mode_power(fld)  # one y-transform for all three y-norms
         n_sq = g.n_axis() ** 2
         self.theta_mixed_norm = _mixed_from_power(g, power, r_th, (1.0 + n_sq) ** gamma)
-        return {
-            "theta_norm": self.theta_mixed_norm ** q_th,
-            "u_lp": _mixed_from_power(g, power, p, np.ones_like(n_sq)) ** ell,
-            "dy_lp": _mixed_from_power(g, power, p, n_sq) ** ell,
-            "grad_lp": _lr_x(np.trace(ds.K), p, g.cell) ** ell,
-        }
+        return dict(zip(ACCUMULATORS, (
+            self.theta_mixed_norm ** q_th,
+            _mixed_from_power(g, power, p, np.ones_like(n_sq)) ** ell,
+            _mixed_from_power(g, power, p, n_sq) ** ell,
+            _lr_x(np.trace(ds.K), p, g.cell) ** ell)))
 
     def update(self, t: float, fld: SpectralField, ds: DensitySet) -> Dict[str, float]:
-        vals = self._instant(fld, ds)
-        if self._last_t is not None:
-            if t <= self._last_t:
-                raise ValueError("stream must be strictly time-ordered")
-            dt = t - self._last_t
-            for key, v in vals.items():
-                inc = 0.5 * (v + self._last_vals[key]) * dt
-                self.totals[key] += inc
-                peak = self._increments.get(key, (inc, inc))[1]
-                self._increments[key] = (inc, max(peak, inc))
-        self._last_t, self._last_vals = t, vals
-        return dict(self.totals)
-
-    def saturation(self) -> Dict[str, float]:
-        """Last increment relative to the peak increment, per accumulator."""
-        out = {}
-        for key in self.totals:
-            last, peak = self._increments.get(key, (0.0, 0.0))
-            out[key] = (last / peak) if peak > 0 else 0.0
-        return out
+        return dict(self.fold(t, self._instant(fld, ds)))
 
 
 # ---------------------------------------------------------------------------
@@ -251,17 +281,10 @@ def make_scatter_report(snapshots: Sequence[SpectralField],
     times = [f.time_tag for f in snapshots]
     C = cauchy_table(snapshots)
     decay = decay_series(times, snapshots[0].grid.d, lq)
-    totals = accumulators.totals if accumulators else {}
-    sat = accumulators.saturation() if accumulators else {}
-    flags = {
-        "cauchy_tail_decreasing": cauchy_tail_decreasing(C),
-        "all_monotone_tails": all(s.monotone_tail for s in decay.values()),
-    }
+    acc = accumulators
     return ScatterReport(
-        times=times,
-        cauchy=C,
-        decay=decay,
-        accumulator_totals=dict(totals),
-        accumulator_saturation=dict(sat),
-        flags=flags,
-    )
+        times=times, cauchy=C, decay=decay,
+        accumulator_totals=dict(acc.totals) if acc else {},
+        accumulator_saturation=acc.saturation() if acc else {},
+        flags={"cauchy_tail_decreasing": cauchy_tail_decreasing(C),
+               "all_monotone_tails": all(s.monotone_tail for s in decay.values())})

@@ -58,6 +58,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown config fields"):
             parse_config(cfg_text(dx=0.1))
 
+    @pytest.mark.parametrize("section", ["exponent_options", "morawetz_options"])
+    def test_only_grid_physics_control_are_sections(self, section, tmp_path, capsys):
+        text = cfg_text(preset="exponents", output_dir=str(tmp_path / "out"),
+                        **{section: {"epsilon": "1/50"}})
+        with pytest.raises(ConfigError, match=f"unknown config fields: .'{section}'"):
+            parse_config(text)
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cpath)])
+        assert exc.value.code == 2
+        assert section in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_scattering_range_accepted(self):
         cfg = parse_config(cfg_text(preset="scattering", alpha="5"))
         assert cfg.alpha_fraction() == 5
@@ -478,6 +492,176 @@ class TestVerify:
         buf.seek(0)
         assert verify_records(buf) == 1
 
+    def test_row_cut_midway_is_one_line_error(self, tmp_path, capsys):
+        # a killed writer leaves its last row cut short
+        path = tmp_path / "records.csv"
+        with open(path, "w") as fh:
+            emit_records([make_record(0.0), make_record(0.1)], fh, [4.0])
+        text = path.read_text()
+        last = text.splitlines()[-1]
+        cut = len(text) - len(last) - 1 + last.index(",", len(last) // 2)
+        path.write_text(text[:cut])
+        with open(path) as fh:
+            with pytest.raises(ValueError, match="^row 1 does not have the header's 17 fields"):
+                read_records(fh)
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"nlslab verify: {path}: row 1 does not have the "
+                                    "header's 17 fields"]
+
+
+NONFINITE = (math.nan, math.inf, -math.inf)
+
+
+def cauchy_report(times, C, saturation=None):
+    """A scatter report around a given Cauchy table, flagged as
+    make_scatter_report flags it."""
+    from nlslab.scattering import ScatterReport, cauchy_tail_decreasing
+    return ScatterReport(times=list(times), cauchy=C, decay={},
+                         accumulator_totals={},
+                         accumulator_saturation=saturation or {},
+                         flags={"cauchy_tail_decreasing": cauchy_tail_decreasing(C)})
+
+
+def failed(checks):
+    return {k for k, ok in checks.items() if not ok}
+
+
+class TestChecksFailClosed:
+    """A NaN or an infinity in any value a check reads fails that check."""
+
+    # the run checks that read each Morawetz column
+    @pytest.mark.parametrize("column, readers", [
+        ("morawetz_lhs", {"morawetz_inequality"}),
+        ("morawetz_rhs", {"morawetz_inequality"}),
+        ("mass", {"morawetz_inequality", "positivity"}),
+        ("h1_norm", {"positivity"}),
+        ("positivity_S", {"positivity"}),
+    ])
+    def test_morawetz_columns(self, column, readers, tmp_path, capsys):
+        from nlslab.cli import _morawetz_checks
+        assert failed(_morawetz_checks([make_record(0.0)])) == set()
+        for bad in NONFINITE:
+            records = [make_record(0.0), make_record(0.1, **{column: bad}),
+                       make_record(0.2)]
+            assert failed(_morawetz_checks(records)) == readers, bad
+            path = tmp_path / "records.csv"
+            with open(path, "w") as fh:
+                emit_records(records, fh, [4.0])
+            assert main(["verify", str(path)]) == 1, bad
+            assert f"{len(readers)} violations" in capsys.readouterr().out
+
+    DECAY_TIMES = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5)
+    DECAY_VALUES = (1.0, 0.8, 0.5, 0.4, 0.3, 0.2)
+
+    def decay_checks(self, lq, cube):
+        from nlslab.cli import _decay_checks
+        records = [make_record(t, lq_norms={4.0: a}, cube_sup=b)
+                   for t, a, b in zip(self.DECAY_TIMES, lq, cube)]
+        return _decay_checks(records, parse_config(cfg_text()))
+
+    @pytest.mark.parametrize("series", ["lq", "cube"])
+    @pytest.mark.parametrize("from_t1", [False, True], ids=["t<1", "t>=1"])
+    def test_decay_values(self, series, from_t1):
+        from nlslab.scattering import decay_series
+        good = list(self.DECAY_VALUES)
+        assert failed(self.decay_checks(good, good)) == set()
+        last = len(self.DECAY_TIMES) - 1
+        for i, t in enumerate(self.DECAY_TIMES):
+            if (t >= 1.0) != from_t1:
+                continue
+            for bad in NONFINITE:
+                vals = {"lq": list(good), "cube": list(good)}
+                vals[series][i] = bad
+                # the factor check reads the values at t <= 1 and the last
+                # one, the tail rule those at t >= 1
+                expect = {f"{series}_decay_factor_3"} if t <= 1.0 or i == last \
+                    else set()
+                if t >= 1.0:
+                    expect.add(f"{series}_monotone_tail")
+                assert failed(self.decay_checks(vals["lq"], vals["cube"])) \
+                    == expect, (i, bad)
+                ds = decay_series(list(self.DECAY_TIMES), 1, {4.0: vals[series]})
+                assert ds[4.0].monotone_tail is (t < 1.0), (i, bad)
+
+    def test_tail_of_one_sample_is_not_settled(self):
+        # a decay run that ends before one sample past t = 1
+        checks = self.decay_checks([1.0, 0.8, 0.2], [1.0, 0.8, 0.2])
+        assert failed(checks) == {"lq_monotone_tail", "cube_monotone_tail"}
+
+    def soliton_records(self):
+        return [make_record(t, lq_norms={4.0: 0.5, 6.0: 0.4}) for t in (0.0, 0.1, 0.2)]
+
+    @pytest.mark.parametrize("q", [4.0, 6.0])
+    def test_soliton_lq_values(self, q):
+        from nlslab.cli import _soliton_checks
+        report = cauchy_report([1.0, 2.0, 3.0], 1.0 - np.eye(3))  # not decreasing
+        assert failed(_soliton_checks(self.soliton_records(), report)) == set()
+        for i in range(3):
+            for bad in NONFINITE:
+                records = self.soliton_records()
+                records[i].lq_norms[q] = bad
+                assert failed(_soliton_checks(records, report)) == {"no_decay"}, \
+                    (i, bad)
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    def test_cauchy_entries_of_no_scattering(self, i, j):
+        from nlslab.cli import _soliton_checks
+        C = 1.0 - np.eye(4)
+        assert failed(_soliton_checks(self.soliton_records(),
+                                      cauchy_report(range(4), C))) == set()
+        for bad in NONFINITE:
+            C = 1.0 - np.eye(4)
+            C[i, j] = C[j, i] = bad
+            assert failed(_soliton_checks(self.soliton_records(),
+                                          cauchy_report(range(4), C))) \
+                == {"no_scattering"}, bad
+
+    @pytest.mark.parametrize("times, i", [
+        ((1.0, 2.0, 5.0, 6.0, 7.0, 8.0), 2),
+        ((1.0, 2.0, 5.0, 6.0, 7.0, 8.0), 3),
+        ((1.0, 2.0, 5.0, 6.0, 7.0, 8.0), 4),
+        ((1.0, 2.0, 3.0, 5.0, 6.0), 3),  # the only difference at t >= 5
+    ])
+    def test_cauchy_differences_from_t5(self, times, i):
+        from nlslab.cli import _scattering_checks
+        w = np.exp(-np.array(times))
+        sat = {"u_lp": 1e-9}
+        C = np.abs(w[:, None] - w[None, :])
+        # one difference alone is never below 0.2 times itself
+        good = set() if len(times) == 6 else {"cauchy_terminal_small"}
+        assert failed(_scattering_checks(cauchy_report(times, C, sat))) == good
+        assert cauchy_report(times, C).flags["cauchy_tail_decreasing"] is True
+        for bad in NONFINITE:
+            C = np.abs(w[:, None] - w[None, :])
+            C[i, i + 1] = C[i + 1, i] = bad
+            report = cauchy_report(times, C, sat)
+            assert failed(_scattering_checks(report)) == \
+                {"cauchy_strictly_decreasing", "cauchy_terminal_small"}, bad
+            assert report.flags["cauchy_tail_decreasing"] is False, bad
+
+    @pytest.mark.parametrize("key", ["theta_norm", "u_lp", "dy_lp", "grad_lp"])
+    def test_first_accumulator_increment(self, key):
+        from nlslab.cli import RecordBuilder, _scattering_checks
+        times = [1.0, 2.0, 5.0, 6.0, 7.0, 8.0]
+        w = np.exp(-np.array(times))
+        C = np.abs(w[:, None] - w[None, :])
+        cfg = parse_config(cfg_text(preset="scattering",
+                                    grid={"Nx": 128, "Ny": 4, "L": 40.0}))
+        for bad in (1.0,) + NONFINITE:
+            acc = RecordBuilder(cfg).accumulators
+            keys = list(acc.totals)
+            stream = iter([dict.fromkeys(keys, 1.0) | {key: bad},
+                           dict.fromkeys(keys, 1.0), dict.fromkeys(keys, 1e-9),
+                           dict.fromkeys(keys, 1e-9)])
+            acc._instant = lambda fld, ds: next(stream)
+            for t in (0.0, 0.1, 0.2, 0.3):
+                acc.update(t, None, None)
+            checks = _scattering_checks(cauchy_report(times, C, acc.saturation()))
+            assert failed(checks) == (set() if bad == 1.0
+                                      else {"accumulators_saturated"}), bad
+
 
 class TestMain:
     def test_exponents_command(self, capsys):
@@ -664,6 +848,34 @@ class TestAbortedRun:
         capsys.readouterr()
         assert main(["verify", str(tmp_path / "records.csv")]) == 1
         assert "partial records file after 1 rows" in capsys.readouterr().err
+
+    def test_keyboard_interrupt_in_a_sink(self, tmp_path, monkeypatch, capsys):
+        from nlslab import cli, integrator
+        calls = []
+
+        def interrupt_at_second_sample(fld, guard_breached):
+            calls.append(fld.time_tag)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+
+        def evolve(initial, physics, control, sinks=(), **kwargs):
+            return integrator.evolve(initial, physics, control,
+                                     sinks=[*sinks, interrupt_at_second_sample],
+                                     **kwargs)
+
+        monkeypatch.setattr(cli, "evolve", evolve)
+        with pytest.raises(KeyboardInterrupt):
+            run_preset(self.small_cfg(tmp_path))
+        lines = (tmp_path / "records.csv").read_text().splitlines()
+        assert len(lines) == 4  # header, two records, marker
+        assert lines[-1] == "# PARTIAL FILE: run aborted"
+        manifest = json.load(open(tmp_path / "manifest.json"))
+        assert manifest["aborted"] is True
+        assert manifest["error"] == "KeyboardInterrupt"
+        assert manifest["records_written"] == 2
+        assert manifest["exit_status"] == 1
+        assert main(["verify", str(tmp_path / "records.csv")]) == 1
+        assert "partial records file after 2 rows" in capsys.readouterr().err
 
     def test_complete_run_not_aborted(self, tmp_path):
         run_preset(self.small_cfg(tmp_path))

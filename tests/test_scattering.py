@@ -208,6 +208,27 @@ class TestSpacetimeAccumulators:
             assert sat[k] == pytest.approx(series[-1] / max(series), rel=1e-12)
             assert 0.0 < sat[k] < 1.0
 
+    def test_saturation_edge_cases(self, g1, tuples):
+        # a zero peak (an identically zero integrand) gives 0.0; a non-finite
+        # first or last increment gives NaN
+        params, base, theta, aux = tuples
+        acc = SpacetimeAccumulators(params, base, theta, aux)
+        zero = from_profile(g1, lambda x, y: 0.0 * x)
+        for t in (0.0, 0.1, 0.2):
+            feed(acc, t, zero)
+        assert acc.saturation() == {k: 0.0 for k in acc.totals}
+        f = from_profile(g1, lambda x, y: np.exp(-x ** 2) + 0 * y)
+        for bad in (np.nan, np.inf, -np.inf):
+            for at in (0, 3):
+                acc = SpacetimeAccumulators(params, base, theta, aux)
+                with np.errstate(all="ignore"):
+                    for k, t in enumerate((0.0, 0.1, 0.2, 0.3)):
+                        fa = SpectralField(g1, (bad if k == at else 1.0)
+                                           * f.coefficients, t)
+                        feed(acc, t, fa)
+                sat = acc.saturation()
+                assert all(np.isnan(v) for v in sat.values()), (bad, at, sat)
+
     def test_u_and_dy_norms_match_mixed_norm(self, g1, tuples):
         # the y-derivative norm against mixed_norm of d_y u built as a field
         params, base, theta, aux = tuples
