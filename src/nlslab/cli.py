@@ -58,8 +58,8 @@ from .integrator import PhysicsParams, StepControl, energy, evolve, mass, \
     soliton_profile
 from .morawetz import CubeSupAccumulator, inequality_tolerance, morawetz_sample
 from .scattering import (ACCUMULATORS, DECAY_TRANSIENT, SpacetimeAccumulators, all_finite,
-                         geometric_sample_times, make_scatter_report, settled_tail,
-                         strictly_decreasing)
+                         extended_power, geometric_sample_times, make_scatter_report,
+                         settled_tail, strictly_decreasing)
 
 PRESETS = ("decay", "morawetz", "soliton-control", "scattering", "exponents")
 
@@ -90,7 +90,6 @@ class RunConfig:
     epsilon: str = "1/100"
     theta_resolution: str = "1/100"
     delta: str = "1/20"
-    r_side: float = 1.0
     guard_tol: float = 1e-3
     output_dir: str = "out"
 
@@ -212,8 +211,6 @@ def _check_types(cfg: RunConfig) -> None:
     for name in ("epsilon", "theta_resolution", "delta"):
         _check(_rational(name, getattr(cfg, name)) > 0, name,
                getattr(cfg, name), "must be positive")
-    _check(_is_number(cfg.r_side) and cfg.r_side > 0, "r_side", cfg.r_side,
-           "must be a finite number > 0")
     _check(_is_number(cfg.guard_tol) and 0 < cfg.guard_tol <= 1, "guard_tol",
            cfg.guard_tol, "must be a finite number in (0, 1]")
     _check(isinstance(cfg.output_dir, str) and cfg.output_dir != "",
@@ -222,9 +219,8 @@ def _check_types(cfg: RunConfig) -> None:
 
 def _check_run(cfg: RunConfig) -> None:
     """Grid, step and datum checks for the presets that run dynamics."""
-    g = _defer("grid.", cfg.grid)
+    _defer("grid.", cfg.grid)
     _defer("control.", lambda: cfg.control().n_steps)
-    _defer("", lambda: g.cube_cells(cfg.r_side))
     kind = cfg.datum.get("kind")
     if kind not in ("gaussian", "soliton", "plane_wave", "file"):
         raise ConfigError(f"datum.kind = {kind!r}: unknown datum kind")
@@ -347,7 +343,7 @@ class RecordBuilder:
         sample_dt = cfg.dt * cfg.sample_every
         self._schedule = geometric_sample_times(10 * sample_dt, cfg.t_end, sample_dt) \
             if cfg.preset in ("soliton-control", "scattering") else []
-        self._cube = CubeSupAccumulator(cfg.r_side, self.physics_params.alpha)
+        self._cube = CubeSupAccumulator(self.physics_params.alpha)
         self.accumulators: Optional[SpacetimeAccumulators] = None
         params = ProblemParams(cfg.d, cfg.alpha_fraction())
         if params.regime == "scattering":
@@ -467,6 +463,10 @@ def _decay_checks(records: List[DiagnosticsRecord], cfg: RunConfig) -> Dict[str,
     return checks
 
 
+# the record values _violations reads, in its argument order
+_VIOLATION_COLUMNS = ("morawetz_lhs", "morawetz_rhs", "mass", "h1_norm", "positivity_S")
+
+
 def _violations(lhs: float, rhs: float, mass: float, h1_norm: float,
                 S: float) -> Dict[str, str]:
     """Morawetz inequality and positivity violations of one sample, by check
@@ -477,7 +477,7 @@ def _violations(lhs: float, rhs: float, mass: float, h1_norm: float,
         out["morawetz_inequality"] = "morawetz inequality violated " \
             f"(lhs - rhs = {lhs - rhs:.3g}, mass = {mass:.3g})"
     if not (all_finite((S, mass, h1_norm))
-            and S >= -1e-10 * max((mass + h1_norm) ** 4, 1.0)):
+            and S >= -1e-10 * max(extended_power(mass + h1_norm, 4), 1.0)):
         out["positivity"] = f"positivity violated (S = {S:.3g}, mass = " \
             f"{mass:.3g}, h1_norm = {h1_norm:.3g})"
     return out
@@ -485,7 +485,7 @@ def _violations(lhs: float, rhs: float, mass: float, h1_norm: float,
 
 def _morawetz_checks(records: List[DiagnosticsRecord]) -> Dict[str, bool]:
     failed = {k for r in records for k in _violations(
-        r.morawetz_lhs, r.morawetz_rhs, r.mass, r.h1_norm, r.positivity_S)}
+        *(getattr(r, c) for c in _VIOLATION_COLUMNS))}
     return {k: k not in failed for k in ("morawetz_inequality", "positivity")}
 
 
@@ -659,10 +659,14 @@ def _write_manifest(cfg: RunConfig, t_start: float, checks: Dict[str, bool],
 def verify_records(fh: TextIO) -> int:
     """Offline re-check of the inequality columns; returns exit status."""
     rows = read_records(fh)
+    if not rows:
+        raise ValueError("no rows: a complete run writes at least its step-0 record")
+    missing = [c for c in _VIOLATION_COLUMNS if c not in rows[0]]
+    if missing:
+        raise ValueError(f"the header lacks the checked columns {missing}")
     bad = 0
     for i, row in enumerate(rows):
-        for msg in _violations(row["morawetz_lhs"], row["morawetz_rhs"], row["mass"],
-                               row["h1_norm"], row["positivity_S"]).values():
+        for msg in _violations(*(row[c] for c in _VIOLATION_COLUMNS)).values():
             print(f"row {i}: {msg}")
             bad += 1
     print(f"{len(rows)} rows checked, {bad} violations")
@@ -719,12 +723,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as e:
         parser.error(str(e))
     if args.command == "verify":
-        with open(args.records) as fh:
-            try:
+        try:
+            with open(args.records) as fh:
                 return verify_records(fh)
-            except ValueError as e:
-                print(f"nlslab verify: {args.records}: {e}", file=sys.stderr)
-                return 1
+        except (OSError, ValueError, csv.Error) as e:
+            print(f"nlslab verify: {args.records}: {e}", file=sys.stderr)
+            return 1
     return 2
 
 

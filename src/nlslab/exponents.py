@@ -369,24 +369,11 @@ def auxiliary_pair(params: ProblemParams, tup, strictness: str = "strict"):
     if strictness not in ("strict", "equality"):
         raise ValueError(f"strictness must be 'strict' or 'equality', got {strictness!r}")
     d, a = params.d, params.alpha
-    if isinstance(tup, ThetaTuple):
-        q, r = tup.q_theta, tup.r_theta
-    else:
-        q, r = tup.q, tup.r
-    inv_l = Fraction(a * d, 4 * r)
-    inv_p = Fraction(1, 2) - Fraction(a, 2 * r)
-    report = ConstraintReport()
-    report.check("p positive: alpha/r < 1", Fraction(a, r), "<", Fraction(1))
-    report.check("l > 2: alpha d/(2r) < 1", Fraction(a * d, 2 * r), "<", Fraction(1))
-    pair = AuxPair(l=_safe_reciprocal(inv_l), p=_safe_reciprocal(inv_p),
+    r = tup.r_theta if isinstance(tup, ThetaTuple) else tup.r
+    pair = AuxPair(l=_safe_reciprocal(Fraction(a * d, 4 * r)),
+                   p=_safe_reciprocal(Fraction(1, 2) - Fraction(a, 2 * r)),
                    strictness=strictness)
-    if not report.feasible:
-        return pair, report
-    report.check("2/l + d/p = d/2", 2 * inv_l + d * inv_p, "=", Fraction(d, 2))
-    report.check("1/p' = 1/p + alpha/r", 1 - inv_p, "=", inv_p + Fraction(a, r))
-    cmp = ">" if strictness == "strict" else "="
-    report.check(f"1/l' {cmp} 1/l + alpha/q", 1 - inv_l, cmp, inv_l + Fraction(a, q))
-    return pair, report
+    return pair, verify_tuple(pair, params, base=tup)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +458,24 @@ def _verify_subcritical(pair: SubcriticalPair, params: ProblemParams) -> Constra
     return report
 
 
+def _verify_aux(pair: AuxPair, params: ProblemParams, base) -> ConstraintReport:
+    """Window checks on the base's (q, r), then identities on the stored 1/l, 1/p."""
+    d, a = params.d, params.alpha
+    q, r = ((base.q_theta, base.r_theta) if isinstance(base, ThetaTuple)
+            else (base.q, base.r))
+    report = ConstraintReport()
+    report.check("p positive: alpha/r < 1", Fraction(a, r), "<", Fraction(1))
+    report.check("l > 2: alpha d/(2r) < 1", Fraction(a * d, 2 * r), "<", Fraction(1))
+    if not report.feasible:
+        return report
+    il, ip = Fraction(1, pair.l), Fraction(1, pair.p)
+    report.check("2/l + d/p = d/2", 2 * il + d * ip, "=", Fraction(d, 2))
+    report.check("1/p' = 1/p + alpha/r", 1 - ip, "=", ip + Fraction(a, r))
+    cmp = ">" if pair.strictness == "strict" else "="
+    report.check(f"1/l' {cmp} 1/l + alpha/q", 1 - il, cmp, il + Fraction(a, q))
+    return report
+
+
 def verify_tuple(tup, params: ProblemParams, base=None) -> ConstraintReport:
     """Exhaustive exact re-check of every raw condition a tuple claims.
 
@@ -487,8 +492,7 @@ def verify_tuple(tup, params: ProblemParams, base=None) -> ConstraintReport:
     if isinstance(tup, AuxPair):
         if base is None:
             raise ValueError("verifying an AuxPair requires its companion tuple")
-        _, report = auxiliary_pair(params, base, tup.strictness)
-        return report
+        return _verify_aux(tup, params, base)
     raise TypeError(f"cannot verify object of type {type(tup).__name__}")
 
 

@@ -64,12 +64,6 @@ class Grid:
     def dx(self) -> float:
         return self.L / self.Nx
 
-    def cube_cells(self, r_side: float) -> int:
-        """Cells per side of a cube of side r_side; below one cell is a ValueError."""
-        if not r_side >= self.dx:
-            raise ValueError(f"r_side = {r_side!r} is below one grid cell ({self.dx:g})")
-        return int(round(r_side / self.dx))
-
     @property
     def dy(self) -> float:
         return TWO_PI / self.Ny
@@ -155,7 +149,7 @@ class SpectralField:
         self.coefficients = coefficients
         self.time_tag = float(time_tag)
         self._samples = None
-        self._windows = {}  # r_side -> _cube_window_sums, see _cube_windows
+        self._windows = None  # see _cube_window_sums
 
     def samples(self) -> np.ndarray:
         """Physical-space values on the grid (lazily computed, then cached)."""
@@ -384,36 +378,30 @@ def fractional_leibniz_ratio(fld: SpectralField, s: float, alpha: float) -> floa
     return _multiplier_norm(num_field, w) / (denom_hs * sup ** alpha)
 
 
-def _cube_window_sums(fld: SpectralField, r_side: float):
-    """Masses of all grid-aligned cubes of side r_side, indexed by start cell.
+def _cube_window_sums(fld: SpectralField):
+    """Masses of all grid-aligned unit cubes, indexed by start cell.
 
-    The window width is r_side in whole grid cells (Grid.cube_cells); the
-    moving-window sums wrap periodically, consistent with the box.  Returns
-    (window masses, cells per side).
+    A unit cube is round(1/dx) cells per side, and one cell on a grid
+    coarser than one unit.  The moving-window sums wrap periodically, like
+    the box.  Taken once per snapshot and cached on it; returns (window
+    masses, cells per side).
     """
-    g = fld.grid
-    m = g.cube_cells(r_side)
-    rho = np.sum(np.abs(fld.samples()) ** 2, axis=-1) * g.dy
-    window = rho
-    for ax in range(g.d):
-        acc = np.zeros_like(window)
-        for j in range(m):
-            acc += np.roll(window, -j, axis=ax)
-        window = acc
-    return window * g.cell, m
+    if fld._windows is None:
+        g = fld.grid
+        m = max(1, int(round(1.0 / g.dx)))
+        window = np.sum(np.abs(fld.samples()) ** 2, axis=-1) * g.dy  # rho
+        for ax in range(g.d):
+            acc = np.zeros_like(window)
+            for j in range(m):
+                acc += np.roll(window, -j, axis=ax)
+            window = acc
+        fld._windows = window * g.cell, m
+    return fld._windows
 
 
-def _cube_windows(fld: SpectralField, r_side: float):
-    """_cube_window_sums, taken once per snapshot and side and cached on it."""
-    if r_side not in fld._windows:
-        fld._windows[r_side] = _cube_window_sums(fld, r_side)
-    return fld._windows[r_side]
-
-
-def cube_sup_mass(fld: SpectralField, r_side: float) -> float:
-    """sup over grid-aligned cubes Q(x0, r_side) of the enclosed mass int int |u|^2."""
-    window, _ = _cube_windows(fld, r_side)
-    return float(window.max())
+def cube_sup_mass(fld: SpectralField) -> float:
+    """sup over grid-aligned unit cubes Q(x0) of the enclosed mass int int |u|^2."""
+    return float(_cube_window_sums(fld)[0].max())
 
 
 def edge_cube_fraction(fld: SpectralField) -> float:
@@ -422,10 +410,9 @@ def edge_cube_fraction(fld: SpectralField) -> float:
     The monitor behind the boundary guard: once any unit cube near the box
     edge holds a non-negligible share of the mass, radiation is about to wrap
     around and the periodic surrogate stops tracking the whole-space solution.
-    On a grid coarser than one unit the cubes are one cell wide.
     """
     g = fld.grid
-    window, m = _cube_windows(fld, max(1.0, g.dx))
+    window, m = _cube_window_sums(fld)
     total = float(window.sum()) / m ** g.d  # each cell lies in m^d periodic windows
     if total == 0.0:
         return 0.0
@@ -446,10 +433,8 @@ def localized_gn_check(fld: SpectralField) -> Tuple[float, Tuple[float, float]]:
     root of the unit-cube sup mass and f2 = ||u||_{H^1}.  The caller checks
     lhs <= C * f1^{2/(d+3)} * f2^{(d+1)/(d+3)} against a calibrated C.
     """
-    g = fld.grid
-    lhs = lebesgue_norm(fld, 2.0 + 4.0 / (g.d + 1))
-    # the guard's unit cube, so that both read one cached window pass
-    f1 = float(np.sqrt(cube_sup_mass(fld, max(1.0, g.dx))))
+    lhs = lebesgue_norm(fld, 2.0 + 4.0 / (fld.grid.d + 1))
+    f1 = float(np.sqrt(cube_sup_mass(fld)))
     f2 = sobolev_h1(fld)
     return lhs, (f1, f2)
 

@@ -147,15 +147,6 @@ def _advance(v: np.ndarray, phase: np.ndarray, physics: PhysicsParams,
     return v
 
 
-def strang_step(fld: SpectralField, physics: PhysicsParams, dt: float
-                ) -> SpectralField:
-    """One Strang step: half nonlinear kick, exact linear flow, half kick."""
-    g = fld.grid
-    v = _advance(fld.samples().copy(), _linear_phase(g, dt), physics, dt, 1,
-                 fld.time_tag)
-    return SpectralField.from_samples(g, v, fld.time_tag + dt)
-
-
 Sink = Callable[[SpectralField, bool], None]
 
 

@@ -39,7 +39,7 @@ from scipy.signal import fftconvolve  # noqa: F401  not called; perfbench/tracin
 from .field import (DensitySet, Grid, SpectralField, _x_gradient, cube_sup_mass, densities,
                     fft_workers)
 from .integrator import PhysicsParams
-from .scattering import TrapezoidFold
+from .scattering import TrapezoidFold, extended_power
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +212,7 @@ def morawetz_terms(fld: SpectralField, physics: PhysicsParams) -> Tuple[float, f
 
 def inequality_tolerance(lhs: float, rhs: float, mass_value: float) -> float:
     """Noise floor for lhs - rhs >= -tol checks."""
-    return 1e-8 * max(abs(lhs), abs(rhs), mass_value ** 2, 1.0)
+    return 1e-8 * max(abs(lhs), abs(rhs), extended_power(mass_value, 2), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +277,15 @@ class MorawetzSample:
 
 
 class CubeSupAccumulator(TrapezoidFold):
-    """Trapezoid fold of cube_sup_mass(., r_side)^{(alpha+4)/2} over a run."""
+    """Trapezoid fold of cube_sup_mass^{(alpha+4)/2} over a run."""
 
-    def __init__(self, r_side: float, alpha: float):
+    def __init__(self, alpha: float):
         super().__init__(("cube",))
-        self.r_side, self.alpha = r_side, alpha
+        self.alpha = alpha
         self.cube_sup: float | None = None  # the last value taken
 
     def update(self, t: float, fld: SpectralField) -> float:
-        self.cube_sup = cube_sup_mass(fld, self.r_side)
+        self.cube_sup = cube_sup_mass(fld)
         return self.fold(t, {"cube": self.cube_sup ** ((self.alpha + 4.0) / 2.0)})["cube"]
 
 
@@ -303,12 +303,12 @@ def morawetz_sample(fld: SpectralField, physics: PhysicsParams,
 
 
 class MorawetzRecorder:
-    """Sink producing one MorawetzSample per snapshot of a run, with unit cubes."""
+    """Sink producing one MorawetzSample per snapshot of a run."""
 
     def __init__(self, physics: PhysicsParams):
         self.physics = physics
         self.samples: list[MorawetzSample] = []
-        self._acc = CubeSupAccumulator(1.0, physics.alpha)
+        self._acc = CubeSupAccumulator(physics.alpha)
 
     def __call__(self, fld: SpectralField, guard_breached: bool) -> None:
         self.samples.append(morawetz_sample(fld, self.physics, self._acc)[0])

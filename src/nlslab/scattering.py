@@ -74,6 +74,14 @@ def all_finite(values) -> bool:
     return all(map(math.isfinite, values))
 
 
+def extended_power(x: float, p: int) -> float:
+    """x ** p, or inf where the float power overflows (p even)."""
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf
+
+
 def strictly_decreasing(values: Sequence[float]) -> bool:
     """Every value finite and each one below the one before it."""
     return all_finite(values) and all(

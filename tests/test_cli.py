@@ -58,6 +58,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown config fields"):
             parse_config(cfg_text(dx=0.1))
 
+    def test_cube_side_is_not_a_field(self):
+        # the cubes are unit cubes: a config that names their side is refused
+        with pytest.raises(ConfigError, match=r"^unknown config fields: \['r_side'\]$"):
+            parse_config(cfg_text(r_side=1.0))
+
+    def test_grid_coarser_than_one_unit(self, tmp_path):
+        # dx = 200/128 > 1: the cube-sup reads one-cell cubes, as the guard does
+        cfg = parse_config(cfg_text(grid={"L": 200.0, "Nx": 128, "Ny": 4},
+                                    control={"dt": 0.01, "t_end": 0.05,
+                                             "sample_every": 5},
+                                    output_dir=str(tmp_path)))
+        run_preset(cfg)
+        with open(tmp_path / "records.csv") as fh:
+            rows = read_records(fh)
+        f = build_datum(cfg)
+        g = f.grid
+        cells = np.sum(np.abs(f.samples()) ** 2, axis=-1) * g.dy * g.cell
+        assert rows[0]["cube_sup"] == float(cells.max())
+
     @pytest.mark.parametrize("section", ["exponent_options", "morawetz_options"])
     def test_only_grid_physics_control_are_sections(self, section, tmp_path, capsys):
         text = cfg_text(preset="exponents", output_dir=str(tmp_path / "out"),
@@ -136,8 +155,8 @@ class TestParseConfig:
         ({"q_list": [4.0, 4]}, "q_list"),
         ({"q_list": 4.0}, "q_list"),
         ({"q_list": [float("nan")]}, "q_list"),
-        ({"r_side": 0.01}, "r_side"),
-        ({"r_side": float("nan")}, "r_side"),
+        ({"guard_tol": 0}, "guard_tol"),
+        ({"theta_resolution": "0"}, "theta_resolution"),
         ({"datum": {"kind": "file"}}, "datum.path"),
         ({"datum": "gaussian"}, "datum"),
         ({"delta": "0"}, "delta"),
@@ -154,7 +173,7 @@ class TestParseConfig:
         ({"lam": -1}, "physics.lam"),
         ({"r": "1/0"}, "r"),
         ({"r": 0}, "r"),
-        ({"r_side": 0.75 * 200.0 / 4096}, "r_side"),
+        ({"r": "-8"}, "r"),
         # its float image overflows
         ({"alpha": "1" + "0" * 400}, "physics.alpha"),
     ])
@@ -164,8 +183,7 @@ class TestParseConfig:
             parse_config(cfg_text(**over))
 
     def test_accepted_edges(self):
-        cfg = parse_config(cfg_text(q_list=[4, float("inf")], guard_tol=1,
-                                    r_side=200.0 / 4096, L=200))
+        cfg = parse_config(cfg_text(q_list=[4, float("inf")], guard_tol=1))
         assert cfg.q_list == [4, float("inf")]
         cfg = parse_config(cfg_text(preset="exponents", Nx=100))
         assert cfg.Nx == 100  # grid fields do not constrain the exponents preset
@@ -197,7 +215,7 @@ _NOT_POSITIVE = st.one_of(st.integers(max_value=0),
                           st.fractions(max_value=0).map(str))
 _NOT_POWER_OF_TWO = st.integers(min_value=5, max_value=2 ** 20).filter(
     lambda n: n & (n - 1))
-# dt is 1e-3 in the decay preset, and grid.dx is 200/4096
+# dt is 1e-3 in the decay preset
 _BAD_VALUES = {
     "preset": ("preset", st.one_of(st.none(), st.integers(), st.text(max_size=8).filter(
         lambda p: p not in ("decay", "morawetz", "soliton-control", "scattering",
@@ -227,8 +245,6 @@ _BAD_VALUES = {
     "theta_resolution": ("theta_resolution",
                          st.one_of(st.none(), _NOT_RATIONAL, _NOT_POSITIVE)),
     "delta": ("delta", st.one_of(st.none(), _NOT_RATIONAL, _NOT_POSITIVE)),
-    "r_side": ("r_side", st.one_of(_NOT_NUMBER, st.floats(max_value=0),
-                                   st.floats(0, 200 / 4096, exclude_max=True))),
     "guard_tol": ("guard_tol", st.one_of(
         _NOT_NUMBER, st.floats(max_value=0), st.floats(min_value=1, exclude_min=True))),
     "output_dir": ("output_dir", st.one_of(st.none(), st.booleans(), st.integers(),
@@ -509,6 +525,39 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.splitlines() == [f"nlslab verify: {path}: row 1 does not have the "
                                     "header's 17 fields"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("t,mass,ener", "no rows: a complete run writes at least its step-0 record"),
+        ("a,b\n1,2\n", "the header lacks the checked columns ['morawetz_lhs', "
+         "'morawetz_rhs', 'mass', 'h1_norm', 'positivity_S']"),
+        ("t\n" + "1" * 200_000, "field larger than field limit (131072)"),
+    ], ids=["cut-in-header", "foreign-header", "csv-error"])
+    def test_unverifiable_file_is_one_line_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "records.csv"
+        path.write_text(text)
+        assert main(["verify", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"nlslab verify: {path}: {message}"]
+
+    def test_missing_file_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "records.csv"
+        assert main(["verify", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"nlslab verify: {path}: ")
+
+    def test_large_finite_values_get_a_verdict(self, tmp_path, capsys):
+        from nlslab.cli import _violations
+        # (mass + h1_norm)^4 and mass^2 overflow a float: the tolerances are inf
+        assert _violations(1.0, 0.5, 1e200, 1.0, 0.0) == {}
+        # lhs - rhs overflows to -inf, below any tolerance
+        assert set(_violations(-1e308, 1e308, 1.0, 1.0, -1e308)) == {
+            "morawetz_inequality", "positivity"}
+        path = tmp_path / "records.csv"
+        with open(path, "w") as fh:
+            emit_records([make_record(0.0, mass=1e200)], fh, [4.0])
+        assert main(["verify", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "1 rows checked, 0 violations"
 
 
 NONFINITE = (math.nan, math.inf, -math.inf)

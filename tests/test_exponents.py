@@ -266,6 +266,19 @@ class TestVerifyTuple:
         labels = {c.label for c in report.violations()}
         assert labels  # specific constraints are named
 
+    def test_corrupted_aux_pair_flagged(self):
+        # the stored exponents are checked, not the pair the base would give
+        params = ProblemParams(1, F(5))
+        base, _ = critical_tuple(params, r=F(8))
+        pair, _ = auxiliary_pair(params, base, "equality")
+        for bad in (AuxPair(l=F(1000), p=F(3), strictness="equality"),
+                    AuxPair(l=pair.l, p=pair.p + 1, strictness="equality"),
+                    AuxPair(l=pair.l + 1, p=pair.p, strictness="equality")):
+            report = verify_tuple(bad, params, base=base)
+            assert not report.feasible
+            assert {c.label for c in report.violations()} <= {
+                "2/l + d/p = d/2", "1/p' = 1/p + alpha/r", "1/l' = 1/l + alpha/q"}
+
     def test_subcritical_pair_recheck(self):
         params = ProblemParams(2, F(1))
         pair, _ = subcritical_pair(params)

@@ -269,46 +269,44 @@ C_CAL_GN_D1 = 0.5619915998392877
 C_CAL_EMBED_D2 = 0.10016358732415241
 
 
+def naive_cube_sup(f):
+    """Largest mass of max(1, round(1/dx)) consecutive cells (d = 1), by a plain
+    loop in the window sums' order, so that it is equal to them bit for bit."""
+    g = f.grid
+    m = max(1, round(1.0 / g.dx))
+    rho = np.sum(np.abs(f.samples()) ** 2, axis=-1) * g.dy
+    best = 0.0
+    for i0 in range(g.Nx):
+        acc = 0.0
+        for j in range(m):
+            acc += rho[(i0 + j) % g.Nx]
+        best = max(best, acc * g.cell)
+    return best
+
+
 class TestCubeSupMass:
     def test_uniform_field(self, g1):
         f = from_profile(g1, lambda x, y: 1.0 + 0.0 * x + 0.0 * y)
         m = round(1.0 / g1.dx)
         expect = 2 * np.pi * m * g1.dx
-        assert cube_sup_mass(f, 1.0) == pytest.approx(expect, rel=1e-12)
+        assert cube_sup_mass(f) == pytest.approx(expect, rel=1e-12)
 
     def test_single_spike(self, g1):
         u = np.zeros(g1.shape, complex)
         u[10, 0] = 3.0
         f = SpectralField.from_samples(g1, u)
         expect = 9.0 * g1.dy * g1.cell
-        for r in (g1.dx, 5 * g1.dx, 1.0):
-            assert cube_sup_mass(f, r) == pytest.approx(expect, rel=1e-12)
+        assert cube_sup_mass(f) == pytest.approx(expect, rel=1e-12)
 
     def test_against_naive_window_oracle(self, g1):
         f = from_profile(g1, lambda x, y: np.exp(-x ** 2) * (1 + 0.5 * np.sin(y)))
-        m = round(1.0 / g1.dx)
-        rho = np.sum(np.abs(f.samples()) ** 2, axis=-1) * g1.dy
-        best = 0.0
-        for i0 in range(g1.Nx):
-            acc = 0.0
-            for j in range(m):
-                acc += rho[(i0 + j) % g1.Nx]
-            best = max(best, acc * g1.cell)
-        assert cube_sup_mass(f, 1.0) == best
-
-    def test_below_one_cell_rejected(self, g1):
-        f = from_profile(g1, lambda x, y: np.exp(-x ** 2) + 0.0 * y)
-        with pytest.raises(ValueError):
-            cube_sup_mass(f, g1.dx / 4)
-        # the one rule is a whole cell, not a side that rounds to one cell
-        with pytest.raises(ValueError, match="below one grid cell"):
-            cube_sup_mass(f, 0.75 * g1.dx)
+        assert cube_sup_mass(f) == naive_cube_sup(f)
 
     def test_d2(self, g2):
         f = from_profile(g2, lambda x1, x2, y: 1.0 + 0.0 * (x1 + x2 + y))
         m = round(1.0 / g2.dx)
         expect = 2 * np.pi * (m * g2.dx) ** 2
-        assert cube_sup_mass(f, 1.0) == pytest.approx(expect, rel=1e-12)
+        assert cube_sup_mass(f) == pytest.approx(expect, rel=1e-12)
 
 
 class TestLocalizedGN:
@@ -339,14 +337,13 @@ class TestLocalizedGN:
         g = Grid(1, L, Nx, 4)
         f = from_profile(g, lambda x, y: np.exp(-(x / 4.0) ** 2)
                          * (1 + 0.3 * np.cos(y)))
-        twin = SpectralField.from_samples(g, f.samples().copy())
-        old_side = max(1, int(round(1.0 / g.dx))) * g.dx
-        expect = float(np.sqrt(cube_sup_mass(twin, old_side)))
+        expect = float(np.sqrt(naive_cube_sup(f)))
         calls = []
 
-        def counted(fld, r_side, _fn=field._cube_window_sums):
-            calls.append(r_side)
-            return _fn(fld, r_side)
+        def counted(fld, _fn=field._cube_window_sums):
+            if fld._windows is None:  # a window pass, not a cache read
+                calls.append(fld.time_tag)
+            return _fn(fld)
         monkeypatch.setattr(field, "_cube_window_sums", counted)
         field.edge_cube_fraction(f)
         _, (f1, _) = localized_gn_check(f)
@@ -646,6 +643,6 @@ class TestFftWorkers:
         field.densities(f, 2.0)
         field.nonlinear_power(f, 2.0)
         physics = integrator.PhysicsParams(2.0, 1)
-        integrator.strang_step(f, physics, 1e-3)
+        integrator.evolve(f, physics, integrator.StepControl(1e-3, 1e-3))
         integrator.evolve(f, physics, integrator.StepControl(1e-3, 2e-3))
         assert len(seen) > 10 and set(seen) == {1}

@@ -347,7 +347,7 @@ class TestLocalMassFlux:
 class TestCubeSupAccumulator:
     def test_zero_stream(self, g1):
         f = from_profile(g1, lambda x, y: 0.0 * x)
-        acc = CubeSupAccumulator(r_side=1.0, alpha=2.0)
+        acc = CubeSupAccumulator(alpha=2.0)
         for t in (0.0, 0.1, 0.2):
             total = acc.update(t, f)
         assert total == 0.0
@@ -355,14 +355,14 @@ class TestCubeSupAccumulator:
     def test_soliton_linear_growth(self):
         g = Grid(1, 80.0, 1024, 4)
         sol = soliton_profile(g, 1.0)
-        acc = CubeSupAccumulator(r_side=1.0, alpha=2.0)
+        acc = CubeSupAccumulator(alpha=2.0)
         vals = [acc.update(t, sol) for t in np.linspace(0, 2, 21)]
         incs = np.diff(vals)
         assert np.allclose(incs, incs[0], rtol=1e-12)
 
     def test_out_of_order_rejected(self, g1):
         f = from_profile(g1, lambda x, y: np.exp(-x ** 2) + 0 * y)
-        acc = CubeSupAccumulator(r_side=1.0, alpha=2.0)
+        acc = CubeSupAccumulator(alpha=2.0)
         acc.update(0.1, f)
         with pytest.raises(ValueError):
             acc.update(0.05, f)
@@ -397,7 +397,7 @@ class TestRecorderSinglePass:
         assert s.J == morawetz_J(moving_d2)
         assert (s.lhs, s.rhs) == morawetz_terms(moving_d2, physics)
         assert s.S == positivity_certificate(moving_d2)
-        assert s.cube_sup == cube_sup_mass(moving_d2, 1.0)
+        assert s.cube_sup == cube_sup_mass(moving_d2)
         assert s.J != 0.0 and s.S > 0.0  # momentum and y-variation reach the sums
 
     def test_call_counts(self, moving_d2, monkeypatch):

@@ -4,6 +4,7 @@ removes a name it relies on."""
 
 import ast
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -61,3 +62,14 @@ def test_selftest_passes():
                           cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert " 0 not as expected" in proc.stdout
+
+
+def test_benchmark_smoke_run():
+    """One traced decay-1d run: every tracer patch applied, the outputs
+    checked, and the metric set matched against BENCHMARK.json."""
+    proc = subprocess.run([sys.executable, os.path.join(PERFBENCH, "run.py"),
+                           "--workload", "decay-1d", "--seconds", "0", "--trace", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert (last["correct"], last["failed"]) == (True, 0), proc.stdout
