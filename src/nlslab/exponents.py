@@ -468,7 +468,7 @@ def _verify_aux(pair: AuxPair, params: ProblemParams, base) -> ConstraintReport:
     report.check("l > 2: alpha d/(2r) < 1", Fraction(a * d, 2 * r), "<", Fraction(1))
     if not report.feasible:
         return report
-    il, ip = Fraction(1, pair.l), Fraction(1, pair.p)
+    il, ip = _safe_reciprocal(pair.l), _safe_reciprocal(pair.p)  # a stored 0 fails below
     report.check("2/l + d/p = d/2", 2 * il + d * ip, "=", Fraction(d, 2))
     report.check("1/p' = 1/p + alpha/r", 1 - ip, "=", ip + Fraction(a, r))
     cmp = ">" if pair.strictness == "strict" else "="

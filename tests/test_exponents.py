@@ -273,7 +273,9 @@ class TestVerifyTuple:
         pair, _ = auxiliary_pair(params, base, "equality")
         for bad in (AuxPair(l=F(1000), p=F(3), strictness="equality"),
                     AuxPair(l=pair.l, p=pair.p + 1, strictness="equality"),
-                    AuxPair(l=pair.l + 1, p=pair.p, strictness="equality")):
+                    AuxPair(l=pair.l + 1, p=pair.p, strictness="equality"),
+                    AuxPair(l=F(0), p=pair.p, strictness="equality"),
+                    AuxPair(l=pair.l, p=F(0), strictness="equality")):
             report = verify_tuple(bad, params, base=base)
             assert not report.feasible
             assert {c.label for c in report.violations()} <= {

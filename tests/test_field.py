@@ -338,16 +338,19 @@ class TestLocalizedGN:
         f = from_profile(g, lambda x, y: np.exp(-(x / 4.0) ** 2)
                          * (1 + 0.3 * np.cos(y)))
         expect = float(np.sqrt(naive_cube_sup(f)))
-        calls = []
+        returned = []
 
-        def counted(fld, _fn=field._cube_window_sums):
-            if fld._windows is None:  # a window pass, not a cache read
-                calls.append(fld.time_tag)
-            return _fn(fld)
-        monkeypatch.setattr(field, "_cube_window_sums", counted)
+        def recorded(fld, _fn=field._cube_window_sums):
+            returned.append(_fn(fld))
+            return returned[-1]
+        monkeypatch.setattr(field, "_cube_window_sums", recorded)
         field.edge_cube_fraction(f)
         _, (f1, _) = localized_gn_check(f)
         assert f1 == expect
+        # a window pass makes a new (windows, m); a cache read returns the same one
+        calls = [w for i, w in enumerate(returned)
+                 if all(w is not v for v in returned[:i])]
+        assert len(returned) == 2
         assert len(calls) == 1
 
 

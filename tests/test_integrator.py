@@ -382,17 +382,20 @@ class TestCubeWindowsOncePerSample:
         from nlslab import field
         from nlslab.morawetz import MorawetzRecorder
         original = field._cube_window_sums
-        calls = []
+        returned = []
 
-        def counted(fld):
-            if fld._windows is None:  # a window pass, not a cache read
-                calls.append(fld.time_tag)
-            return original(fld)
-        monkeypatch.setattr(field, "_cube_window_sums", counted)
+        def recorded(fld):
+            returned.append((fld.time_tag, original(fld)))
+            return returned[-1][1]
+        monkeypatch.setattr(field, "_cube_window_sums", recorded)
         physics = PhysicsParams(3.0, 1)
         rec, snaps = MorawetzRecorder(physics), []
         evolve(gaussian, physics, StepControl(dt=1e-3, t_end=4e-3, sample_every=2),
                sinks=[rec, lambda fld, flag: snaps.append(fld)], guard_tol=1e-3)
+        # a window pass makes a new (windows, m); a cache read returns the same one
+        calls = [t for i, (t, w) in enumerate(returned)
+                 if all(w is not v for _, v in returned[:i])]
+        assert len(returned) == 6  # the guard and the recorder, per snapshot
         assert calls == pytest.approx([0.0, 2e-3, 4e-3])
         fresh = SpectralField.from_samples(g1, snaps[-1].samples())
         assert rec.samples[-1].cube_sup == original(fresh)[0].max()

@@ -64,12 +64,19 @@ def test_selftest_passes():
     assert " 0 not as expected" in proc.stdout
 
 
-def test_benchmark_smoke_run():
+def test_benchmark_smoke_run(tmp_path):
     """One traced decay-1d run: every tracer patch applied, the outputs
-    checked, and the metric set matched against BENCHMARK.json."""
-    proc = subprocess.run([sys.executable, os.path.join(PERFBENCH, "run.py"),
+    checked, and the metric set matched against BENCHMARK.json.
+
+    run.py writes to .perfbench_out/ next to its own directory, so it runs
+    from a root in tmp_path that links to this checkout's perfbench/, src/
+    and BENCHMARK.json; the checkout's .perfbench_out/ is left as it was."""
+    for name in ("perfbench", "src", "BENCHMARK.json"):
+        os.symlink(os.path.join(ROOT, name), tmp_path / name)
+    proc = subprocess.run([sys.executable, str(tmp_path / "perfbench" / "run.py"),
                            "--workload", "decay-1d", "--seconds", "0", "--trace", "1"],
                           cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     last = json.loads(proc.stdout.strip().splitlines()[-1])
     assert (last["correct"], last["failed"]) == (True, 0), proc.stdout
+    assert os.listdir(tmp_path / ".perfbench_out") == ["decay-1d"]
