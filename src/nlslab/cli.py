@@ -20,6 +20,7 @@ import csv
 import json
 import math
 import os
+import signal
 import sys
 import time
 from dataclasses import asdict, dataclass, field as dc_field
@@ -566,6 +567,34 @@ def config_exponent_report(cfg: RunConfig) -> dict:
 # run orchestration
 # ---------------------------------------------------------------------------
 
+SIGTERM_STATUS = 128 + signal.SIGTERM  # 143, as a shell reports a process TERMed
+
+
+class Terminated(BaseException):
+    """SIGTERM during ``nlslab run``.  Like KeyboardInterrupt it is not an
+    Exception, so no handler for ordinary errors swallows it."""
+
+
+def _raise_terminated(signum, frame):
+    raise Terminated("SIGTERM")
+
+
+def _run_until_sigterm(cfg: RunConfig) -> int:
+    """run_preset with SIGTERM turned into an abort, as Ctrl-C is.
+
+    The run leaves its partial artifacts and the status is SIGTERM_STATUS;
+    the previous SIGTERM handler is restored on return.
+    """
+    previous = signal.signal(signal.SIGTERM, _raise_terminated)
+    try:
+        return run_preset(cfg)
+    except Terminated:
+        print("nlslab: run aborted by SIGTERM", file=sys.stderr)
+        return SIGTERM_STATUS
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def run_preset(cfg: RunConfig) -> int:
     """Execute the preset, write artifacts, return the exit status."""
     t_start = time.perf_counter()
@@ -591,7 +620,7 @@ def run_preset(cfg: RunConfig) -> int:
         try:
             evolve(initial, cfg.physics(), cfg.control(), sinks=[builder],
                    guard_tol=cfg.guard_tol)
-        except (Exception, KeyboardInterrupt) as e:
+        except (Exception, KeyboardInterrupt, Terminated) as e:
             error = e
         with open(path, "w") as fh:
             emit_records(builder.records, fh, cfg.q_list)
@@ -600,10 +629,11 @@ def run_preset(cfg: RunConfig) -> int:
         artifacts.append(path)
         if error is not None:
             n = len(builder.records)
-            _write_manifest(cfg, t_start, checks, artifacts, 1, reduced,
+            status = SIGTERM_STATUS if isinstance(error, Terminated) else 1
+            _write_manifest(cfg, t_start, checks, artifacts, status, reduced,
                             error=str(error) or type(error).__name__,
                             records_written=n)
-            if isinstance(error, KeyboardInterrupt):
+            if isinstance(error, (KeyboardInterrupt, Terminated)):
                 raise error
             raise RuntimeError(f"run aborted after record {n - 1}: {error}") from error
 
@@ -710,7 +740,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error(f"--config: {e}")
     try:
         if args.command == "run":
-            return run_preset(parse_config(text))
+            return _run_until_sigterm(parse_config(text))
         if args.command == "exponents":
             cfg = parse_config(json.dumps({
                 "preset": "exponents", "d": args.d, "alpha": args.alpha,

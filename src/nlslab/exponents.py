@@ -384,9 +384,9 @@ def auxiliary_pair(params: ProblemParams, tup, strictness: str = "strict"):
 def _check_pairs(report: ConstraintReport, d: int, names: tuple,
                  exps: tuple, s: Fraction) -> tuple:
     """Window, d >= 3, scaling and sum checks on exponents (q, r, q~, r~) labelled
-    by ``names``; returns their reciprocals."""
+    by ``names``; returns their reciprocals.  A stored 0 fails the window."""
     nq, nr, nqt, nrt = names
-    iq, ir, iqt, irt = (Fraction(1, e) for e in exps)
+    iq, ir, iqt, irt = (_safe_reciprocal(e) for e in exps)
     for name, inv in zip(names, (iq, ir, iqt, irt)):
         report.check(f"0 < 1/{name}", Fraction(0), "<", inv)
         report.check(f"1/{name} < 1/2", inv, "<", Fraction(1, 2))
@@ -446,7 +446,7 @@ def _verify_theta(tup: ThetaTuple, params: ProblemParams) -> ConstraintReport:
 def _verify_subcritical(pair: SubcriticalPair, params: ProblemParams) -> ConstraintReport:
     d, a = params.d, params.alpha
     q, r = pair.q, pair.r
-    iq, ir = Fraction(1, q), Fraction(1, r)
+    iq, ir = _safe_reciprocal(q), _safe_reciprocal(r)  # a stored 0 fails below
     report = ConstraintReport()
     report.check("2/q + d/r = d/2", 2 * iq + d * ir, "=", Fraction(d, 2))
     report.check("(q, d) != (2, 2)", Fraction(1) if (q, d) != (2, 2) else Fraction(0),

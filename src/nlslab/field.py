@@ -164,16 +164,33 @@ class SpectralField:
     @classmethod
     def from_samples(cls, grid: Grid, samples: np.ndarray, time_tag: float = 0.0
                      ) -> "SpectralField":
+        """The field with these samples, given on the grid or on one y column.
+
+        A y column, shape (Nx,)^d x 1, is the field constant along y; the
+        field caches it broadcast to the grid.  Its spectrum is the column's
+        x transform divided by Nx^d (that is, times Ny / ntot) at n = 0, and
+        exact zeros at every n != 0.  A power-of-two FFT of a constant y row
+        is exactly Ny times the value at n = 0 and zero elsewhere, so these
+        coefficients equal those of the broadcast samples (np.array_equal),
+        and the samples are the same bits.  Only the signs of zeros can
+        differ (a byte comparison sees them): the column form has +0 at every
+        n != 0, where the full-grid transform's zeros carry the (-1)^k phase.
+        """
         samples = np.asarray(samples, dtype=np.complex128)
-        if samples.shape != grid.shape:
-            raise ValueError(
-                f"sample shape {samples.shape} does not match grid {grid.shape}"
-            )
-        # in place: bitwise the result of fftn(...) / ntot * x_phase, without
-        # its two full-grid temporaries
-        c = sfft.fftn(samples, workers=fft_workers())
-        c /= grid.ntot
+        column = grid.shape[:-1] + (1,)
+        if samples.shape not in (grid.shape, column):
+            raise ValueError(f"sample shape {samples.shape} matches neither grid "
+                             f"{grid.shape} nor its y column {column}")
+        # in place: bitwise the result of fftn(...) / size * x_phase, without
+        # its two temporaries
+        axes = [i for i, m in enumerate(samples.shape) if m > 1]
+        c = sfft.fftn(samples, axes=axes, workers=fft_workers())
+        c /= samples.size
         c *= grid.x_phase()
+        if samples.shape == column:
+            full = np.zeros(grid.shape, dtype=np.complex128)
+            full[..., :1] = c
+            c, samples = full, np.broadcast_to(samples, grid.shape).copy()
         out = cls(grid, c, time_tag)
         out._samples = samples
         return out

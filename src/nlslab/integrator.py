@@ -25,11 +25,17 @@ transform, and returns the last snapshot it emitted.
 The equation commutes with translations in y, so a datum whose samples are
 exactly equal along y (field.y_independent) stays so, and its run is NLS on
 R^d.  evolve then steps one y column, (Nx,)^d x 1, with the n = 0 column of
-the linear phase, and broadcasts it back to the full grid at each snapshot.
+the linear phase.  The FFT pair of a step then runs over the x axes only,
+since a length-1 transform is the identity, and each snapshot is built from
+the column: SpectralField.from_samples takes its x transform, puts it at
+n = 0 with zeros elsewhere, and caches the column broadcast to the grid.
 The kick is elementwise, and a power-of-two FFT of a constant y row has exact
 zeros for n != 0 and Ny times the column at n = 0 (scaling by a power of two
-is exact away from underflow), so the snapshots are bitwise those of the
-full-grid run, at about 1/Ny of the stepping work.
+is exact away from underflow), so the snapshot samples are bitwise those of
+the full-grid run, and the coefficients differ from it only in the sign of
+the zeros at n != 0 (np.array_equal holds, a byte comparison does not).
+The run costs about 1/Ny of the full grid's stepping work, and no step or
+snapshot transforms the full grid.
 """
 
 from __future__ import annotations
@@ -127,17 +133,21 @@ def _advance(v: np.ndarray, phase: np.ndarray, physics: PhysicsParams,
     The interior half kicks are fused into full ones.  A non-finite sample
     reaches every entry through the FFT pair, so one entry checked after
     each linear flow reports a blow-up at its step; the state after the
-    closing kick is checked in full.  The module-level kick is looked up on
-    every call, and the state returned is the array the last kick returned,
-    so a replaced kick need not work in place.
+    closing kick is checked in full.  The FFT pair runs over the axes of v
+    longer than one: all of them on a full grid, and the x axes only on a y
+    column, whose length-1 y transform would be the identity.  The
+    module-level kick is looked up on every call, and the state returned is
+    the array the last kick returned, so a replaced kick need not work in
+    place.
     """
     workers = fft_workers()
+    axes = [i for i, m in enumerate(v.shape) if m > 1]
     h = dt / 2.0
     for k in range(1, n + 1):
         v = _nonlinear_kick(v, physics, h)
-        v = sfft.fftn(v, workers=workers, overwrite_x=True)
+        v = sfft.fftn(v, axes=axes, workers=workers, overwrite_x=True)
         v *= phase
-        v = sfft.ifftn(v, workers=workers, overwrite_x=True)
+        v = sfft.ifftn(v, axes=axes, workers=workers, overwrite_x=True)
         if not np.isfinite(v.flat[0]):
             raise BlowUpError(f"non-finite state at t = {t + k * dt:.6g}")
         h = dt
@@ -156,9 +166,11 @@ def evolve(initial: SpectralField, physics: PhysicsParams, control: StepControl,
 
     At every sampling time each sink is called as sink(snapshot, guard_breached).
     The step-0 snapshot is the datum itself; each later one is built from the
-    state by one forward transform.  The last snapshot emitted is returned.
-    A y-independent datum is stepped on one y column (see the module
-    docstring); its snapshots are the full-grid ones, bit for bit.
+    state by one forward transform (SpectralField.from_samples).  The last
+    snapshot emitted is returned.  A y-independent datum is stepped on one y
+    column, and each snapshot is built from the column by its x transform
+    (see the module docstring); its samples are the full-grid run's bit for
+    bit, and its coefficients equal them up to the signs of zeros.
     If guard_tol is given, the boundary-mass guard trips once the mass fraction
     of a unit cube in the band |x| > (3/4) L/2 exceeds it (edge_cube_fraction);
     the flag then stays set for all subsequent records.
@@ -195,8 +207,7 @@ def evolve(initial: SpectralField, physics: PhysicsParams, control: StepControl,
         n = min(control.sample_every, n_steps - start)
         last = None  # no snapshot outlives a chunk unless a sink keeps it
         v = _advance(v, phase, physics, dt, n, t0 + start * dt)
-        last = emit(SpectralField.from_samples(
-            g, np.broadcast_to(v, g.shape).copy(), t0 + (start + n) * dt))
+        last = emit(SpectralField.from_samples(g, v.copy(), t0 + (start + n) * dt))
     return last
 
 

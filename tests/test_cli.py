@@ -1,7 +1,9 @@
 import io
 import json
 import math
+import os
 import re
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -866,11 +868,13 @@ class TestThreadsVariable:
 
 
 class TestAbortedRun:
+    def small_text(self, out):
+        return cfg_text(grid={"Nx": 128, "Ny": 4, "L": 40.0},
+                        control={"dt": 0.01, "t_end": 0.2, "sample_every": 5},
+                        output_dir=str(out))
+
     def small_cfg(self, out):
-        return parse_config(cfg_text(
-            grid={"Nx": 128, "Ny": 4, "L": 40.0},
-            control={"dt": 0.01, "t_end": 0.2, "sample_every": 5},
-            output_dir=str(out)))
+        return parse_config(self.small_text(out))
 
     def test_partial_records_and_manifest(self, tmp_path, monkeypatch, capsys):
         from nlslab import cli
@@ -925,6 +929,44 @@ class TestAbortedRun:
         assert manifest["exit_status"] == 1
         assert main(["verify", str(tmp_path / "records.csv")]) == 1
         assert "partial records file after 2 rows" in capsys.readouterr().err
+
+    def test_sigterm_in_a_sink(self, tmp_path, monkeypatch, capsys):
+        from nlslab import cli, integrator
+        calls, caught = [], []
+
+        def terminate_at_second_sample(fld, guard_breached):
+            calls.append(fld.time_tag)
+            if len(calls) == 2:
+                os.kill(os.getpid(), signal.SIGTERM)
+
+        def evolve(initial, physics, control, sinks=(), **kwargs):
+            return integrator.evolve(initial, physics, control,
+                                     sinks=[*sinks, terminate_at_second_sample],
+                                     **kwargs)
+
+        def outer(signum, frame):  # stands in for the handler a caller had
+            caught.append(signum)
+
+        monkeypatch.setattr(cli, "evolve", evolve)
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(self.small_text(tmp_path))
+        previous = signal.signal(signal.SIGTERM, outer)
+        try:
+            status = main(["run", "--config", str(cpath)])
+            assert signal.getsignal(signal.SIGTERM) is outer
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert caught == [] and len(calls) == 2
+        assert status == 143
+        assert "aborted by SIGTERM" in capsys.readouterr().err
+        lines = (tmp_path / "records.csv").read_text().splitlines()
+        assert len(lines) == 4  # header, two records, marker
+        assert lines[-1] == "# PARTIAL FILE: run aborted"
+        manifest = json.load(open(tmp_path / "manifest.json"))
+        assert manifest["aborted"] is True
+        assert manifest["error"] == "SIGTERM"
+        assert manifest["records_written"] == 2
+        assert manifest["exit_status"] == 143
 
     def test_complete_run_not_aborted(self, tmp_path):
         run_preset(self.small_cfg(tmp_path))

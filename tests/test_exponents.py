@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -280,6 +281,29 @@ class TestVerifyTuple:
             assert not report.feasible
             assert {c.label for c in report.violations()} <= {
                 "2/l + d/p = d/2", "1/p' = 1/p + alpha/r", "1/l' = 1/l + alpha/q"}
+
+    @pytest.mark.parametrize("kind, field, label", [
+        ("strichartz", "q", "q"), ("strichartz", "r", "r"),
+        ("strichartz", "q_tilde", "q~"), ("strichartz", "r_tilde", "r~"),
+        ("theta", "q_theta", "q_th"), ("theta", "r_theta", "r_th"),
+        ("theta", "q_tilde_theta", "q~_th"), ("theta", "r_tilde_theta", "r~_th"),
+    ])
+    def test_zero_exponent_flagged(self, kind, field, label):
+        # a hand-built tuple may store a 0; its reciprocal must not raise
+        params = ProblemParams(1, F(5))
+        tup, report = critical_tuple(params, r=F(8))
+        if kind == "theta":
+            tup, report = theta_tuple(tup, params, F(19, 20))
+        assert report.feasible
+        report = verify_tuple(replace(tup, **{field: F(0)}), params)
+        assert not report.feasible
+        assert f"1/{label} < 1/2" in {c.label for c in report.violations()}
+
+    def test_zero_subcritical_exponent_flagged(self):
+        params = ProblemParams(2, F(1))
+        pair, _ = subcritical_pair(params)
+        for bad in (replace(pair, q=F(0)), replace(pair, r=F(0))):
+            assert not verify_tuple(bad, params).feasible
 
     def test_subcritical_pair_recheck(self):
         params = ProblemParams(2, F(1))

@@ -417,6 +417,25 @@ class TestYIndependent:
         assert not y_independent(SpectralField.from_samples(g1, u))
 
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_column_samples_equal_the_broadcast(self, g1, g2, d):
+        g = g1 if d == 1 else g2
+        rng = np.random.default_rng(d)
+        col = (rng.standard_normal(g.shape[:-1] + (1,))
+               + 1j * rng.standard_normal(g.shape[:-1] + (1,)))
+        full = SpectralField.from_samples(g, np.broadcast_to(col, g.shape).copy(), 0.5)
+        f = SpectralField.from_samples(g, col, 0.5)
+        assert f.time_tag == 0.5 and f.samples().shape == g.shape
+        assert np.array_equal(f.samples(), full.samples())
+        assert np.array_equal(f.coefficients, full.coefficients)
+        assert np.all(f.coefficients[..., 1:] == 0)
+        assert y_independent(f)
+
+    def test_other_sample_shapes_rejected(self, g1):
+        for shape in [(g1.Nx, 2), (g1.Nx,), (1, g1.Ny)]:
+            with pytest.raises(ValueError, match="matches neither grid"):
+                SpectralField.from_samples(g1, np.zeros(shape, complex))
+
 class TestDensities:
     def test_real_field_zero_momentum(self, g1):
         f = from_profile(g1, lambda x, y: np.exp(-x ** 2) * (1 + 0.2 * np.cos(y)))

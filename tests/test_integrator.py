@@ -84,10 +84,11 @@ def test_separable_phase_matches_full_grid_exp(grid, dt):
 
 
 class _CountedFFT:
-    """scipy.fft with each complex transform of a full grid counted."""
+    """scipy.fft with each complex transform of a full grid counted, and
+    every complex transform logged as (name, shape, axes)."""
 
     def __init__(self, size):
-        self.size, self.calls = size, 0
+        self.size, self.calls, self.log = size, 0, []
 
     def __getattr__(self, name):
         fn = getattr(scipy.fft, name)
@@ -96,6 +97,7 @@ class _CountedFFT:
 
         def counted(x, *args, **kwargs):
             self.calls += np.size(x) == self.size
+            self.log.append((name, np.shape(x), kwargs.get("axes")))
             return fn(x, *args, **kwargs)
         return counted
 
@@ -116,8 +118,8 @@ def test_transforms_per_run(g1, gaussian, monkeypatch, steps, every):
 
 
 def test_transforms_per_y_independent_run(g1, monkeypatch):
-    # the steps run on one y column, so only the later snapshots' forward
-    # transforms touch the full grid
+    # the steps run on one y column and each snapshot is built from the
+    # column's x transform, so no transform touches the full grid
     from nlslab import field, integrator
     datum = from_profile(g1, _x_profile_1d)
     fake = _CountedFFT(g1.ntot)
@@ -128,7 +130,27 @@ def test_transforms_per_y_independent_run(g1, monkeypatch):
            StepControl(dt=1e-3, t_end=7e-3, sample_every=3),
            sinks=[lambda f, flag: seen.append(f)], guard_tol=1e-3)
     assert len(seen) == 4
-    assert fake.calls == len(seen) - 1
+    assert fake.calls == 0
+
+
+@pytest.mark.parametrize("grid, profile, axes", [
+    (Grid(1, 40.0, 256, 16), _x_profile_1d, [0]),
+    (Grid(2, 16.0, 32, 8), _x_profile_2d, [0, 1]),
+    (Grid(1, 40.0, 256, 16),
+     lambda x, y: np.exp(-x ** 2) * (1 + 0.3 * np.cos(y)), [0, 1]),
+    (Grid(2, 16.0, 32, 8),
+     lambda x1, x2, y: np.exp(-x1 ** 2 - x2 ** 2) * (1 + 0.3 * np.cos(y)), [0, 1, 2]),
+])
+def test_step_transform_axes(grid, profile, axes, monkeypatch):
+    # a y column is transformed along x only, a y-dependent state along all axes
+    from nlslab import integrator
+    fake = _CountedFFT(grid.ntot)
+    monkeypatch.setattr(integrator, "sfft", fake)
+    evolve(from_profile(grid, profile), PhysicsParams(3.0, 1),
+           StepControl(dt=1e-3, t_end=5e-3, sample_every=2))
+    shape = grid.shape[:-1] + (1,) if len(axes) == grid.d else grid.shape
+    assert fake.log == [(name, shape, axes) for _ in range(5)
+                        for name in ("fftn", "ifftn")]
 
 
 class TestStrangStep:
@@ -436,6 +458,7 @@ class TestYIndependentRuns:
         (Grid(2, 16.0, 32, 8), _x_profile_2d, 3.0, 1, 1e-2, 3),
         (Grid(2, 16.0, 32, 8), _x_profile_2d, 4.0 / 3.0, -1, 1e-2, 1),
         (Grid(2, 16.0, 32, 8), _x_profile_2d, 2.0, -1, 1e-2, 7),
+        (Grid(1, 200.0, 4096, 32), _x_profile_1d, 5.0, 1, 1e-3, 3),  # decay-1d
     ])
     def test_snapshots_equal_the_full_width_run(self, monkeypatch, grid, profile,
                                                 alpha, lam, dt, every):

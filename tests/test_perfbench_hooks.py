@@ -80,3 +80,8 @@ def test_benchmark_smoke_run(tmp_path):
     last = json.loads(proc.stdout.strip().splitlines()[-1])
     assert (last["correct"], last["failed"]) == (True, 0), proc.stdout
     assert os.listdir(tmp_path / ".perfbench_out") == ["decay-1d"]
+    # the tracer still finds the step's FFT pair and the snapshot transform
+    value = {k: m["value"] for k, m in last["metrics"].items()}
+    assert value["integrator.fft_calls_per_step"] == 2
+    assert value["integrator.fft_ms_per_step"] > 0
+    assert value["field.snapshot_ms"] > 0
