@@ -5,6 +5,16 @@ Rational quantities (alpha, exponent overrides) travel as "p/q" strings so
 the exponent machinery receives exact values while the integrator uses the
 float image; both appear in the manifest.
 
+The parse checks every field, the datum section against DATUM_KINDS, and
+the rules of code that runs later (the theta grid step, the theta norm's
+delta, the Cauchy schedule's three snapshots), each by calling its owner.
+One helper, _exponent_chain, builds the critical tuple, its largest feasible
+theta tuple and the auxiliary pair, for a run's space-time accumulators and
+for the exponent report alike; without a theta tuple a run has no
+accumulators and the report is not feasible.  A run that fails after its
+datum is built, in evolve or after it, leaves records.csv and an aborted
+manifest.
+
 Presets:
     decay           defocusing Gaussian run; checks L^q and cube-sup decay
     morawetz        same dynamics; checks the interaction inequality chain
@@ -31,6 +41,8 @@ import numpy as np
 
 from . import __version__
 from .exponents import (
+    ConstraintReport,
+    NoFeasibleTheta,
     ProblemParams,
     as_fraction,
     auxiliary_pair,
@@ -39,6 +51,7 @@ from .exponents import (
     max_feasible_theta,
     perturbed_tuple,
     subcritical_pair,
+    theta_grid_step,
     theta_tuple,
 )
 from .field import (
@@ -59,8 +72,9 @@ from .integrator import PhysicsParams, StepControl, energy, evolve, mass, \
     soliton_profile
 from .morawetz import CubeSupAccumulator, inequality_tolerance, morawetz_sample
 from .scattering import (ACCUMULATORS, DECAY_TRANSIENT, SpacetimeAccumulators, all_finite,
-                         extended_power, geometric_sample_times, make_scatter_report,
-                         settled_tail, strictly_decreasing)
+                         check_cauchy_times, check_delta, extended_power,
+                         geometric_sample_times, make_scatter_report, settled_tail,
+                         strictly_decreasing)
 
 PRESETS = ("decay", "morawetz", "soliton-control", "scattering", "exponents")
 
@@ -128,6 +142,15 @@ _PRESET_DEFAULTS: Dict[str, dict] = {
 }
 
 
+# each datum kind's fields with their defaults; a file datum's path has none
+DATUM_KINDS: Dict[str, dict] = {
+    "gaussian": {"amplitude": 1.0, "width": 1.0, "y_modulation": 0.0},
+    "soliton": {"B": 1.0},
+    "plane_wave": {"k": 1, "n": 0, "A": 1.0},
+    "file": {"path": None},
+}
+
+
 def parse_config(text: str) -> RunConfig:
     try:
         raw = json.loads(text)
@@ -172,12 +195,13 @@ def _is_number(v) -> bool:
     return type(v) in (int, float) and math.isfinite(v)
 
 
-def _defer(section: str, build: Callable):
-    """build(), with the owner's ValueError re-raised as a section-prefixed ConfigError."""
+def _defer(prefix: str, build: Callable):
+    """build(), with the owner's ValueError re-raised as a ConfigError that
+    starts with ``prefix`` (the field's section, or its name and value)."""
     try:
         return build()
     except ValueError as e:
-        raise ConfigError(f"{section}{e}") from None
+        raise ConfigError(f"{prefix}{e}") from None
 
 
 def _rational(name: str, value) -> Fraction:
@@ -209,26 +233,72 @@ def _check_types(cfg: RunConfig) -> None:
            "must be a non-empty list of distinct numbers q > 2 (inf allowed)")
     if cfg.r is not None:
         _check(_rational("r", cfg.r) > 0, "r", cfg.r, "must be positive")
-    for name in ("epsilon", "theta_resolution", "delta"):
+    for name in ("epsilon", "delta"):
         _check(_rational(name, getattr(cfg, name)) > 0, name,
                getattr(cfg, name), "must be positive")
+    resolution = _rational("theta_resolution", cfg.theta_resolution)
+    _defer(f"theta_resolution = {cfg.theta_resolution!r}: ",
+           lambda: theta_grid_step(resolution))
     _check(_is_number(cfg.guard_tol) and 0 < cfg.guard_tol <= 1, "guard_tol",
            cfg.guard_tol, "must be a finite number in (0, 1]")
     _check(isinstance(cfg.output_dir, str) and cfg.output_dir != "",
            "output_dir", cfg.output_dir, "must be a non-empty path")
 
 
-def _check_run(cfg: RunConfig) -> None:
-    """Grid, step and datum checks for the presets that run dynamics."""
+def _datum_spec(datum: dict) -> dict:
+    """The datum section with its kind's defaults filled in.
+
+    Every value is a finite JSON number, with width > 0, B > 0 and integer k
+    and n, except a file datum's path, a non-empty string.
+    """
+    kind = datum.get("kind")
+    if kind not in DATUM_KINDS:
+        raise ConfigError(f"datum.kind = {kind!r}: unknown datum kind")
+    fields = DATUM_KINDS[kind]
+    for key, value in datum.items():
+        _check(key == "kind" or key in fields, f"datum.{key}", value,
+               f"not a field of datum kind {kind!r} (its fields: {', '.join(fields)})")
+    spec = {**fields, **datum}
+    for key in fields:
+        value = spec[key]
+        if key == "path":
+            _check(isinstance(value, str) and value != "", "datum.path", value,
+                   "datum.kind 'file' needs the snapshot file path")
+        elif key in ("k", "n"):
+            _check(_is_int(value), f"datum.{key}", value, "must be an integer")
+        elif key in ("width", "B"):
+            _check(_is_number(value) and value > 0, f"datum.{key}", value,
+                   "must be a positive finite number")
+        else:
+            _check(_is_number(value), f"datum.{key}", value, "must be a finite number")
+    return spec
+
+
+def _cauchy_schedule(cfg: RunConfig) -> List[float]:
+    """Snapshot times kept for the pull-back Cauchy table of the soliton-control
+    and scattering presets (none for the others): geometric from 10 sample
+    intervals on, since fixed-window consecutive differences shrink even for
+    non-scattering states and geometric windows do not."""
+    if cfg.preset not in ("soliton-control", "scattering"):
+        return []
+    sample_dt = cfg.dt * cfg.sample_every
+    return geometric_sample_times(10 * sample_dt, cfg.t_end, sample_dt)
+
+
+def _check_run(cfg: RunConfig, params: ProblemParams) -> None:
+    """Grid, step, datum, Cauchy schedule and accumulator checks for the
+    presets that run dynamics."""
     _defer("grid.", cfg.grid)
     _defer("control.", lambda: cfg.control().n_steps)
-    kind = cfg.datum.get("kind")
-    if kind not in ("gaussian", "soliton", "plane_wave", "file"):
-        raise ConfigError(f"datum.kind = {kind!r}: unknown datum kind")
-    if kind == "file":
-        path = cfg.datum.get("path")
-        _check(isinstance(path, str) and path != "", "datum.path", path,
-               "datum.kind 'file' needs the snapshot file path")
+    _datum_spec(cfg.datum)
+    if cfg.preset in ("soliton-control", "scattering"):
+        _defer(f"control.t_end = {cfg.t_end!r}: the Cauchy table's geometric "
+               "schedule ends too early: ",
+               lambda: check_cauchy_times(_cauchy_schedule(cfg)))
+    if params.regime == "scattering":
+        # the critical tuple's s is s_critical at every r
+        _defer(f"delta = {cfg.delta!r}: ",
+               lambda: check_delta(as_fraction(cfg.delta), params.s_critical))
 
 
 def _validate(cfg: RunConfig) -> None:
@@ -257,7 +327,7 @@ def _validate(cfg: RunConfig) -> None:
                 f"(got d={d}, alpha={cfg.alpha}, lam={cfg.lam})"
             )
     if cfg.preset != "exponents":
-        _check_run(cfg)
+        _check_run(cfg, params)
 
 
 # ---------------------------------------------------------------------------
@@ -338,25 +408,17 @@ class RecordBuilder:
         self.physics_params = cfg.physics()
         self.records: List[DiagnosticsRecord] = []
         self.snapshots: List[SpectralField] = []
-        # geometric snapshot times for the pull-back Cauchy analysis of the
-        # soliton-control and scattering presets: fixed-window consecutive
-        # differences shrink even for non-scattering states, geometric windows do not
-        sample_dt = cfg.dt * cfg.sample_every
-        self._schedule = geometric_sample_times(10 * sample_dt, cfg.t_end, sample_dt) \
-            if cfg.preset in ("soliton-control", "scattering") else []
+        self._schedule = _cauchy_schedule(cfg)
         self._cube = CubeSupAccumulator(self.physics_params.alpha)
         self.accumulators: Optional[SpacetimeAccumulators] = None
         params = ProblemParams(cfg.d, cfg.alpha_fraction())
         if params.regime == "scattering":
-            base, rep = critical_tuple(
-                params, as_fraction(cfg.r) if cfg.r else None)
-            if rep.feasible:
-                theta = max_feasible_theta(
-                    base, params, as_fraction(cfg.theta_resolution))
-                th_tuple, _ = theta_tuple(base, params, theta)
-                aux, _ = auxiliary_pair(params, base, "equality")
+            chain = _exponent_chain(params, as_fraction(cfg.r) if cfg.r else None,
+                                    as_fraction(cfg.theta_resolution))
+            if "theta_tuple" in chain:
                 self.accumulators = SpacetimeAccumulators(
-                    params, base, th_tuple, aux, as_fraction(cfg.delta))
+                    params, chain["critical_tuple"][0], chain["theta_tuple"][0],
+                    chain["auxiliary_pair"][0], as_fraction(cfg.delta))
 
     def __call__(self, fld: SpectralField, guard_breached: bool) -> None:
         ms, ds = morawetz_sample(fld, self.physics_params, self._cube)
@@ -410,12 +472,10 @@ def _quadratic_terms(fld: SpectralField) -> Tuple[float, float, float]:
 
 def build_datum(cfg: RunConfig) -> SpectralField:
     g = cfg.grid()
-    spec = cfg.datum
+    spec = _datum_spec(cfg.datum)
     kind = spec["kind"]
     if kind == "gaussian":
-        A = spec.get("amplitude", 1.0)
-        w = spec.get("width", 1.0)
-        mod = spec.get("y_modulation", 0.0)
+        A, w, mod = spec["amplitude"], spec["width"], spec["y_modulation"]
         if g.d == 1:
             return from_profile(
                 g, lambda x, y: A * np.exp(-(x / w) ** 2)
@@ -424,25 +484,27 @@ def build_datum(cfg: RunConfig) -> SpectralField:
             g, lambda x1, x2, y: A * np.exp(-(x1 ** 2 + x2 ** 2) / w ** 2)
             * (1 + mod * np.cos(y)))
     if kind == "soliton":
-        return soliton_profile(g, spec.get("B", 1.0))
+        return soliton_profile(g, spec["B"])
     if kind == "plane_wave":
-        k, n, A = spec.get("k", 1), spec.get("n", 0), spec.get("A", 1.0)
+        k, n, A = spec["k"], spec["n"], spec["A"]
         xi0 = 2 * np.pi * k / g.L
         if g.d == 1:
             return from_profile(
                 g, lambda x, y: A * np.exp(1j * (xi0 * x + n * y)))
         return from_profile(
             g, lambda x1, x2, y: A * np.exp(1j * (xi0 * x1 + n * y)))
-    if kind == "file":
-        try:
-            fld = load_field(spec["path"])
-        except (OSError, ValueError) as e:
-            raise ConfigError(f"datum.path: {e}") from None
-        if fld.grid != g:
-            raise ConfigError(f"datum.path: {spec['path']}: grid {fld.grid} does "
-                              f"not match the config's {g}")
-        return fld
-    raise ConfigError(f"datum.kind = {kind!r}: unknown datum kind")
+    try:
+        fld = load_field(spec["path"])
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"datum.path: {e}") from None
+    if fld.grid != g:
+        raise ConfigError(f"datum.path: {spec['path']}: grid {fld.grid} does "
+                          f"not match the config's {g}")
+    if fld.time_tag != 0:
+        # the guard band, the decay windows and the Cauchy schedule start at t = 0
+        raise ConfigError(f"datum.path: {spec['path']}: time tag {fld.time_tag!r} "
+                          "is not 0")
+    return fld
 
 
 # ---------------------------------------------------------------------------
@@ -511,48 +573,61 @@ def _scattering_checks(report) -> Dict[str, bool]:
 
 
 # ---------------------------------------------------------------------------
-# exponents preset
+# exponent chain and report
 # ---------------------------------------------------------------------------
+
+def _exponent_chain(params: ProblemParams, r: Optional[Fraction],
+                    theta_resolution: Fraction) -> Dict[str, tuple]:
+    """The exponent chain of a run, each link with its constraint report, by
+    report name: the critical tuple at r, its largest feasible theta tuple on
+    the theta_resolution grid (scattering regime only) and the equality
+    auxiliary pair.  The theta tuple is missing when the critical tuple is
+    infeasible or the grid holds no feasible theta."""
+    base, rep = critical_tuple(params, r)
+    chain = {"critical_tuple": (base, rep)}
+    if params.regime == "scattering" and rep.feasible:
+        try:
+            theta = max_feasible_theta(base, params, theta_resolution)
+        except NoFeasibleTheta:
+            pass
+        else:
+            chain["theta_tuple"] = theta_tuple(base, params, theta)
+    chain["auxiliary_pair"] = auxiliary_pair(params, base, "equality")
+    return chain
+
+
+def _entry(link, report: ConstraintReport, names: str, **leading) -> dict:
+    """A report entry: the leading values, then the link's named exponents,
+    as exact strings, then its constraint report."""
+    values = {**leading, **{name: getattr(link, name) for name in names.split()}}
+    return {**{k: str(v) for k, v in values.items()}, "report": report.to_json_dict()}
+
 
 def exponent_report(d: int, alpha: Fraction, r: Optional[Fraction] = None,
                     epsilon: Fraction = Fraction(1, 100),
                     theta_resolution: Fraction = Fraction(1, 100)) -> dict:
+    """The exact feasibility report of (d, alpha); "all_feasible" is false when
+    a link is infeasible or, in the scattering regime, has no theta tuple."""
     params = ProblemParams(d, alpha)
     out: dict = {"d": d, "alpha": str(alpha), "regime": params.regime}
-    all_ok = True
     if params.regime == "subcritical":
-        pair, rep = subcritical_pair(params)
-        out["subcritical_pair"] = {"q": str(pair.q), "r": str(pair.r),
-                                   "report": rep.to_json_dict()}
-        all_ok &= rep.feasible
+        entries = {"subcritical_pair": _entry(*subcritical_pair(params), "q r")}
     else:
         lo, hi = feasible_r_interval(params)
         out["feasible_r_interval"] = [str(lo), str(hi)]
-        tup, rep = critical_tuple(params, r)
-        out["critical_tuple"] = {
-            "q": str(tup.q), "r": str(tup.r), "q_tilde": str(tup.q_tilde),
-            "r_tilde": str(tup.r_tilde), "s": str(tup.s),
-            "report": rep.to_json_dict()}
-        all_ok &= rep.feasible
-        pert, prep = perturbed_tuple(tup, params, epsilon)
-        out["perturbed_tuple"] = {
-            "epsilon": str(epsilon), "q": str(pert.q),
-            "q_tilde": str(pert.q_tilde), "s": str(pert.s),
-            "report": prep.to_json_dict()}
-        all_ok &= prep.feasible
-        if params.regime == "scattering":
-            theta = max_feasible_theta(tup, params, theta_resolution)
-            th, trep = theta_tuple(tup, params, theta)
-            out["theta_tuple"] = {
-                "theta": str(theta), "q_tilde_theta": str(th.q_tilde_theta),
-                "r_tilde_theta": str(th.r_tilde_theta),
-                "report": trep.to_json_dict()}
-            all_ok &= trep.feasible
-        aux, arep = auxiliary_pair(params, tup, "equality")
-        out["auxiliary_pair"] = {"l": str(aux.l), "p": str(aux.p),
-                                 "report": arep.to_json_dict()}
-        all_ok &= arep.feasible
-    out["all_feasible"] = bool(all_ok)
+        chain = _exponent_chain(params, r, theta_resolution)
+        base = chain["critical_tuple"][0]
+        entries = {
+            "critical_tuple": _entry(*chain["critical_tuple"], "q r q_tilde r_tilde s"),
+            "perturbed_tuple": _entry(*perturbed_tuple(base, params, epsilon),
+                                      "q q_tilde s", epsilon=epsilon)}
+        if "theta_tuple" in chain:
+            entries["theta_tuple"] = _entry(*chain["theta_tuple"],
+                                            "theta q_tilde_theta r_tilde_theta")
+        entries["auxiliary_pair"] = _entry(*chain["auxiliary_pair"], "l p")
+    out.update(entries)
+    out["all_feasible"] = all(e["report"]["feasible"] for e in entries.values()) \
+        and (params.regime != "scattering" or "theta_tuple" in entries)
     return out
 
 
@@ -577,6 +652,10 @@ class Terminated(BaseException):
 
 def _raise_terminated(signum, frame):
     raise Terminated("SIGTERM")
+
+
+# what aborts a run: it still leaves its records and an aborted manifest
+_ABORTS = (Exception, KeyboardInterrupt, Terminated)
 
 
 def _run_until_sigterm(cfg: RunConfig) -> int:
@@ -620,13 +699,19 @@ def run_preset(cfg: RunConfig) -> int:
         try:
             evolve(initial, cfg.physics(), cfg.control(), sinks=[builder],
                    guard_tol=cfg.guard_tol)
-        except (Exception, KeyboardInterrupt, Terminated) as e:
+        except _ABORTS as e:
             error = e
-        with open(path, "w") as fh:
-            emit_records(builder.records, fh, cfg.q_list)
-            if error is not None:
-                fh.write(f"{_PARTIAL_MARKER}: run aborted\n")
-        artifacts.append(path)
+        try:
+            with open(path, "w") as fh:
+                emit_records(builder.records, fh, cfg.q_list)
+                if error is not None:
+                    fh.write(f"{_PARTIAL_MARKER}: run aborted\n")
+            artifacts.append(path)
+            if error is None:
+                checks.update(_preset_checks(cfg, builder, artifacts))
+        except _ABORTS as e:
+            if error is None:
+                error = e
         if error is not None:
             n = len(builder.records)
             status = SIGTERM_STATUS if isinstance(error, Terminated) else 1
@@ -637,28 +722,32 @@ def run_preset(cfg: RunConfig) -> int:
                 raise error
             raise RuntimeError(f"run aborted after record {n - 1}: {error}") from error
 
-        if cfg.preset in ("decay", "morawetz"):
-            checks.update(_morawetz_checks(builder.records))
-            if cfg.preset == "decay":
-                checks.update(_decay_checks(builder.records, cfg))
-        else:
-            kept = {f.time_tag for f in builder.snapshots}
-            rows = [r for r in builder.records if r.t in kept]
-            lq = {q: [r.lq_norms[q] for r in rows] for q in cfg.q_list}
-            report = make_scatter_report(builder.snapshots, lq,
-                                         accumulators=builder.accumulators)
-            spath = os.path.join(cfg.output_dir, "scatter_report.json")
-            with open(spath, "w") as fh:
-                fh.write(report.to_json())
-            artifacts.append(spath)
-            if cfg.preset == "soliton-control":
-                checks.update(_soliton_checks(builder.records, report))
-            else:
-                checks.update(_scattering_checks(report))
-
     status = 0 if all(checks.values()) else 1
     _write_manifest(cfg, t_start, checks, artifacts, status, reduced)
     return status
+
+
+def _preset_checks(cfg: RunConfig, builder: RecordBuilder,
+                   artifacts: List[str]) -> Dict[str, bool]:
+    """The checks of a complete run; the soliton-control and scattering presets
+    first write scatter_report.json and add it to ``artifacts``."""
+    if cfg.preset in ("decay", "morawetz"):
+        checks = _morawetz_checks(builder.records)
+        if cfg.preset == "decay":
+            checks.update(_decay_checks(builder.records, cfg))
+        return checks
+    kept = {f.time_tag for f in builder.snapshots}
+    rows = [r for r in builder.records if r.t in kept]
+    lq = {q: [r.lq_norms[q] for r in rows] for q in cfg.q_list}
+    report = make_scatter_report(builder.snapshots, lq,
+                                 accumulators=builder.accumulators)
+    spath = os.path.join(cfg.output_dir, "scatter_report.json")
+    with open(spath, "w") as fh:
+        fh.write(report.to_json())
+    artifacts.append(spath)
+    if cfg.preset == "soliton-control":
+        return _soliton_checks(builder.records, report)
+    return _scattering_checks(report)
 
 
 def _write_manifest(cfg: RunConfig, t_start: float, checks: Dict[str, bool],

@@ -337,26 +337,36 @@ def theta_tuple(base: StrichartzTuple, params: ProblemParams, theta: RationalLik
     return tup, verify_tuple(tup, params)
 
 
+class NoFeasibleTheta(ValueError):
+    """Raised when no theta on the resolution grid gives a feasible theta tuple."""
+
+
+def theta_grid_step(resolution: RationalLike) -> Fraction:
+    """The step of max_feasible_theta's theta grid; it must lie in (0, 1)."""
+    res = as_fraction(resolution)
+    if not 0 < res < 1:
+        raise ValueError(f"resolution must lie in (0, 1), got {res}")
+    return res
+
+
 def max_feasible_theta(base: StrichartzTuple, params: ProblemParams,
                        resolution: RationalLike = Fraction(1, 100)) -> Fraction:
     """Largest theta < 1 on the resolution grid with a feasible theta tuple.
 
     theta = 1 is only the degenerate anchor; the returned value is strictly
-    below 1.  Scans downward from 1 - resolution.
+    below 1.  Scans downward from 1 - resolution.  The base itself must be
+    feasible.
     """
-    _, base_report = critical_tuple(params, base.r)
-    if not base_report.feasible:
+    if not verify_tuple(base, params).feasible:
         raise ValueError("base tuple is not feasible")
-    res = as_fraction(resolution)
-    if res <= 0 or res >= 1:
-        raise ValueError(f"resolution must lie in (0, 1), got {res}")
+    res = theta_grid_step(resolution)
     th = 1 - res
     while th > 0:
         _, report = theta_tuple(base, params, th)
         if report.feasible:
             return th
         th -= res
-    raise ValueError("no feasible theta found on the grid (resolution too coarse)")
+    raise NoFeasibleTheta("no feasible theta found on the grid (resolution too coarse)")
 
 
 def auxiliary_pair(params: ProblemParams, tup, strictness: str = "strict"):

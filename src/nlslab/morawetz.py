@@ -8,10 +8,12 @@ with k a derivative of phi(x) = <x> = sqrt(1 + |x|^2).  The double sums are
 taken by Parseval on a zero-padded grid of M = 2 Nx points per axis: k sits
 at its wrapped displacement there, and since M >= 2 Nx - 1 no wrap-around
 touches a pairing, so each equals the whole-space double sum exactly.  The
-kernel spectra are built once per grid; each density is transformed once
-per sample, and a pairing is one weighted sum over the half spectrum, with
-no inverse transform.  No wrap-around touches the inequality checks as long
-as the boundary-mass guard holds.
+kernel spectra are built once per grid.  One function, ``_pairings``, takes
+the density pass, transforms each density once and returns J, S, lhs and
+rhs, each pairing one weighted sum over the half spectrum, with no inverse
+transform; ``morawetz_J``, ``positivity_certificate``, ``morawetz_terms``
+and ``morawetz_sample`` all read it.  No wrap-around touches the inequality
+checks as long as the boundary-mass guard holds.
 
 The tracked objects:
 
@@ -128,20 +130,17 @@ def make_kernels(grid: Grid) -> MorawetzKernels:
 # pairings
 # ---------------------------------------------------------------------------
 
-class _DensitySpectra:
-    """Half spectra of one density set on the padded grid, each taken on
-    first use: ``sp("rho")``, ``sp("P", i)``, ``sp("K", i, j)`` with i <= j."""
-
-    def __init__(self, k: MorawetzKernels, ds: DensitySet):
-        self._shape, self._ds = k.shape, ds
-        self._memo: Dict[tuple, np.ndarray] = {}
-
-    def __call__(self, name: str, *idx: int) -> np.ndarray:
-        key = (name,) + idx
-        if key not in self._memo:
-            den = getattr(self._ds, name)[idx]
-            self._memo[key] = sfft.rfftn(den, s=self._shape, workers=fft_workers())
-        return self._memo[key]
+def _spectra(k: MorawetzKernels, ds: DensitySet) -> Dict[object, np.ndarray]:
+    """Half spectra on the padded grid of every density a pairing reads:
+    ``sp["rho"]``, ``sp["nu"]``, ``sp["P", i]``, ``sp["K", i, j]`` with i <= j
+    and ``sp["grad_rho", i]``."""
+    d = k.grid.d
+    dens: Dict[object, np.ndarray] = {"rho": ds.rho, "nu": ds.nu}
+    dens.update({("P", i): ds.P[i] for i in range(d)})
+    dens.update({("K", i, j): ds.K[i, j] for i in range(d) for j in range(i, d)})
+    dens.update({("grad_rho", i): ds.grad_rho[i] for i in range(d)})
+    return {key: sfft.rfftn(den, s=k.shape, workers=fft_workers())
+            for key, den in dens.items()}
 
 
 # Elementwise products and np.sum: a BLAS level-1 dot of complex arrays can
@@ -156,11 +155,29 @@ def _odd(k: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum((a * b.conj()).imag * k))
 
 
-def _J(k: MorawetzKernels, sp: _DensitySpectra) -> float:
-    total = 0.0
-    for i in range(k.grid.d):
-        total += _odd(k.grad_phi[i], sp("P", i), sp("rho"))
-    return -4.0 * total
+def _pairings(fld: SpectralField, physics: PhysicsParams
+              ) -> Tuple[Tuple[float, float, float, float], DensitySet]:
+    """(J, S, lhs, rhs) of one snapshot, with the density pass they read."""
+    k = make_kernels(fld.grid)  # cached per grid
+    ds = densities(fld, physics.alpha)
+    sp = _spectra(k, ds)
+    d = k.grid.d
+    J = -4.0 * sum(_odd(k.grad_phi[i], sp["P", i], sp["rho"]) for i in range(d))
+    S = 0.0
+    # hess_phi holds the i <= j components in this loop order: (xx, xy, yy) at d=2
+    for (i, j), h in zip([(i, j) for i in range(d) for j in range(i, d)], k.hess_phi):
+        term = (8.0 * _even(h, sp["K", i, j], sp["rho"])
+                - 8.0 * _even(h, sp["P", i], sp["P", j])
+                + 2.0 * _even(h, sp["grad_rho", i], sp["grad_rho", j]))
+        # hess_phi, K and the pairings are symmetric: (j, i) repeats (i, j)
+        S += term if i == j else 2.0 * term
+    a = physics.alpha
+    rhs = (4.0 * a / (a + 2.0)) * physics.lam * _even(k.lap_phi, sp["nu"], sp["rho"])
+    return (J, S, S + rhs, rhs), ds
+
+
+# J and S read no nu, so any alpha will do for them
+_NU_UNREAD = PhysicsParams(2.0, 1)
 
 
 def morawetz_J(fld: SpectralField) -> float:
@@ -169,45 +186,17 @@ def morawetz_J(fld: SpectralField) -> float:
     Equals the full two-term momentum pairing: the rho-against-(grad_phi * P)
     partner coincides with this one because grad_phi is odd.
     """
-    k = make_kernels(fld.grid)
-    ds = densities(fld, alpha=2.0)  # alpha irrelevant: only rho and P used
-    return _J(k, _DensitySpectra(k, ds))
-
-
-def _certificate_terms(k: MorawetzKernels, sp: _DensitySpectra) -> float:
-    s = 0.0
-    d = k.grid.d
-    # hess_phi holds the i <= j components in this loop order: (xx, xy, yy) at d=2
-    for (i, j), h in zip([(i, j) for i in range(d) for j in range(i, d)], k.hess_phi):
-        term = (8.0 * _even(h, sp("K", i, j), sp("rho"))
-                - 8.0 * _even(h, sp("P", i), sp("P", j))
-                + 2.0 * _even(h, sp("grad_rho", i), sp("grad_rho", j)))
-        # hess_phi, K and the pairings are symmetric: (j, i) repeats (i, j)
-        s += term if i == j else 2.0 * term
-    return s
+    return _pairings(fld, _NU_UNREAD)[0][0]
 
 
 def positivity_certificate(fld: SpectralField) -> float:
     """S >= 0: y-integrated image of the pointwise bound 4 A hess(phi) conj(A) >= 0."""
-    k = make_kernels(fld.grid)
-    ds = densities(fld, alpha=2.0)  # nu not used
-    return _certificate_terms(k, _DensitySpectra(k, ds))
-
-
-def _chain(k: MorawetzKernels, sp: _DensitySpectra,
-           physics: PhysicsParams) -> Tuple[float, float, float]:
-    """(S, lhs, rhs) from one density set."""
-    s = _certificate_terms(k, sp)
-    a = physics.alpha
-    rhs = (4.0 * a / (a + 2.0)) * physics.lam * _even(k.lap_phi, sp("nu"), sp("rho"))
-    return s, s + rhs, rhs
+    return _pairings(fld, _NU_UNREAD)[0][1]
 
 
 def morawetz_terms(fld: SpectralField, physics: PhysicsParams) -> Tuple[float, float]:
     """(lhs, rhs): lhs = I+II+III = dJ/dt; rhs the interaction lower bound."""
-    k = make_kernels(fld.grid)
-    ds = densities(fld, physics.alpha)
-    return _chain(k, _DensitySpectra(k, ds), physics)[1:]
+    return _pairings(fld, physics)[0][2:]
 
 
 def inequality_tolerance(lhs: float, rhs: float, mass_value: float) -> float:
@@ -293,12 +282,9 @@ def morawetz_sample(fld: SpectralField, physics: PhysicsParams,
                     cube: CubeSupAccumulator) -> Tuple[MorawetzSample, DensitySet]:
     """One sample of a run from one density pass, returned with that pass for
     the other per-sample figures that need x-gradients."""
-    k = make_kernels(fld.grid)  # cached per grid
-    ds = densities(fld, physics.alpha)
-    sp = _DensitySpectra(k, ds)
-    s, lhs, rhs = _chain(k, sp, physics)
+    (J, S, lhs, rhs), ds = _pairings(fld, physics)
     integral = cube.update(fld.time_tag, fld)
-    return MorawetzSample(t=fld.time_tag, J=_J(k, sp), lhs=lhs, rhs=rhs, S=s,
+    return MorawetzSample(t=fld.time_tag, J=J, lhs=lhs, rhs=rhs, S=S,
                           cube_sup=cube.cube_sup, cube_sup_integral=integral), ds
 
 

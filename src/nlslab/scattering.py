@@ -50,9 +50,14 @@ def _check_increasing(times: Sequence[float], minimum: int) -> None:
         raise ValueError("snapshot times must be strictly increasing")
 
 
+def check_cauchy_times(times: Sequence[float]) -> None:
+    """The Cauchy table's snapshot times: at least 3, strictly increasing."""
+    _check_increasing(times, 3)
+
+
 def cauchy_table(snapshots: Sequence[SpectralField]) -> np.ndarray:
     """C_ij = ||w(t_i) - w(t_j)||_{H^1}; symmetric with zero diagonal."""
-    _check_increasing([f.time_tag for f in snapshots], 3)
+    check_cauchy_times([f.time_tag for f in snapshots])
     ws = [pullback(f) for f in snapshots]
     m = len(ws)
     C = np.zeros((m, m))
@@ -182,6 +187,15 @@ class TrapezoidFold:
 ACCUMULATORS = ("theta_norm", "u_lp", "dy_lp", "grad_lp")
 
 
+def check_delta(delta: Fraction, s: Fraction) -> None:
+    """The theta norm's y-regularity 1/2 + delta, for a base tuple of regularity
+    s: delta > 0 and 1/2 + delta + s <= 1."""
+    if not delta > 0:
+        raise ValueError("delta must be positive")
+    if Fraction(1, 2) + delta + s > 1:
+        raise ValueError(f"1/2 + delta + s = {Fraction(1, 2) + delta + s} exceeds 1")
+
+
 @dataclass
 class SpacetimeAccumulators(TrapezoidFold):
     """Trapezoid folds of the global space-time norms along a run.
@@ -204,13 +218,7 @@ class SpacetimeAccumulators(TrapezoidFold):
             raise ValueError("theta tuple fails its feasibility constraints")
         if not verify_tuple(self.aux, self.params, base=self.base).feasible:
             raise ValueError("auxiliary pair fails its feasibility constraints")
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
-        if Fraction(1, 2) + self.delta + self.base.s > 1:
-            raise ValueError(
-                f"1/2 + delta + s = {Fraction(1, 2) + self.delta + self.base.s} "
-                "exceeds 1"
-            )
+        check_delta(self.delta, self.base.s)
         super().__init__(ACCUMULATORS)
         self.theta_mixed_norm: float | None = None
 
@@ -239,11 +247,14 @@ class SpacetimeAccumulators(TrapezoidFold):
 # ---------------------------------------------------------------------------
 
 def geometric_sample_times(t0: float, t_end: float, dt: float) -> List[float]:
-    """t_i = t0 * 1.3^i snapped to the step grid, strictly increasing."""
+    """t_i = t0 * 1.3^i snapped to the step grid, strictly increasing, up to
+    t_end: a time snapped past t_end is never sampled."""
     times = []
     t = t0
     while t <= t_end * (1 + 1e-12):
         snapped = round(round(t / dt) * dt, 12)
+        if snapped > t_end * (1 + 1e-12):
+            break
         if not times or snapped > times[-1]:
             times.append(snapped)
         t *= 1.3

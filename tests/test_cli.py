@@ -178,6 +178,27 @@ class TestParseConfig:
         ({"r": "-8"}, "r"),
         # its float image overflows
         ({"alpha": "1" + "0" * 400}, "physics.alpha"),
+        # rules whose owner runs after the parse: max_feasible_theta's theta
+        # grid, SpacetimeAccumulators' 1/2 + delta + s <= 1, and the Cauchy
+        # table's three snapshots on the geometric schedule
+        ({"theta_resolution": "1"}, "theta_resolution"),
+        ({"theta_resolution": "3/2"}, "theta_resolution"),
+        ({"delta": "1/2"}, "delta"),
+        ({"preset": "scattering", "t_end": 1.0}, "control.t_end"),
+        ({"preset": "soliton-control", "t_end": 1.0}, "control.t_end"),
+        # the third time, 3.4, lies past t_end
+        ({"preset": "scattering", "t_end": 3.39}, "control.t_end"),
+        # the datum section
+        ({"datum": {"kind": "gaussian", "widht": 1.0}}, "datum.widht"),
+        ({"datum": {"kind": "gaussian", "amplitude": "big"}}, "datum.amplitude"),
+        ({"datum": {"kind": "gaussian", "amplitude": float("nan")}}, "datum.amplitude"),
+        ({"datum": {"kind": "gaussian", "y_modulation": True}}, "datum.y_modulation"),
+        ({"datum": {"kind": "gaussian", "width": 0}}, "datum.width"),
+        ({"datum": {"kind": "soliton", "B": -1}}, "datum.B"),
+        ({"datum": {"kind": "plane_wave", "k": 1.5}}, "datum.k"),
+        ({"datum": {"kind": "plane_wave", "n": "1"}}, "datum.n"),
+        ({"datum": {"kind": "plane_wave", "A": float("inf")}}, "datum.A"),
+        ({"datum": {"kind": "file", "path": "x.bin", "width": 1.0}}, "datum.width"),
     ])
     def test_bad_field_named(self, over, field):
         # JSON carries NaN and Infinity as bare words, which json.dumps writes
@@ -189,6 +210,12 @@ class TestParseConfig:
         assert cfg.q_list == [4, float("inf")]
         cfg = parse_config(cfg_text(preset="exponents", Nx=100))
         assert cfg.Nx == 100  # grid fields do not constrain the exponents preset
+        # 1/2 + delta + s = 1 exactly (s = 1/10 at d = 1, alpha = 5)
+        parse_config(cfg_text(delta="2/5"))
+        # delta is read only in the scattering regime (alpha > 4/d)
+        parse_config(cfg_text(d=2, alpha="3/2", delta="1"))
+        # three snapshots on the schedule: t = 2, 2.6, 3.4 at a sample interval of 0.2
+        parse_config(cfg_text(preset="scattering", t_end=3.4))
 
     @pytest.mark.parametrize("preset", ["decay", "morawetz", "soliton-control",
                                         "scattering", "exponents"])
@@ -326,6 +353,26 @@ class TestBuildDatum:
         cfg = parse_config(cfg_text(datum=body, grid={"L": 40.0, "Nx": 64, "Ny": 4}))
         assert build_datum(cfg).grid == small
 
+    def test_datum_defaults(self):
+        # a kind's fields left out take the defaults of DATUM_KINDS
+        cfg = parse_config(cfg_text(grid={"Nx": 256, "Ny": 4, "L": 40.0},
+                                    datum={"kind": "gaussian"}))
+        x = cfg.grid().x_axis()
+        assert np.abs(build_datum(cfg).samples()[:, 0] - np.exp(-x ** 2)).max() < 1e-12
+
+    def test_file_time_tag_must_be_zero(self, tmp_path):
+        from nlslab.field import SpectralField, save_field
+        path = tmp_path / "datum.bin"
+        cfg = parse_config(cfg_text(datum={"kind": "file", "path": str(path)},
+                                    grid={"L": 40.0, "Nx": 64, "Ny": 4}))
+        c = np.ones(cfg.grid().shape, complex)
+        save_field(SpectralField(cfg.grid(), c, 0.3), str(path))
+        with pytest.raises(ConfigError, match=f"^datum.path: {re.escape(str(path))}: "
+                                              "time tag 0.3 is not 0"):
+            build_datum(cfg)
+        save_field(SpectralField(cfg.grid(), c, 0.0), str(path))
+        assert build_datum(cfg).time_tag == 0.0
+
 
 class TestRecordBuilderColumns:
     @pytest.mark.parametrize("over", [
@@ -434,8 +481,45 @@ class TestExponentReport:
         rep = exponent_report(1, __import__("fractions").Fraction(5))
         json.dumps(rep)  # must not raise
 
+    @pytest.mark.parametrize("r, resolution", [
+        (Fraction(100), Fraction(1, 100)),  # r outside the feasible interval
+        (Fraction(8), Fraction(1, 4)),      # no feasible theta on the grid
+    ])
+    def test_no_theta_tuple_is_not_feasible(self, r, resolution):
+        rep = exponent_report(1, Fraction(5), r=r, theta_resolution=resolution)
+        assert "theta_tuple" not in rep
+        assert rep["critical_tuple"]["report"]["feasible"] is (r == 8)
+        assert rep["all_feasible"] is False
+
+
+_NO_THETA_OPTIONS = [{"r": "100"}, {"r": "8", "theta_resolution": "1/4"}]
+
 
 class TestRunPreset:
+    @pytest.mark.parametrize("over", _NO_THETA_OPTIONS)
+    def test_exponents_preset_without_theta(self, tmp_path, over):
+        cfg = parse_config(cfg_text(preset="exponents", output_dir=str(tmp_path), **over))
+        assert run_preset(cfg) == 1
+        assert json.load(open(tmp_path / "exponents.json"))["all_feasible"] is False
+        manifest = json.load(open(tmp_path / "manifest.json"))
+        assert manifest["checks"] == {"all_feasible": False}
+        assert manifest["exit_status"] == 1
+
+    @pytest.mark.parametrize("over", _NO_THETA_OPTIONS)
+    def test_scattering_run_without_theta(self, tmp_path, over):
+        from nlslab.cli import RecordBuilder
+        cfg = parse_config(cfg_text(
+            preset="scattering", grid={"Nx": 128, "Ny": 4, "L": 40.0},
+            control={"dt": 0.01, "t_end": 1.0, "sample_every": 2},
+            output_dir=str(tmp_path), **over))
+        assert RecordBuilder(cfg).accumulators is None
+        assert run_preset(cfg) == 1  # accumulators_saturated fails
+        manifest = json.load(open(tmp_path / "manifest.json"))
+        assert manifest["aborted"] is False
+        assert manifest["checks"]["accumulators_saturated"] is False
+        report = json.load(open(tmp_path / "scatter_report.json"))
+        assert report["accumulators"] == {}
+
     def test_exponents_preset(self, tmp_path):
         cfg = parse_config(cfg_text(preset="exponents", alpha="5",
                                     output_dir=str(tmp_path)))
@@ -720,6 +804,14 @@ class TestMain:
         rep = json.loads(capsys.readouterr().out)
         assert rep["critical_tuple"]["q"] == "80/11"
 
+    @pytest.mark.parametrize("args", [["--r", "100"],
+                                      ["--r", "8", "--theta-resolution", "1/4"]])
+    def test_exponents_without_theta_exits_1(self, capsys, args):
+        assert main(["exponents", "--d", "1", "--alpha", "5"] + args) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out)["all_feasible"] is False
+        assert err == ""
+
     def test_run_command(self, tmp_path):
         cpath = tmp_path / "cfg.json"
         cpath.write_text(cfg_text(preset="exponents",
@@ -737,6 +829,8 @@ class TestMain:
         (["--d", "0", "--alpha", "5"], "grid.d = 0: "),
         (["--d", "2", "--alpha", "5"], "physics.alpha = 5 >= 4/(d-1) = 4: "),
         (["--d", "1", "--alpha", "5", "--r", "1/0"], "r = '1/0': "),
+        (["--d", "1", "--alpha", "5", "--theta-resolution", "1"],
+         "theta_resolution = '1': "),
     ])
     def test_bad_exponents_input_exits_2(self, capsys, args, message):
         with pytest.raises(SystemExit) as exc:
@@ -967,6 +1061,30 @@ class TestAbortedRun:
         assert manifest["error"] == "SIGTERM"
         assert manifest["records_written"] == 2
         assert manifest["exit_status"] == 143
+
+    @pytest.mark.parametrize("preset, name", [("decay", "_decay_checks"),
+                                              ("scattering", "make_scatter_report")])
+    def test_error_after_evolve(self, tmp_path, monkeypatch, preset, name):
+        # an error in the checks or the scatter report takes the abort path too
+        from nlslab import cli
+
+        def fail(*args, **kwargs):
+            raise ValueError("no verdict")
+        monkeypatch.setattr(cli, name, fail)
+        cfg = parse_config(cfg_text(
+            preset=preset, grid={"Nx": 128, "Ny": 4, "L": 40.0},
+            control={"dt": 0.01, "t_end": 1.7, "sample_every": 10},
+            output_dir=str(tmp_path)))
+        with pytest.raises(RuntimeError, match="run aborted after record 17: no verdict"):
+            run_preset(cfg)
+        manifest = json.load(open(tmp_path / "manifest.json"))
+        assert manifest["aborted"] is True
+        assert manifest["error"] == "no verdict"
+        assert manifest["records_written"] == 18
+        assert manifest["exit_status"] == 1
+        assert not (tmp_path / "scatter_report.json").exists()
+        lines = (tmp_path / "records.csv").read_text().splitlines()
+        assert len(lines) == 19 and not lines[-1].startswith("#")  # every record
 
     def test_complete_run_not_aborted(self, tmp_path):
         run_preset(self.small_cfg(tmp_path))

@@ -5,6 +5,7 @@ import pytest
 
 from nlslab.exponents import (
     AuxPair,
+    NoFeasibleTheta,
     ProblemParams,
     RegimeError,
     StrichartzTuple,
@@ -208,8 +209,18 @@ class TestThetaTuple:
         # theta = 3/4 already drives 1/r~_th negative here, so a grid of
         # spacing 1/4 contains no feasible point
         params = ProblemParams(1, F(5))
-        with pytest.raises(ValueError):
+        with pytest.raises(NoFeasibleTheta):
             max_feasible_theta(base, params, F(1, 4))
+
+    @pytest.mark.parametrize("resolution", [F(0), F(1), F(3, 2)])
+    def test_resolution_outside_unit_interval(self, base, resolution):
+        with pytest.raises(ValueError, match="resolution must lie in"):
+            max_feasible_theta(base, ProblemParams(1, F(5)), resolution)
+
+    def test_given_base_is_verified(self, base):
+        # a base whose s is corrupted is rejected as it is, not rebuilt from its r
+        with pytest.raises(ValueError, match="^base tuple is not feasible$"):
+            max_feasible_theta(replace(base, s=F(1, 5)), ProblemParams(1, F(5)))
 
     def test_boundary_alpha_rejected(self):
         params = ProblemParams(1, F(4))

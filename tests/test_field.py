@@ -181,6 +181,19 @@ class TestDifferenceQuotient:
         # c(1/2) = int |e^{ir}-1|^2 / r^2 dr = 2 pi
         assert dq_normalizer(0.5) == pytest.approx(2 * np.pi, rel=1e-6)
 
+    @pytest.mark.parametrize("s", [0.05, 0.25, 0.3, 0.4, 0.5, 0.55, 0.75, 0.95])
+    def test_normalizer_matches_quadrature(self, s):
+        # c(s) = 2 [int_0^1 (2 - 2 cos r) r^{-1-2s} dr + 1/s
+        #           - 2 int_1^inf cos(r) r^{-1-2s} dr], the oscillatory tail
+        # by the weighted (cosine) quadrature rule
+        from scipy.integrate import quad
+        head, _ = quad(lambda r: 4.0 * np.sin(0.5 * r) ** 2 * r ** (-1.0 - 2.0 * s),
+                       0.0, 1.0, epsrel=1e-8, epsabs=1e-12)
+        tail, _ = quad(lambda r: r ** (-1.0 - 2.0 * s), 1.0, np.inf,
+                       weight="cos", wvar=1.0, epsrel=1e-8, epsabs=1e-12)
+        assert dq_normalizer(s) == pytest.approx(2.0 * (head + 1.0 / s - 2.0 * tail),
+                                                 rel=1e-12)
+
     def test_y_independent_is_zero(self, g1):
         f = from_profile(g1, lambda x, y: np.exp(-x ** 2) + 0.0 * y)
         m, q = difference_quotient_hs_y(f, 0.3)

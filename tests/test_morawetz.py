@@ -17,7 +17,7 @@ from nlslab.morawetz import (
     morawetz_terms,
     positivity_certificate,
     sample_kernels,
-    _DensitySpectra,
+    _spectra,
     _even,
     _odd,
 )
@@ -160,9 +160,9 @@ class TestMorawetzJ:
     def test_two_pairings_coincide(self, g1, bumps):
         # rho against (grad_phi * P) equals P against (grad_phi * rho) by oddness
         k = make_kernels(g1)
-        sp = _DensitySpectra(k, densities(bumps, 2.0))
-        a = _odd(k.grad_phi[0], sp("P", 0), sp("rho"))
-        b = _odd(k.grad_phi[0], sp("rho"), sp("P", 0))
+        sp = _spectra(k, densities(bumps, 2.0))
+        a = _odd(k.grad_phi[0], sp["P", 0], sp["rho"])
+        b = _odd(k.grad_phi[0], sp["rho"], sp["P", 0])
         assert a != 0.0
         assert a == pytest.approx(-b, rel=1e-12)
 
@@ -233,9 +233,9 @@ class TestMorawetzTerms:
     def test_symmetric_interaction_terms_equal(self, g1, physics, bumps):
         # bitwise equal with lap_phi's spectrum stored real, so lhs takes it once
         k = make_kernels(g1)
-        sp = _DensitySpectra(k, densities(bumps, physics.alpha))
-        t1 = _even(k.lap_phi, sp("nu"), sp("rho"))
-        t2 = _even(k.lap_phi, sp("rho"), sp("nu"))
+        sp = _spectra(k, densities(bumps, physics.alpha))
+        t1 = _even(k.lap_phi, sp["nu"], sp["rho"])
+        t2 = _even(k.lap_phi, sp["rho"], sp["nu"])
         assert t1 != 0.0
         assert t1 == t2
 

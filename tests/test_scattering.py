@@ -315,3 +315,8 @@ class TestGeometricTimes:
         for t in times:
             assert abs(t / 1e-3 - round(t / 1e-3)) < 1e-9
         assert times[-1] <= 10.0
+
+    def test_no_time_snapped_past_the_end(self):
+        # 2 * 1.3^2 = 3.38 snaps to 3.4, which a run to t = 3.39 never samples
+        assert geometric_sample_times(2.0, 3.39, 0.2) == [2.0, 2.6]
+        assert geometric_sample_times(2.0, 3.4, 0.2) == [2.0, 2.6, 3.4]
