@@ -5,15 +5,18 @@ Rational quantities (alpha, exponent overrides) travel as "p/q" strings so
 the exponent machinery receives exact values while the integrator uses the
 float image; both appear in the manifest.
 
-The parse checks every field, the datum section against DATUM_KINDS, and
-the rules of code that runs later (the theta grid step, the theta norm's
-delta, the Cauchy schedule's three snapshots), each by calling its owner.
-One helper, _exponent_chain, builds the critical tuple, its largest feasible
-theta tuple and the auxiliary pair, for a run's space-time accumulators and
-for the exponent report alike; without a theta tuple a run has no
-accumulators and the report is not feasible.  A run that fails after its
-datum is built, in evolve or after it, leaves records.csv and an aborted
-manifest.
+The parse checks every field and the rules of code that runs later (the
+theta grid step, the Cauchy schedule's three snapshots), each by calling its
+owner.  It resolves the datum section once, against DATUM_KINDS: cfg.datum
+then holds the kind with every field filled in, which build_datum reads and
+the manifest records.  The boundary guard's tolerance is the constant
+RunConfig.guard_tol, and the theta norm's delta is derived from the critical
+tuple; neither is a config field.  One helper, _exponent_chain, builds the
+critical tuple, its largest feasible theta tuple and the auxiliary pair, for
+a run's space-time accumulators and for the exponent report alike; without
+a theta tuple a run has no accumulators and the report is not feasible.  A
+run that fails after its datum is built, in evolve or after it, leaves
+records.csv and an aborted manifest.
 
 Presets:
     decay           defocusing Gaussian run; checks L^q and cube-sup decay
@@ -33,9 +36,9 @@ import os
 import signal
 import sys
 import time
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields as dc_fields
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -72,7 +75,7 @@ from .integrator import PhysicsParams, StepControl, energy, evolve, mass, \
     soliton_profile
 from .morawetz import CubeSupAccumulator, inequality_tolerance, morawetz_sample
 from .scattering import (ACCUMULATORS, DECAY_TRANSIENT, SpacetimeAccumulators, all_finite,
-                         check_cauchy_times, check_delta, extended_power,
+                         check_cauchy_times, extended_power,
                          geometric_sample_times, make_scatter_report, settled_tail,
                          strictly_decreasing)
 
@@ -104,9 +107,10 @@ class RunConfig:
     r: Optional[str] = None
     epsilon: str = "1/100"
     theta_resolution: str = "1/100"
-    delta: str = "1/20"
-    guard_tol: float = 1e-3
     output_dir: str = "out"
+
+    # the boundary guard's edge-cube mass fraction; not a config field
+    guard_tol: ClassVar[float] = 1e-3
 
     def alpha_fraction(self) -> Fraction:
         return as_fraction(self.alpha)
@@ -146,7 +150,6 @@ _PRESET_DEFAULTS: Dict[str, dict] = {
 DATUM_KINDS: Dict[str, dict] = {
     "gaussian": {"amplitude": 1.0, "width": 1.0, "y_modulation": 0.0},
     "soliton": {"B": 1.0},
-    "plane_wave": {"k": 1, "n": 0, "A": 1.0},
     "file": {"path": None},
 }
 
@@ -167,7 +170,7 @@ def parse_config(text: str) -> RunConfig:
         nested = key in ("grid", "physics", "control") and isinstance(val, dict)
         merged.update(val if nested else {key: val})
     merged["preset"] = preset
-    known = set(RunConfig.__dataclass_fields__)
+    known = {f.name for f in dc_fields(RunConfig)}  # not the ClassVar guard_tol
     unknown = set(merged) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -233,14 +236,11 @@ def _check_types(cfg: RunConfig) -> None:
            "must be a non-empty list of distinct numbers q > 2 (inf allowed)")
     if cfg.r is not None:
         _check(_rational("r", cfg.r) > 0, "r", cfg.r, "must be positive")
-    for name in ("epsilon", "delta"):
-        _check(_rational(name, getattr(cfg, name)) > 0, name,
-               getattr(cfg, name), "must be positive")
+    _check(_rational("epsilon", cfg.epsilon) > 0, "epsilon", cfg.epsilon,
+           "must be positive")
     resolution = _rational("theta_resolution", cfg.theta_resolution)
     _defer(f"theta_resolution = {cfg.theta_resolution!r}: ",
            lambda: theta_grid_step(resolution))
-    _check(_is_number(cfg.guard_tol) and 0 < cfg.guard_tol <= 1, "guard_tol",
-           cfg.guard_tol, "must be a finite number in (0, 1]")
     _check(isinstance(cfg.output_dir, str) and cfg.output_dir != "",
            "output_dir", cfg.output_dir, "must be a non-empty path")
 
@@ -248,8 +248,8 @@ def _check_types(cfg: RunConfig) -> None:
 def _datum_spec(datum: dict) -> dict:
     """The datum section with its kind's defaults filled in.
 
-    Every value is a finite JSON number, with width > 0, B > 0 and integer k
-    and n, except a file datum's path, a non-empty string.
+    Every value is a finite JSON number, with width > 0 and B > 0, except a
+    file datum's path, a non-empty string.
     """
     kind = datum.get("kind")
     if kind not in DATUM_KINDS:
@@ -258,14 +258,12 @@ def _datum_spec(datum: dict) -> dict:
     for key, value in datum.items():
         _check(key == "kind" or key in fields, f"datum.{key}", value,
                f"not a field of datum kind {kind!r} (its fields: {', '.join(fields)})")
-    spec = {**fields, **datum}
+    spec = {"kind": kind, **fields, **datum}
     for key in fields:
         value = spec[key]
         if key == "path":
             _check(isinstance(value, str) and value != "", "datum.path", value,
                    "datum.kind 'file' needs the snapshot file path")
-        elif key in ("k", "n"):
-            _check(_is_int(value), f"datum.{key}", value, "must be an integer")
         elif key in ("width", "B"):
             _check(_is_number(value) and value > 0, f"datum.{key}", value,
                    "must be a positive finite number")
@@ -285,20 +283,16 @@ def _cauchy_schedule(cfg: RunConfig) -> List[float]:
     return geometric_sample_times(10 * sample_dt, cfg.t_end, sample_dt)
 
 
-def _check_run(cfg: RunConfig, params: ProblemParams) -> None:
-    """Grid, step, datum, Cauchy schedule and accumulator checks for the
-    presets that run dynamics."""
+def _check_run(cfg: RunConfig) -> None:
+    """Grid, step, datum and Cauchy schedule checks for the presets that run
+    dynamics; cfg.datum becomes the resolved datum spec."""
     _defer("grid.", cfg.grid)
     _defer("control.", lambda: cfg.control().n_steps)
-    _datum_spec(cfg.datum)
+    cfg.datum = _datum_spec(cfg.datum)
     if cfg.preset in ("soliton-control", "scattering"):
         _defer(f"control.t_end = {cfg.t_end!r}: the Cauchy table's geometric "
                "schedule ends too early: ",
                lambda: check_cauchy_times(_cauchy_schedule(cfg)))
-    if params.regime == "scattering":
-        # the critical tuple's s is s_critical at every r
-        _defer(f"delta = {cfg.delta!r}: ",
-               lambda: check_delta(as_fraction(cfg.delta), params.s_critical))
 
 
 def _validate(cfg: RunConfig) -> None:
@@ -327,7 +321,7 @@ def _validate(cfg: RunConfig) -> None:
                 f"(got d={d}, alpha={cfg.alpha}, lam={cfg.lam})"
             )
     if cfg.preset != "exponents":
-        _check_run(cfg, params)
+        _check_run(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +351,7 @@ def _columns(q_list: Sequence[float]) -> List[Tuple[str, Callable]]:
     def attr(name):
         return name, lambda r: getattr(r, name)
     return ([attr(n) for n in ("t", "mass", "energy", "h1_norm")]
-            + [(f"lq_{q:g}", lambda r, q=q: r.lq_norms[q]) for q in q_list]
+            + [(f"lq_{q:.17g}", lambda r, q=q: r.lq_norms[q]) for q in q_list]
             + [attr(n) for n in ("J", "morawetz_lhs", "morawetz_rhs",
                                  "positivity_S", "cube_sup",
                                  "cube_sup_integral", "mixed_norm_theta")]
@@ -418,7 +412,7 @@ class RecordBuilder:
             if "theta_tuple" in chain:
                 self.accumulators = SpacetimeAccumulators(
                     params, chain["critical_tuple"][0], chain["theta_tuple"][0],
-                    chain["auxiliary_pair"][0], as_fraction(cfg.delta))
+                    chain["auxiliary_pair"][0])
 
     def __call__(self, fld: SpectralField, guard_breached: bool) -> None:
         ms, ds = morawetz_sample(fld, self.physics_params, self._cube)
@@ -471,8 +465,9 @@ def _quadratic_terms(fld: SpectralField) -> Tuple[float, float, float]:
 
 
 def build_datum(cfg: RunConfig) -> SpectralField:
+    """The datum of a parsed config, from its resolved spec in cfg.datum."""
     g = cfg.grid()
-    spec = _datum_spec(cfg.datum)
+    spec = cfg.datum
     kind = spec["kind"]
     if kind == "gaussian":
         A, w, mod = spec["amplitude"], spec["width"], spec["y_modulation"]
@@ -485,14 +480,6 @@ def build_datum(cfg: RunConfig) -> SpectralField:
             * (1 + mod * np.cos(y)))
     if kind == "soliton":
         return soliton_profile(g, spec["B"])
-    if kind == "plane_wave":
-        k, n, A = spec["k"], spec["n"], spec["A"]
-        xi0 = 2 * np.pi * k / g.L
-        if g.d == 1:
-            return from_profile(
-                g, lambda x, y: A * np.exp(1j * (xi0 * x + n * y)))
-        return from_profile(
-            g, lambda x1, x2, y: A * np.exp(1j * (xi0 * x1 + n * y)))
     try:
         fld = load_field(spec["path"])
     except (OSError, ValueError) as e:
@@ -554,8 +541,8 @@ def _morawetz_checks(records: List[DiagnosticsRecord]) -> Dict[str, bool]:
 
 def _soliton_checks(records: List[DiagnosticsRecord], report) -> Dict[str, bool]:
     series = [[r.lq_norms[q] for r in records] for q in records[0].lq_norms]
-    return {"no_decay": all(all_finite(v) and max(v) / min(v) - 1 <= 1e-3
-                            for v in series),
+    return {"no_decay": all(all_finite(v) and min(v) > 0
+                            and max(v) / min(v) - 1 <= 1e-3 for v in series),
             "no_scattering": all_finite(report.cauchy.ravel())
             and not report.flags["cauchy_tail_decreasing"]}
 

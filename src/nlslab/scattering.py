@@ -88,8 +88,8 @@ def extended_power(x: float, p: int) -> float:
 
 
 def strictly_decreasing(values: Sequence[float]) -> bool:
-    """Every value finite and each one below the one before it."""
-    return all_finite(values) and all(
+    """At least two values, all finite, and each one below the one before it."""
+    return len(values) >= 2 and all_finite(values) and all(
         b < a for a, b in zip(values, values[1:]))
 
 
@@ -138,8 +138,10 @@ def decay_series(times: Sequence[float], d: int,
                 f"q = {q} lies outside the dispersive-decay range (2, {q_hi}]",
                 RuntimeWarning,
             )
+        peak = max(vals)
         out[q] = DecaySeries(
-            q=q, values=list(vals), ratio_last_to_max=vals[-1] / max(vals),
+            q=q, values=list(vals),
+            ratio_last_to_max=0.0 if peak == 0 else vals[-1] / peak,
             monotone_tail=settled_tail(times, vals), outside_range=outside)
     return out
 
@@ -187,20 +189,14 @@ class TrapezoidFold:
 ACCUMULATORS = ("theta_norm", "u_lp", "dy_lp", "grad_lp")
 
 
-def check_delta(delta: Fraction, s: Fraction) -> None:
-    """The theta norm's y-regularity 1/2 + delta, for a base tuple of regularity
-    s: delta > 0 and 1/2 + delta + s <= 1."""
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    if Fraction(1, 2) + delta + s > 1:
-        raise ValueError(f"1/2 + delta + s = {Fraction(1, 2) + delta + s} exceeds 1")
-
-
 @dataclass
 class SpacetimeAccumulators(TrapezoidFold):
     """Trapezoid folds of the global space-time norms along a run.
 
-    theta_norm: ||u||^{q_theta} in L^{r_theta}_x H^{1/2+delta}_y
+    theta_norm: ||u||^{q_theta} in L^{r_theta}_x H^{1/2+delta}_y, with
+        delta = min(1/20, 1/2 - s) for the base tuple's regularity s, so
+        that 1/2 + delta + s <= 1 (delta > 0, as s < 1/2 below the energy
+        critical power)
     u_lp, dy_lp, grad_lp: ||u||^l, ||d_y u||^l, ||grad_x u||^l in L^p_x L^2_y
 
     Each update takes the sample's DensitySet: trace K is the y-integrated
@@ -211,14 +207,13 @@ class SpacetimeAccumulators(TrapezoidFold):
     base: StrichartzTuple
     theta: ThetaTuple
     aux: AuxPair
-    delta: Fraction = Fraction(1, 20)
 
     def __post_init__(self):
         if not verify_tuple(self.theta, self.params, base=self.base).feasible:
             raise ValueError("theta tuple fails its feasibility constraints")
         if not verify_tuple(self.aux, self.params, base=self.base).feasible:
             raise ValueError("auxiliary pair fails its feasibility constraints")
-        check_delta(self.delta, self.base.s)
+        self.delta = min(Fraction(1, 20), Fraction(1, 2) - self.base.s)
         super().__init__(ACCUMULATORS)
         self.theta_mixed_norm: float | None = None
 

@@ -1,9 +1,12 @@
+import dataclasses
+import importlib.util
 import io
 import json
 import math
 import os
 import re
 import signal
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlslab.cli import (
+    DATUM_KINDS,
     ConfigError,
     DiagnosticsRecord,
     RunConfig,
@@ -150,18 +154,20 @@ class TestParseConfig:
         ({"lam": True}, "physics.lam"),
         ({"lam": 2}, "physics.lam"),
         ({"alpha": True}, "physics.alpha"),
-        ({"guard_tol": -1}, "guard_tol"),
-        ({"guard_tol": float("inf")}, "guard_tol"),
+        # not settings: guard_tol is a constant, delta is derived, and
+        # plane_wave is not a datum kind
+        ({"guard_tol": -1}, "unknown config fields:"),
+        ({"guard_tol": float("inf")}, "unknown config fields:"),
         ({"q_list": [1.0]}, "q_list"),
         ({"q_list": []}, "q_list"),
         ({"q_list": [4.0, 4]}, "q_list"),
         ({"q_list": 4.0}, "q_list"),
         ({"q_list": [float("nan")]}, "q_list"),
-        ({"guard_tol": 0}, "guard_tol"),
+        ({"guard_tol": 0}, "unknown config fields:"),
         ({"theta_resolution": "0"}, "theta_resolution"),
         ({"datum": {"kind": "file"}}, "datum.path"),
         ({"datum": "gaussian"}, "datum"),
-        ({"delta": "0"}, "delta"),
+        ({"delta": "0"}, "unknown config fields:"),
         ({"epsilon": 0.01}, "epsilon"),
         ({"output_dir": ""}, "output_dir"),
         # the physics rules come from PhysicsParams and ProblemParams
@@ -179,11 +185,10 @@ class TestParseConfig:
         # its float image overflows
         ({"alpha": "1" + "0" * 400}, "physics.alpha"),
         # rules whose owner runs after the parse: max_feasible_theta's theta
-        # grid, SpacetimeAccumulators' 1/2 + delta + s <= 1, and the Cauchy
-        # table's three snapshots on the geometric schedule
+        # grid and the Cauchy table's three snapshots on the geometric schedule
         ({"theta_resolution": "1"}, "theta_resolution"),
         ({"theta_resolution": "3/2"}, "theta_resolution"),
-        ({"delta": "1/2"}, "delta"),
+        ({"delta": "1/2"}, "unknown config fields:"),
         ({"preset": "scattering", "t_end": 1.0}, "control.t_end"),
         ({"preset": "soliton-control", "t_end": 1.0}, "control.t_end"),
         # the third time, 3.4, lies past t_end
@@ -195,9 +200,9 @@ class TestParseConfig:
         ({"datum": {"kind": "gaussian", "y_modulation": True}}, "datum.y_modulation"),
         ({"datum": {"kind": "gaussian", "width": 0}}, "datum.width"),
         ({"datum": {"kind": "soliton", "B": -1}}, "datum.B"),
-        ({"datum": {"kind": "plane_wave", "k": 1.5}}, "datum.k"),
-        ({"datum": {"kind": "plane_wave", "n": "1"}}, "datum.n"),
-        ({"datum": {"kind": "plane_wave", "A": float("inf")}}, "datum.A"),
+        ({"datum": {"kind": "plane_wave", "k": 1.5}}, "datum.kind"),
+        ({"datum": {"kind": "plane_wave", "n": "1"}}, "datum.kind"),
+        ({"datum": {"kind": "plane_wave", "A": float("inf")}}, "datum.kind"),
         ({"datum": {"kind": "file", "path": "x.bin", "width": 1.0}}, "datum.width"),
     ])
     def test_bad_field_named(self, over, field):
@@ -206,22 +211,42 @@ class TestParseConfig:
             parse_config(cfg_text(**over))
 
     def test_accepted_edges(self):
-        cfg = parse_config(cfg_text(q_list=[4, float("inf")], guard_tol=1))
+        cfg = parse_config(cfg_text(q_list=[4, float("inf")]))
         assert cfg.q_list == [4, float("inf")]
         cfg = parse_config(cfg_text(preset="exponents", Nx=100))
         assert cfg.Nx == 100  # grid fields do not constrain the exponents preset
-        # 1/2 + delta + s = 1 exactly (s = 1/10 at d = 1, alpha = 5)
-        parse_config(cfg_text(delta="2/5"))
-        # delta is read only in the scattering regime (alpha > 4/d)
-        parse_config(cfg_text(d=2, alpha="3/2", delta="1"))
         # three snapshots on the schedule: t = 2, 2.6, 3.4 at a sample interval of 0.2
         parse_config(cfg_text(preset="scattering", t_end=3.4))
+
+    def test_guard_tol_is_fixed(self):
+        # a constant of RunConfig, not a field: evolve's callers read it
+        cfg = parse_config(cfg_text())
+        assert cfg.guard_tol == 1e-3
+        assert "guard_tol" not in cfg.to_dict()
 
     @pytest.mark.parametrize("preset", ["decay", "morawetz", "soliton-control",
                                         "scattering", "exponents"])
     def test_preset_defaults_parse(self, preset):
         cfg = parse_config(cfg_text(preset=preset))
         assert parse_config(emit_config(cfg)) == cfg
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_readme_config_reference():
+    # README.md's config reference names every RunConfig field in a table row
+    # and every datum kind with each of its fields and their defaults
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        rows = [line for line in fh if line.startswith("| `")]
+    for f in dataclasses.fields(RunConfig):
+        assert any(row.startswith(f"| `{f.name}` |") for row in rows), f.name
+    for kind, fields in DATUM_KINDS.items():
+        row = next((r for r in rows if r.startswith(f"| `{kind}` |")), None)
+        assert row is not None, kind
+        for key, default in fields.items():
+            shown = "none" if default is None else repr(default)
+            assert f"`{key}` ({shown}" in row, (kind, key)
 
 
 def _not_a_fraction(text):
@@ -273,9 +298,6 @@ _BAD_VALUES = {
     "epsilon": ("epsilon", st.one_of(st.none(), _NOT_RATIONAL, _NOT_POSITIVE)),
     "theta_resolution": ("theta_resolution",
                          st.one_of(st.none(), _NOT_RATIONAL, _NOT_POSITIVE)),
-    "delta": ("delta", st.one_of(st.none(), _NOT_RATIONAL, _NOT_POSITIVE)),
-    "guard_tol": ("guard_tol", st.one_of(
-        _NOT_NUMBER, st.floats(max_value=0), st.floats(min_value=1, exclude_min=True))),
     "output_dir": ("output_dir", st.one_of(st.none(), st.booleans(), st.integers(),
                                            st.lists(st.text()), st.just(""))),
 }
@@ -315,13 +337,6 @@ class TestBuildDatum:
         expect = 1.0 * np.exp(-(x / 0.65) ** 2)
         assert np.abs(f.samples()[:, 0] - expect).max() < 1e-12
 
-    def test_plane_wave(self):
-        cfg = parse_config(cfg_text(
-            grid={"Nx": 64, "Ny": 4, "L": 20.0},
-            datum={"kind": "plane_wave", "k": 2, "n": 1, "A": 0.5}))
-        f = build_datum(cfg)
-        assert np.abs(np.abs(f.samples()) - 0.5).max() < 1e-12
-
     def test_soliton(self):
         cfg = parse_config(cfg_text(preset="soliton-control",
                                     datum={"kind": "soliton", "B": 1.5}))
@@ -352,6 +367,24 @@ class TestBuildDatum:
             build_datum(parse_config(cfg_text(datum=body)))
         cfg = parse_config(cfg_text(datum=body, grid={"L": 40.0, "Nx": 64, "Ny": 4}))
         assert build_datum(cfg).grid == small
+
+    def test_spec_resolved_once(self, tmp_path, monkeypatch):
+        # the parse fills in the datum's defaults; build_datum and the
+        # manifest read that spec
+        from nlslab import cli
+        calls = []
+        spec = cli._datum_spec
+        monkeypatch.setattr(cli, "_datum_spec", lambda d: calls.append(d) or spec(d))
+        cfg = parse_config(cfg_text(grid={"Nx": 128, "Ny": 4, "L": 40.0},
+                                    control={"dt": 0.01, "t_end": 0.02,
+                                             "sample_every": 1},
+                                    datum={"kind": "gaussian", "amplitude": 0.5},
+                                    output_dir=str(tmp_path)))
+        run_preset(cfg)
+        assert len(calls) == 1
+        manifest = json.load(open(tmp_path / "manifest.json"))
+        assert manifest["config"]["datum"] == {
+            "kind": "gaussian", "amplitude": 0.5, "width": 1.0, "y_modulation": 0.0}
 
     def test_datum_defaults(self):
         # a kind's fields left out take the defaults of DATUM_KINDS
@@ -439,6 +472,22 @@ class TestRecords:
         assert rows[0]["mass"] == math.pi          # 17 digits round-trip
         assert rows[0]["energy"] == 1 / 3
         assert rows[0]["boundary_guard_flag"] is True
+
+    def test_close_q_values_get_their_own_columns(self):
+        q_list = [4, 4.000001]
+        rec = make_record(0.1, lq_norms={4: 0.5, 4.000001: 0.25})
+        buf = io.StringIO()
+        emit_records([rec], buf, q_list)
+        buf.seek(0)
+        rows = read_records(buf)
+        assert len(rows[0]) == 18
+        assert rows[0]["lq_4"] == 0.5
+        assert rows[0]["lq_4.0000010000000001"] == 0.25  # 17 significant digits
+
+    def test_preset_q_columns_keep_their_names(self):
+        from nlslab.cli import _columns
+        names = [name for name, _ in _columns([4.0, 6.0, float("inf"), 10 / 3])]
+        assert names[4:8] == ["lq_4", "lq_6", "lq_inf", "lq_3.3333333333333335"]
 
     def test_partial_file_marker(self):
         bad = make_record(0.0, lq_norms={})  # missing q column
@@ -565,6 +614,25 @@ class TestRunPreset:
             run_preset(cfg)
         assert (out1 / "records.csv").read_bytes() == \
             (out2 / "records.csv").read_bytes()
+
+    @pytest.mark.parametrize("preset, checks", [
+        ("scattering", {"cauchy_strictly_decreasing": False,
+                        "cauchy_terminal_small": False,
+                        "accumulators_saturated": True}),
+        ("soliton-control", {"no_decay": False, "no_scattering": True}),
+    ])
+    def test_zero_datum_gets_a_verdict(self, tmp_path, preset, checks):
+        # every L^q value is 0: the decay ratio is 0.0 and no_decay fails
+        cfg = parse_config(cfg_text(
+            preset=preset, grid={"Nx": 128, "Ny": 4, "L": 40.0},
+            control={"dt": 0.01, "t_end": 1.0, "sample_every": 2},
+            datum={"kind": "gaussian", "amplitude": 0}, output_dir=str(tmp_path)))
+        assert run_preset(cfg) == 1
+        manifest = json.load(open(tmp_path / "manifest.json"))
+        assert manifest["aborted"] is False
+        assert manifest["checks"] == checks
+        report = json.load(open(tmp_path / "scatter_report.json"))
+        assert report["decay"]["4.0"]["ratio_last_to_max"] == 0.0
 
     def test_soliton_control_small(self, tmp_path):
         cfg = parse_config(cfg_text(
@@ -764,8 +832,9 @@ class TestChecksFailClosed:
         w = np.exp(-np.array(times))
         sat = {"u_lp": 1e-9}
         C = np.abs(w[:, None] - w[None, :])
-        # one difference alone is never below 0.2 times itself
-        good = set() if len(times) == 6 else {"cauchy_terminal_small"}
+        # one difference alone is neither a decrease nor below 0.2 times itself
+        good = set() if len(times) == 6 else \
+            {"cauchy_strictly_decreasing", "cauchy_terminal_small"}
         assert failed(_scattering_checks(cauchy_report(times, C, sat))) == good
         assert cauchy_report(times, C).flags["cauchy_tail_decreasing"] is True
         for bad in NONFINITE:
@@ -864,6 +933,23 @@ class TestMain:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("over, message", [
+        ({"guard_tol": 1e-3}, "unknown config fields: ['guard_tol']"),
+        ({"delta": "1/20"}, "unknown config fields: ['delta']"),
+        ({"datum": {"kind": "plane_wave"}},
+         "datum.kind = 'plane_wave': unknown datum kind"),
+    ], ids=["guard_tol", "delta", "plane_wave"])
+    def test_removed_settings_exit_2(self, tmp_path, capsys, over, message):
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(cfg_text(output_dir=str(tmp_path / "out"), **over))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cpath)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"nlslab: error: {message}"
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--config", str(tmp_path / "none.json")])
@@ -886,10 +972,46 @@ class TestRecordBuilder:
         fld = build_datum(cfg)
         builder = RecordBuilder(cfg)
         builder(fld, False)
-        # the theta tuple keeps the base tuple's r
+        # the theta tuple keeps the base tuple's r; delta = 1/20 at s = 1/10
         base, _ = critical_tuple(ProblemParams(1, Fraction(5)))
-        expect = mixed_norm(fld, float(base.r), 0.5 + float(Fraction(cfg.delta)))
+        expect = mixed_norm(fld, float(base.r), 0.5 + float(Fraction(1, 20)))
         assert builder.records[-1].mixed_norm_theta == expect
+
+    def test_theta_regularity_derived_near_the_energy_critical_power(self, tmp_path):
+        # d = 2, alpha = 15/4: s = 7/15, so delta = 1/2 - s = 1/30, where
+        # 1/20 would put 1/2 + delta + s above 1
+        from nlslab.cli import RecordBuilder
+        from nlslab.exponents import ProblemParams, critical_tuple
+        from nlslab.field import mixed_norm
+        cfg = parse_config(json.dumps({
+            "preset": "morawetz", "d": 2, "alpha": "15/4",
+            "grid": {"Nx": 32, "Ny": 4, "L": 16.0},
+            "control": {"dt": 0.01, "t_end": 0.02, "sample_every": 1},
+            "output_dir": str(tmp_path)}))
+        fld = build_datum(cfg)
+        builder = RecordBuilder(cfg)
+        assert builder.accumulators.delta == Fraction(1, 30)
+        builder(fld, False)
+        base, _ = critical_tuple(ProblemParams(2, Fraction(15, 4)))
+        expect = mixed_norm(fld, float(base.r), 0.5 + float(Fraction(1, 30)))
+        assert builder.records[-1].mixed_norm_theta == expect
+        run_preset(cfg)
+        manifest = json.load(open(tmp_path / "manifest.json"))
+        assert manifest["aborted"] is False
+        assert manifest["checks"]["morawetz_inequality"] is True
+
+    def test_delta_on_presets_and_workloads(self, monkeypatch):
+        from nlslab.cli import RecordBuilder
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+        spec.loader.exec_module(workloads)
+        configs = [{"preset": p} for p in ("decay", "morawetz", "scattering")]
+        configs += [w.config for w in workloads.WORKLOADS.values()]
+        for config in configs:
+            acc = RecordBuilder(parse_config(json.dumps(config))).accumulators
+            assert acc.delta == Fraction(1, 20), config
 
     def test_keeps_only_the_cauchy_schedule(self):
         from nlslab.cli import RecordBuilder

@@ -22,6 +22,7 @@ from nlslab.scattering import (
     geometric_sample_times,
     make_scatter_report,
     pullback,
+    strictly_decreasing,
 )
 
 
@@ -155,6 +156,25 @@ class TestDecaySeries:
         with pytest.raises(ValueError, match="2 values for 3 times"):
             decay_series([0.5, 1.0, 2.0], 1, {4.0: [2.0, 1.0]})
 
+    def test_zero_series_ratio(self):
+        # a series that is 0 throughout (a zero datum) has ratio 0.0, as a
+        # saturation with a peak of 0 does
+        ds = decay_series([0.5, 1.0, 2.0], 1, {4.0: [0.0, 0.0, 0.0]})
+        assert ds[4.0].ratio_last_to_max == 0.0
+        assert ds[4.0].monotone_tail
+
+
+class TestStrictlyDecreasing:
+    @pytest.mark.parametrize("values, expect", [
+        ([], False),
+        ([1.0], False),  # one value shows no decrease, as settled_tail rules
+        ([2.0, 1.0], True),
+        ([2.0, 2.0], False),
+        ([3.0, 2.0, float("nan")], False),
+    ])
+    def test_needs_two_values(self, values, expect):
+        assert strictly_decreasing(values) is expect
+
 
 def feed(acc, t, f):
     """One accumulator update with the sample's density pass."""
@@ -280,12 +300,27 @@ class TestSpacetimeAccumulators:
         assert norm > 0.0
         assert acc.totals["grad_lp"] == pytest.approx(0.1 * norm ** ell, rel=1e-12)
 
-    def test_delta_constraint_enforced(self, tuples):
-        params, base, theta, aux = tuples
-        with pytest.raises(ValueError):
-            SpacetimeAccumulators(params, base, theta, aux, delta=F(1, 2))
-        with pytest.raises(ValueError):
-            SpacetimeAccumulators(params, base, theta, aux, delta=F(0))
+    def test_delta_constraint_enforced(self):
+        # the theta norm's y-regularity 1/2 + delta comes from the base tuple's
+        # s = d/2 - 2/alpha: delta > 0 and 1/2 + delta + s <= 1 by construction
+        from nlslab.exponents import max_feasible_theta
+        for d, alpha, delta in [
+            (1, F(5), F(1, 20)),
+            (1, F(9, 2), F(1, 20)),
+            (2, F(3), F(1, 20)),
+            (2, F(40, 11), F(1, 20)),  # s = 9/20: 1/2 + delta + s = 1 exactly
+            (2, F(15, 4), F(1, 30)),   # s = 7/15
+            (2, F(39, 10), F(1, 78)),  # s = 19/39, near the energy-critical 4
+        ]:
+            params = ProblemParams(d, alpha)
+            base, _ = critical_tuple(params)
+            theta, _ = theta_tuple(base, params,
+                                   max_feasible_theta(base, params, F(1, 100)))
+            aux, _ = auxiliary_pair(params, base, "equality")
+            acc = SpacetimeAccumulators(params, base, theta, aux)
+            assert base.s == F(d, 2) - 2 / alpha
+            assert acc.delta == delta, (d, alpha)
+            assert acc.delta > 0 and F(1, 2) + acc.delta + base.s <= 1
 
     def test_infeasible_tuple_rejected(self, tuples):
         params, base, _, aux = tuples
