@@ -5,9 +5,9 @@ Rational quantities (alpha, exponent overrides) travel as "p/q" strings so
 the exponent machinery receives exact values while the integrator uses the
 float image; both appear in the manifest.
 
-The parse checks every field and the rules of code that runs later (the
-theta grid step, the Cauchy schedule's three snapshots), each by calling its
-owner.  It resolves the datum section once, against DATUM_KINDS: cfg.datum
+The parse checks every field, a file datum's header against the config,
+and the rules of code that runs later (the theta grid step, the Cauchy
+schedule's three snapshots), each by calling its owner.  It resolves the datum section once, against DATUM_KINDS: cfg.datum
 then holds the kind with every field filled in, which build_datum reads and
 the manifest records.  The boundary guard's tolerance is the constant
 RunConfig.guard_tol, and the theta norm's delta is derived from the critical
@@ -66,6 +66,7 @@ from .field import (
     lebesgue_norm,
     load_field,
     mixed_norm,  # not called here; perfbench/tracing.py wraps cli.mixed_norm
+    snapshot_header,
     sobolev_h1,  # not called here; perfbench/tracing.py wraps cli.sobolev_h1
     y_independent,
 )
@@ -230,10 +231,15 @@ def _check_types(cfg: RunConfig) -> None:
            "must be an integer")
     _check(isinstance(cfg.datum, dict), "datum", cfg.datum, "must be an object")
     q_list = cfg.q_list
-    _check(isinstance(q_list, list) and len(q_list) > 0
-           and all(type(q) in (int, float) and q > 2 for q in q_list)
-           and len(set(q_list)) == len(q_list), "q_list", q_list,
-           "must be a non-empty list of distinct numbers q > 2 (inf allowed)")
+    numbers = isinstance(q_list, list) and all(type(q) in (int, float) for q in q_list)
+    try:  # the run and the column names use each q's float image
+        images = [float(q) for q in q_list] if numbers else []
+    except OverflowError:  # an integer beyond the float range
+        images = []
+    _check(len(images) > 0 and all(q > 2 for q in images)
+           and len(set(images)) == len(images), "q_list", q_list,
+           "must be a non-empty list of numbers q > 2 (inf allowed) whose "
+           "float images do not overflow and are distinct")
     if cfg.r is not None:
         _check(_rational("r", cfg.r) > 0, "r", cfg.r, "must be positive")
     _check(_rational("epsilon", cfg.epsilon) > 0, "epsilon", cfg.epsilon,
@@ -285,10 +291,13 @@ def _cauchy_schedule(cfg: RunConfig) -> List[float]:
 
 def _check_run(cfg: RunConfig) -> None:
     """Grid, step, datum and Cauchy schedule checks for the presets that run
-    dynamics; cfg.datum becomes the resolved datum spec."""
+    dynamics; cfg.datum becomes the resolved datum spec.  A file datum's
+    header is read and checked here; build_datum checks the file again."""
     _defer("grid.", cfg.grid)
     _defer("control.", lambda: cfg.control().n_steps)
     cfg.datum = _datum_spec(cfg.datum)
+    if cfg.datum["kind"] == "file":
+        _datum_file(cfg.datum["path"], cfg.grid(), snapshot_header)
     if cfg.preset in ("soliton-control", "scattering"):
         _defer(f"control.t_end = {cfg.t_end!r}: the Cauchy table's geometric "
                "schedule ends too early: ",
@@ -480,18 +489,27 @@ def build_datum(cfg: RunConfig) -> SpectralField:
             * (1 + mod * np.cos(y)))
     if kind == "soliton":
         return soliton_profile(g, spec["B"])
+    return _datum_file(spec["path"], g, load_field)
+
+
+def _datum_file(path: str, grid: Grid, read: Callable):
+    """read(path), snapshot_header at the parse or load_field at the build.
+
+    The file's faults (an OSError or ValueError of read), a grid other than
+    the config's and a time tag other than 0 are datum.path ConfigErrors.
+    """
     try:
-        fld = load_field(spec["path"])
+        got = read(path)
     except (OSError, ValueError) as e:
         raise ConfigError(f"datum.path: {e}") from None
-    if fld.grid != g:
-        raise ConfigError(f"datum.path: {spec['path']}: grid {fld.grid} does "
-                          f"not match the config's {g}")
-    if fld.time_tag != 0:
+    if got.grid != grid:
+        raise ConfigError(f"datum.path: {path}: grid {got.grid} does "
+                          f"not match the config's {grid}")
+    if got.time_tag != 0:
         # the guard band, the decay windows and the Cauchy schedule start at t = 0
-        raise ConfigError(f"datum.path: {spec['path']}: time tag {fld.time_tag!r} "
+        raise ConfigError(f"datum.path: {path}: time tag {got.time_tag!r} "
                           "is not 0")
-    return fld
+    return got
 
 
 # ---------------------------------------------------------------------------

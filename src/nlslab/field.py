@@ -21,7 +21,7 @@ import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import BinaryIO, Callable, Tuple, Union
+from typing import BinaryIO, Callable, NamedTuple, Tuple, Union
 
 import numpy as np
 from scipy import fft as sfft
@@ -560,18 +560,32 @@ def save_field(fld: SpectralField, fh: Union[str, BinaryIO]) -> None:
     fh.write(np.ascontiguousarray(fld.coefficients, dtype="<c16"))
 
 
-def load_field(fh: Union[str, BinaryIO]) -> SpectralField:
-    """Read a save_field file from a path or a seekable binary stream.
+class SnapshotHeader(NamedTuple):
+    """What a snapshot file's header holds besides the body size."""
 
-    The header, then the body size it implies, are checked before the body
-    is read; a ValueError says what is wrong and names the path, given one.
+    grid: Grid
+    time_tag: float
+
+
+def _from_path(read: Callable, path: str):
+    """read(f) on the file at path, its ValueError prefixed with the path."""
+    with open(path, "rb") as f:
+        try:
+            return read(f)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
+
+
+def snapshot_header(fh: Union[str, BinaryIO]) -> SnapshotHeader:
+    """The grid and time tag of a save_field file, from a path or a seekable
+    binary stream, and the header's checks that load_field makes.
+
+    The header, then the body size it implies, are checked; the body itself
+    is not read, and a stream is left at its start.  A ValueError says what
+    is wrong and names the path, given one.
     """
     if isinstance(fh, str):
-        with open(fh, "rb") as f:
-            try:
-                return load_field(f)
-            except ValueError as e:
-                raise ValueError(f"{fh}: {e}") from None
+        return _from_path(snapshot_header, fh)
     head = fh.read(_HEADER.size)
     if len(head) < _HEADER.size:
         raise ValueError(f"snapshot file of {len(head)} bytes is shorter than "
@@ -592,6 +606,19 @@ def load_field(fh: Union[str, BinaryIO]) -> SpectralField:
         what = "truncated" if left < size else "followed by trailing bytes"
         raise ValueError(f"snapshot body {what}: the header implies {size} bytes, "
                          f"{left} follow it")
+    return SnapshotHeader(grid, time_tag)
+
+
+def load_field(fh: Union[str, BinaryIO]) -> SpectralField:
+    """Read a save_field file from a path or a seekable binary stream.
+
+    snapshot_header checks the header first; a ValueError says what is
+    wrong and names the path, given one.
+    """
+    if isinstance(fh, str):
+        return _from_path(load_field, fh)
+    grid, time_tag = snapshot_header(fh)
+    size = 16 * grid.ntot
     coeff = np.empty(grid.shape, dtype="<c16")
     got = fh.readinto(coeff)
     if got != size:

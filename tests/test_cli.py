@@ -204,6 +204,9 @@ class TestParseConfig:
         ({"datum": {"kind": "plane_wave", "n": "1"}}, "datum.kind"),
         ({"datum": {"kind": "plane_wave", "A": float("inf")}}, "datum.kind"),
         ({"datum": {"kind": "file", "path": "x.bin", "width": 1.0}}, "datum.width"),
+        # q_list's float images: one overflows, two coincide
+        ({"q_list": [4, 10 ** 400]}, "q_list"),
+        ({"q_list": [9007199254740993, 9007199254740992]}, "q_list"),
     ])
     def test_bad_field_named(self, over, field):
         # JSON carries NaN and Infinity as bare words, which json.dumps writes
@@ -344,29 +347,51 @@ class TestBuildDatum:
         assert np.abs(f.samples()).max() == pytest.approx(
             math.sqrt(2) * 1.5, rel=1e-6)
 
-    def test_bad_file_is_a_datum_path_error(self, tmp_path):
+    @staticmethod
+    def file_datum(tmp_path):
+        """A config text with a 64x4 file datum, its path, and the parsed
+        config, the file holding a valid t = 0 snapshot of the config's grid."""
+        from nlslab.field import SpectralField, save_field
         path = tmp_path / "datum.bin"
+        text = cfg_text(datum={"kind": "file", "path": str(path)},
+                        grid={"L": 40.0, "Nx": 64, "Ny": 4})
+        grid = parse_config(cfg_text(grid={"L": 40.0, "Nx": 64, "Ny": 4})).grid()
+        save_field(SpectralField(grid, np.ones(grid.shape, complex)), str(path))
+        return text, path, parse_config(text)
+
+    @staticmethod
+    def both_reject(text, cfg, message):
+        # the parse reads the file's header, and build_datum checks the file
+        # again as the run finds it
+        for step in (lambda: parse_config(text), lambda: build_datum(cfg)):
+            with pytest.raises(ConfigError, match=message):
+                step()
+
+    def test_bad_file_is_a_datum_path_error(self, tmp_path):
+        text, path, cfg = self.file_datum(tmp_path)
         path.write_bytes(b"\0" * 20)
-        cfg = parse_config(cfg_text(datum={"kind": "file", "path": str(path)}))
-        with pytest.raises(ConfigError, match=f"^datum.path: {re.escape(str(path))}: "
-                                              ".*shorter than its 36-byte header"):
-            build_datum(cfg)
-        cfg = parse_config(cfg_text(datum={"kind": "file",
-                                           "path": str(tmp_path / "missing.bin")}))
-        with pytest.raises(ConfigError, match="^datum.path: .*No such file"):
-            build_datum(cfg)
+        self.both_reject(text, cfg, f"^datum.path: {re.escape(str(path))}: "
+                                    ".*shorter than its 36-byte header")
+        path.unlink()
+        self.both_reject(text, cfg, "^datum.path: .*No such file")
 
     def test_file_grid_must_match_the_config(self, tmp_path):
         from nlslab.field import Grid, SpectralField, save_field
-        path = tmp_path / "datum.bin"
-        body = {"kind": "file", "path": str(path)}
-        small = Grid(1, 40.0, 64, 4)
+        text, path, cfg = self.file_datum(tmp_path)
+        assert build_datum(cfg).grid == cfg.grid()
+        small = Grid(1, 40.0, 32, 4)
         save_field(SpectralField(small, np.ones(small.shape)), str(path))
-        with pytest.raises(ConfigError, match=f"^datum.path: {re.escape(str(path))}: "
-                                              "grid .* does not match the config's"):
-            build_datum(parse_config(cfg_text(datum=body)))
-        cfg = parse_config(cfg_text(datum=body, grid={"L": 40.0, "Nx": 64, "Ny": 4}))
-        assert build_datum(cfg).grid == small
+        self.both_reject(text, cfg, f"^datum.path: {re.escape(str(path))}: "
+                                    "grid .* does not match the config's")
+        with pytest.raises(ConfigError, match="does not match the config's"):
+            parse_config(cfg_text(datum={"kind": "file", "path": str(path)}))
+
+    def test_bad_body_fails_at_parse(self, tmp_path):
+        # the header implies the body size, which the parse checks unread
+        text, path, cfg = self.file_datum(tmp_path)
+        path.write_bytes(path.read_bytes()[:-16])
+        self.both_reject(text, cfg, "^datum.path: .*snapshot body truncated: the "
+                                    "header implies 4096 bytes, 4080 follow it")
 
     def test_spec_resolved_once(self, tmp_path, monkeypatch):
         # the parse fills in the datum's defaults; build_datum and the
@@ -395,16 +420,13 @@ class TestBuildDatum:
 
     def test_file_time_tag_must_be_zero(self, tmp_path):
         from nlslab.field import SpectralField, save_field
-        path = tmp_path / "datum.bin"
-        cfg = parse_config(cfg_text(datum={"kind": "file", "path": str(path)},
-                                    grid={"L": 40.0, "Nx": 64, "Ny": 4}))
+        text, path, cfg = self.file_datum(tmp_path)
         c = np.ones(cfg.grid().shape, complex)
         save_field(SpectralField(cfg.grid(), c, 0.3), str(path))
-        with pytest.raises(ConfigError, match=f"^datum.path: {re.escape(str(path))}: "
-                                              "time tag 0.3 is not 0"):
-            build_datum(cfg)
+        self.both_reject(text, cfg, f"^datum.path: {re.escape(str(path))}: "
+                                    "time tag 0.3 is not 0")
         save_field(SpectralField(cfg.grid(), c, 0.0), str(path))
-        assert build_datum(cfg).time_tag == 0.0
+        assert build_datum(parse_config(text)).time_tag == 0.0
 
 
 class TestRecordBuilderColumns:
@@ -950,6 +972,24 @@ class TestMain:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("q_list", [[4, 10 ** 400],
+                                        [9007199254740993, 9007199254740992]],
+                             ids=["overflow", "same-float"])
+    def test_q_list_float_images_exit_2(self, tmp_path, capsys, q_list):
+        # each q runs as its float image, which must exist and be its own
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(cfg_text(output_dir=str(tmp_path / "out"), q_list=q_list,
+                                  grid={"Nx": 128, "Ny": 4, "L": 40.0},
+                                  control={"dt": 0.01, "t_end": 0.02}))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cpath)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(f"nlslab: error: q_list = {q_list!r}: ")
+        assert "float images do not overflow and are distinct" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--config", str(tmp_path / "none.json")])
@@ -1183,6 +1223,57 @@ class TestAbortedRun:
         assert manifest["error"] == "SIGTERM"
         assert manifest["records_written"] == 2
         assert manifest["exit_status"] == 143
+
+    def test_sigterm_while_the_kick_is_split(self, tmp_path):
+        # a subprocess run on a 4096 x 16 grid, whose kick runs in row blocks
+        # on the kick's thread pool, stopped by SIGTERM while it steps
+        import subprocess
+        import time
+        import nlslab
+        out = tmp_path / "out"
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(cfg_text(
+            grid={"Nx": 4096, "Ny": 16, "L": 400.0},
+            control={"dt": 1e-3, "t_end": 30.0, "sample_every": 10},
+            datum={"kind": "gaussian", "y_modulation": 0.3}, output_dir=str(out)))
+        script = tmp_path / "run.py"
+        script.write_text(
+            "import atexit, sys\n"
+            "from nlslab import cli, integrator\n"
+            "split, calls = integrator._split_kick, []\n"
+            "def counted(*args):\n"
+            "    calls.append(args[-1])\n"
+            "    return split(*args)\n"
+            "integrator._split_kick = counted\n"
+            "atexit.register(lambda: print(f'split kicks: {len(calls)}', file=sys.stderr))\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+        env = dict(os.environ)
+        env.pop("NLSLAB_THREADS", None)
+        src = os.path.dirname(os.path.dirname(nlslab.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen([sys.executable, str(script), "run", "--config", str(cpath)],
+                                env=env, stderr=subprocess.PIPE, text=True)
+        try:
+            deadline = time.monotonic() + 60.0
+            while not out.exists() and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.05)
+            time.sleep(1.5)  # run_preset makes the directory just before evolve
+            assert proc.poll() is None
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 143
+        assert "aborted by SIGTERM" in err and "Traceback" not in err
+        kicks = int(re.search(r"split kicks: (\d+)", err).group(1))
+        assert (kicks > 0) == ((os.cpu_count() or 1) > 1)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["aborted"] is True and manifest["error"] == "SIGTERM"
+        assert manifest["exit_status"] == 143 and manifest["y_independent"] is False
+        lines = (out / "records.csv").read_text().splitlines()
+        assert manifest["records_written"] >= 1
+        assert len(lines) == manifest["records_written"] + 2  # header and marker
+        assert lines[-1] == "# PARTIAL FILE: run aborted"
 
     @pytest.mark.parametrize("preset, name", [("decay", "_decay_checks"),
                                               ("scattering", "make_scatter_report")])

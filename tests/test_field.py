@@ -26,6 +26,7 @@ from nlslab.field import (
     mixed_norm,
     nonlinear_power,
     save_field,
+    snapshot_header,
     sobolev_h1,
     y_independent,
 )
@@ -603,11 +604,21 @@ class TestSnapshotIO:
         path = str(tmp_path / "snap.bin")
         with open(path, "wb") as fh:
             fh.write(damage(buf.getvalue()))
-        with pytest.raises(ValueError, match=f"^{re.escape(path)}: .*{re.escape(message)}"):
-            load_field(path)
-        with open(path, "rb") as fh, pytest.raises(ValueError) as exc:
-            load_field(fh)
-        assert message in str(exc.value) and path not in str(exc.value)
+        for read in (load_field, snapshot_header):  # the header alone finds each
+            with pytest.raises(ValueError, match=f"^{re.escape(path)}: .*{re.escape(message)}"):
+                read(path)
+            with open(path, "rb") as fh, pytest.raises(ValueError) as exc:
+                read(fh)
+            assert message in str(exc.value) and path not in str(exc.value)
+
+    def test_header_alone(self, g2, tmp_path):
+        f = SpectralField(g2, random_field(g2, 31).coefficients, 0.25)
+        path = str(tmp_path / "snap.bin")
+        save_field(f, path)
+        assert snapshot_header(path) == (g2, 0.25)
+        with open(path, "rb") as fh:
+            assert snapshot_header(fh).grid == g2
+            assert fh.tell() == 36  # at the body, unread
 
     def test_short_read_rejected(self, g1):
         class ShortRead(io.BytesIO):
@@ -681,3 +692,22 @@ class TestFftWorkers:
         integrator.evolve(f, physics, integrator.StepControl(1e-3, 1e-3))
         integrator.evolve(f, physics, integrator.StepControl(1e-3, 2e-3))
         assert len(seen) > 10 and set(seen) == {1}
+
+    def test_one_thread_creates_no_kick_pool(self, monkeypatch):
+        # the same value sets the kick's thread count: a state large enough
+        # to split is kicked on the calling thread alone
+        import os
+        from nlslab import field, integrator
+        monkeypatch.setattr(integrator, "_kick_pools", {})
+        monkeypatch.setenv("NLSLAB_THREADS", "1")
+        g = field.Grid(1, 400.0, 4096, 16)
+        assert g.ntot >= integrator.KICK_SPLIT_MIN
+        f = field.from_profile(g, lambda x, y: np.exp(-x ** 2) * (1 + 0.2 * np.cos(y)))
+        integrator.evolve(f, integrator.PhysicsParams(3.0, 1),
+                          integrator.StepControl(1e-3, 3e-3))
+        assert integrator._kick_pools == {}
+        monkeypatch.delenv("NLSLAB_THREADS")
+        integrator.evolve(f, integrator.PhysicsParams(3.0, 1),
+                          integrator.StepControl(1e-3, 3e-3))
+        threads = os.cpu_count() or 1
+        assert list(integrator._kick_pools) == ([threads] if threads > 1 else [])

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -509,3 +510,152 @@ class TestYIndependentRuns:
         evolve(f, PhysicsParams(3.0, 1), StepControl(dt=1e-3, t_end=5e-3, sample_every=2))
         assert np.array_equal(f.samples(), samples)
         assert np.array_equal(f.coefficients, coefficients)
+
+
+def _spread_state(shape, seed):
+    """A seeded state with |u| of order one at every entry."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _spy_split(monkeypatch):
+    """Record the thread count of every split kick."""
+    from nlslab import integrator
+    split, counts = integrator._split_kick, []
+
+    def spy(v, power, angle, threads):
+        counts.append(threads)
+        return split(v, power, angle, threads)
+    monkeypatch.setattr(integrator, "_split_kick", spy)
+    return counts
+
+
+def _snapshot_bytes(initial, physics, control):
+    seen = []
+    evolve(initial, physics, control, sinks=[
+        lambda fld, flag: seen.append((fld.time_tag, fld.samples().tobytes(),
+                                       fld.coefficients.tobytes()))])
+    return seen
+
+
+class TestThreadedKick:
+    """The kick split over row blocks is bitwise the one-thread kick.
+
+    That is a property of numpy's elementwise loops on the build at hand
+    (their SIMD bodies and tails must agree), not a law; these tests guard it.
+    """
+
+    @pytest.mark.parametrize("shape, threads", [
+        ((16384, 16), 2),       # the scattering grid
+        ((64, 64, 16), 3),      # d = 2: edges at rows 21 and 42
+        ((2 * 16385, 3), 2),    # edge at row 16385, entry 49155: odd
+        ((3 * 7919, 5), 3),     # edges at entries 39595 and 79190
+    ])
+    @pytest.mark.parametrize("alpha, lam", [(5.0, 1), (4.0 / 3.0, -1)])
+    def test_split_equals_one_thread(self, monkeypatch, shape, threads, alpha, lam):
+        from nlslab import integrator
+        v = _spread_state(shape, 7)
+        assert v.size >= integrator.KICK_SPLIT_MIN
+        physics = PhysicsParams(alpha, lam)
+        monkeypatch.setenv("NLSLAB_THREADS", "1")
+        one = integrator._nonlinear_kick(v.copy(), physics, 0.37)
+        monkeypatch.setattr(integrator, "_kick_threads", lambda: threads)
+        counts = _spy_split(monkeypatch)
+        split = integrator._nonlinear_kick(v.copy(), physics, 0.37)
+        assert counts == [threads]
+        assert split.tobytes() == one.tobytes()
+
+    def test_small_state_stays_on_one_thread(self, monkeypatch):
+        from nlslab import integrator
+        monkeypatch.setattr(integrator, "_kick_threads", lambda: 2)
+        counts = _spy_split(monkeypatch)
+        v = _spread_state((integrator.KICK_SPLIT_MIN // 16 - 1, 16), 8)
+        integrator._nonlinear_kick(v, PhysicsParams(5.0, 1), 0.1)
+        assert counts == []
+
+    @pytest.mark.parametrize("threads", [None, 3], ids=["all-cores", "3-threads"])
+    @pytest.mark.parametrize("grid, alpha", [
+        (Grid(1, 1024.0, 16384, 16), 5.0),   # the scattering preset's grid
+        (Grid(2, 16.0, 64, 16), 3.0),
+    ], ids=["scattering-grid", "d2"])
+    def test_runs_equal_the_one_thread_run(self, monkeypatch, grid, alpha, threads):
+        # NLSLAB_THREADS unset against 1; three threads put the block edges
+        # at odd rows (5461 of 16384, 21 of 64).  The scattering datum shape,
+        # y_modulation 0.3: after a step every entry is nonzero
+        from nlslab import integrator
+        if threads is None and (os.cpu_count() or 1) < 2:
+            pytest.skip("one core: no kick is split")
+        if grid.d == 1:
+            f = from_profile(grid, lambda x, y: 0.6 * np.exp(-(x / 0.8) ** 2)
+                             * (1 + 0.3 * np.cos(y)))
+        else:
+            f = from_profile(grid, lambda x1, x2, y: 0.8 * np.exp(
+                -(x1 ** 2 + x2 ** 2) / 1.5 ** 2) * (1 + 0.3 * np.cos(y)))
+        physics, control = PhysicsParams(alpha, 1), StepControl(2e-3, 8e-3, 3)
+        monkeypatch.setenv("NLSLAB_THREADS", "1")
+        one = _snapshot_bytes(f, physics, control)
+        monkeypatch.delenv("NLSLAB_THREADS")
+        if threads is not None:
+            monkeypatch.setattr(integrator, "_kick_threads", lambda: threads)
+        counts = _spy_split(monkeypatch)
+        threaded = _snapshot_bytes(f, physics, control)
+        # chunks of 3 steps and 1 step, each with n + 1 kicks
+        assert counts == [threads or os.cpu_count()] * 6
+        assert len(threaded) == 3 and threaded == one
+
+    def test_column_run_stays_on_one_thread(self, monkeypatch):
+        # decay-1d's grid: a y-independent datum steps a 4096 x 1 column
+        from nlslab import integrator
+        grid = Grid(1, 200.0, 4096, 32)
+        f = from_profile(grid, _x_profile_1d)
+        physics, control = PhysicsParams(5.0, 1), StepControl(1e-3, 6e-3, 3)
+        monkeypatch.setenv("NLSLAB_THREADS", "1")
+        one = _snapshot_bytes(f, physics, control)
+        monkeypatch.setattr(integrator, "_kick_threads", lambda: 2)
+        monkeypatch.delenv("NLSLAB_THREADS")
+        counts = _spy_split(monkeypatch)
+        assert _snapshot_bytes(f, physics, control) == one
+        assert counts == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+    def test_forked_child_kicks_on_its_own_pool(self):
+        # a child forked after a split kick has none of the pool's threads; a
+        # split kick there must not wait on them
+        import time
+        from nlslab import integrator
+        v = _spread_state((8192, 16), 9)
+        integrator._split_kick(v, 2.5, 0.1, 2)
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child
+            status = 1
+            try:
+                integrator._split_kick(v, 2.5, 0.1, 2)
+                status = 0
+            finally:
+                os._exit(status)
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.05)
+        else:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the child's split kick did not return")
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_blowup_under_errstate(self, monkeypatch):
+        # the workers run under the caller's np.errstate: overflow in a block
+        # stays silent and the run reports the blow-up at its step
+        from nlslab import integrator
+        import warnings
+        monkeypatch.setattr(integrator, "_kick_threads", lambda: 2)
+        counts = _spy_split(monkeypatch)
+        g = Grid(1, 400.0, 4096, 16)
+        f = from_profile(g, lambda x, y: 2.8e61 * np.exp(-x ** 2) * (1 + 0.3 * np.cos(y)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"), pytest.raises(BlowUpError):
+                evolve(f, PhysicsParams(5.0, -1), StepControl(1e-3, 0.1, 50))
+        assert counts and set(counts) == {2}
