@@ -60,6 +60,7 @@ from .exponents import (
 from .field import (
     Grid,
     SpectralField,
+    _carrier,
     abs_sq,
     fft_workers,
     from_profile,
@@ -424,7 +425,8 @@ class RecordBuilder:
                     chain["auxiliary_pair"][0])
 
     def __call__(self, fld: SpectralField, guard_breached: bool) -> None:
-        ms, ds = morawetz_sample(fld, self.physics_params, self._cube)
+        q_list = self.cfg.q_list
+        ms, ds = morawetz_sample(fld, self.physics_params, self._cube, q_list)
         acc_totals = dict.fromkeys(ACCUMULATORS, 0.0)
         theta_norm = 0.0
         if self.accumulators is not None:
@@ -440,7 +442,9 @@ class RecordBuilder:
             mass=mass_value,
             energy=kinetic + potential,
             h1_norm=h1_norm,
-            lq_norms={q: lebesgue_norm(fld, q) for q in self.cfg.q_list},
+            # the density pass's |u|^2 gives every finite q; inf is max |u|
+            lq_norms={q: ds.lq_norms[q] if q in ds.lq_norms else lebesgue_norm(fld, q)
+                      for q in q_list},
             J=ms.J,
             morawetz_lhs=ms.lhs,
             morawetz_rhs=ms.rhs,
@@ -461,14 +465,16 @@ def _quadratic_terms(fld: SpectralField) -> Tuple[float, float, float]:
 
     The oracles are integrator.mass, the kinetic part of integrator.energy
     and field.sobolev_h1; the Laplace symbol |xi|^2 + n^2 is separable, so
-    its weighted sum is taken over the x and y frequencies apart.
+    its weighted sum is taken over the x and y frequencies apart.  A field
+    built from a y column sums its n = 0 column alone (field._carrier): its
+    other coefficients are +0, which add nothing to any of these sums.
     """
     g = fld.grid
-    c2 = abs_sq(fld.coefficients)
+    c2 = abs_sq(_carrier(fld))
     by_x = np.sum(c2, axis=-1)
     mass_value = g.measure * float(np.sum(by_x))
     lap_sum = float(np.sum(g.xi_sq()[..., 0] * by_x)) \
-        + float(np.sum(c2 @ g.n_axis() ** 2))
+        + float(np.sum(c2 @ g.n_axis()[:c2.shape[-1]] ** 2))
     kinetic = 0.5 * g.measure * lap_sum
     return mass_value, kinetic, float(np.sqrt(mass_value + 2.0 * kinetic))
 

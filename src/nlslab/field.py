@@ -12,6 +12,13 @@ All physical-space integrals use the rectangle rule, which is spectrally
 accurate for smooth periodic fields.  The induced Parseval identity is
 
     ||u||_{L^2}^2 = (L^d * 2 pi) * sum |c|^2.
+
+A field that SpectralField.from_samples built from a y column remembers it,
+and a record of it transforms the column alone: the x-gradients of the
+density pass, the y-mode power of the mixed norms (Ny u at n = 0, with no
+transform) and the |c|^2 sums of the record read the n = 0 column
+(_carrier).  Every y sum still runs on full-grid arrays, so such a record is
+the same bits as that of the full-grid field with the same samples.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import BinaryIO, Callable, NamedTuple, Tuple, Union
+from typing import BinaryIO, Callable, Dict, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import fft as sfft
@@ -137,7 +144,7 @@ class Grid:
 class SpectralField:
     """Immutable field snapshot: grid + plane-wave coefficient array + time tag."""
 
-    __slots__ = ("grid", "coefficients", "time_tag", "_samples", "_windows")
+    __slots__ = ("grid", "coefficients", "time_tag", "_samples", "_windows", "_column")
 
     def __init__(self, grid: Grid, coefficients: np.ndarray, time_tag: float = 0.0):
         coefficients = np.asarray(coefficients, dtype=np.complex128)
@@ -150,6 +157,7 @@ class SpectralField:
         self.time_tag = float(time_tag)
         self._samples = None
         self._windows = None  # see _cube_window_sums
+        self._column = False  # built from a y column; see _carrier
 
     def samples(self) -> np.ndarray:
         """Physical-space values on the grid (lazily computed, then cached)."""
@@ -175,6 +183,8 @@ class SpectralField:
         and the samples are the same bits.  Only the signs of zeros can
         differ (a byte comparison sees them): the column form has +0 at every
         n != 0, where the full-grid transform's zeros carry the (-1)^k phase.
+        The field remembers its column, so that the transforms of its record
+        run on the column alone (_carrier).
         """
         samples = np.asarray(samples, dtype=np.complex128)
         column = grid.shape[:-1] + (1,)
@@ -183,17 +193,36 @@ class SpectralField:
                              f"{grid.shape} nor its y column {column}")
         # in place: bitwise the result of fftn(...) / size * x_phase, without
         # its two temporaries
-        axes = [i for i, m in enumerate(samples.shape) if m > 1]
-        c = sfft.fftn(samples, axes=axes, workers=fft_workers())
+        c = sfft.fftn(samples, axes=long_axes(samples), workers=fft_workers())
         c /= samples.size
         c *= grid.x_phase()
-        if samples.shape == column:
-            full = np.zeros(grid.shape, dtype=np.complex128)
-            full[..., :1] = c
-            c, samples = full, np.broadcast_to(samples, grid.shape).copy()
+        is_column = samples.shape == column
+        if is_column:
+            c, samples = _at_n0(c, grid), np.broadcast_to(samples, grid.shape).copy()
         out = cls(grid, c, time_tag)
         out._samples = samples
+        out._column = is_column
         return out
+
+
+def long_axes(a: np.ndarray) -> list:
+    """The axes of a longer than one: a transform over a length-1 axis is the
+    identity, so a y column is transformed over its x axes alone."""
+    return [i for i, m in enumerate(a.shape) if m > 1]
+
+
+def _at_n0(column: np.ndarray, grid: Grid) -> np.ndarray:
+    """A y column of values put at n = 0 of the grid, with +0 at every n != 0."""
+    full = np.zeros(grid.shape, dtype=column.dtype)
+    full[..., :1] = column
+    return full
+
+
+def _carrier(fld: SpectralField) -> np.ndarray:
+    """The coefficients the transforms of a record need: the n = 0 column of
+    a field that from_samples built from a y column, whose other entries are
+    all +0, and every coefficient of any other field."""
+    return fld.coefficients[..., :1] if fld._column else fld.coefficients
 
 
 def from_profile(grid: Grid,
@@ -253,14 +282,25 @@ def lebesgue_norm(fld: SpectralField, q: float) -> float:
         return float(np.abs(fld.samples()).max())
     if q < 1:
         raise ValueError(f"q must be >= 1 or inf, got {q}")
-    s = abs_sq(fld.samples())
-    return float((np.sum(abs_power(s, q)) * fld.grid.weight) ** (1.0 / q))
+    return _lq_from_sq(abs_sq(fld.samples()), q, fld.grid)
 
 
-def _multiplier_norm(fld: SpectralField, w: np.ndarray) -> float:
-    """sqrt(measure * sum w |c|^2): the norm of a Fourier multiplier weight w."""
-    g = fld.grid
-    return float(np.sqrt(g.measure * np.sum(w * np.abs(fld.coefficients) ** 2)))
+def _lq_from_sq(s: np.ndarray, q: float, grid: Grid) -> float:
+    """The finite L^q norm from s = |u|^2 on the grid."""
+    return float((np.sum(abs_power(s, q)) * grid.weight) ** (1.0 / q))
+
+
+def _multiplier_norm(fld: SpectralField, w: np.ndarray,
+                     scratch: np.ndarray | None = None) -> float:
+    """sqrt(measure * sum w |c|^2): the norm of a Fourier multiplier weight w.
+
+    w |c|^2 is formed in scratch, a float array of the grid's shape, when
+    one is given, and in a new array otherwise.
+    """
+    power = np.abs(fld.coefficients, out=scratch)
+    np.square(power, out=power)
+    power *= w
+    return float(np.sqrt(fld.grid.measure * np.sum(power)))
 
 
 def sobolev_h1(fld: SpectralField) -> float:
@@ -282,13 +322,22 @@ def _lr_x(h_sq: np.ndarray, r: float, cell: float) -> float:
 
 
 def _y_mode_power(fld: SpectralField) -> np.ndarray:
-    """2 pi |u_n(x)|^2: the L^2_y mass of each y-mode e^{i n y} at each x grid point."""
+    """2 pi |u_n(x)|^2: the L^2_y mass of each y-mode e^{i n y} at each x grid point.
+
+    The y transform of a constant row is exactly Ny times its value at n = 0
+    and zero elsewhere, so a field built from a y column takes the power of
+    Ny u on the column and puts it at n = 0, with no transform.
+    """
     g = fld.grid
-    uy = sfft.fft(fld.samples(), axis=-1, workers=fft_workers())
+    u = fld.samples()
+    if fld._column:
+        uy = u[..., :1] * g.Ny
+    else:
+        uy = sfft.fft(u, axis=-1, workers=fft_workers())
     power = np.square(uy.real)
     power += np.square(uy.imag, out=uy.real)
     power *= TWO_PI / g.Ny ** 2
-    return power
+    return _at_n0(power, g) if fld._column else power
 
 
 def _mixed_from_power(grid: Grid, power: np.ndarray, r: float, w: np.ndarray
@@ -455,17 +504,24 @@ def localized_gn_check(fld: SpectralField) -> Tuple[float, Tuple[float, float]]:
 # linear flow and densities
 # ---------------------------------------------------------------------------
 
-def _linear_phase(grid: Grid, t: float) -> np.ndarray:
-    """exp(i t (|xi|^2 + n^2)) as a product of per-axis 1-D exponentials."""
+def _linear_phase(grid: Grid, t: float, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(i t (|xi|^2 + n^2)) as a product of per-axis 1-D exponentials,
+    written into out (complex, of the grid's shape) when one is given."""
     phase = np.exp(1j * t * grid.n_grid() ** 2)
-    for xi in grid.xi_grids():
+    *first, last = grid.xi_grids()
+    for xi in first:
         phase = phase * np.exp(1j * t * xi ** 2)
-    return phase
+    return np.multiply(phase, np.exp(1j * t * last ** 2), out=out)
 
 
-def free_evolve(fld: SpectralField, t: float) -> SpectralField:
-    """Exact linear flow of i u_t - Lap u = 0: multiply by exp(+i t (|xi|^2 + n^2))."""
-    phase = _linear_phase(fld.grid, t)
+def free_evolve(fld: SpectralField, t: float,
+                out: np.ndarray | None = None) -> SpectralField:
+    """Exact linear flow of i u_t - Lap u = 0: multiply by exp(+i t (|xi|^2 + n^2)).
+
+    The coefficients of the result are written into out (complex, of the
+    grid's shape) when one is given, and into a new array otherwise.
+    """
+    phase = _linear_phase(fld.grid, t, out)
     c = np.multiply(fld.coefficients, phase, out=phase)
     return SpectralField(fld.grid, c, fld.time_tag + t)
 
@@ -479,6 +535,7 @@ class DensitySet:
     K:        kinetic matrix Re(d_i u conj(d_j u)), shape (d, d) + (Nx,)*d
     nu:       potential density |u|^{alpha+2}, shape (Nx,)*d
     grad_rho: spectral x-gradient of rho, shape (d,) + (Nx,)*d
+    lq_norms: L^q norm of u for each finite q the pass was asked for
     """
 
     rho: np.ndarray
@@ -486,6 +543,7 @@ class DensitySet:
     K: np.ndarray
     nu: np.ndarray
     grad_rho: np.ndarray
+    lq_norms: Dict[float, float]
 
 
 def _x_gradient(grid: Grid, arr: np.ndarray) -> np.ndarray:
@@ -515,23 +573,33 @@ def _gradient_multipliers(grid: Grid) -> Tuple[np.ndarray, ...]:
     return out
 
 
-def densities(fld: SpectralField, alpha: float) -> DensitySet:
+def densities(fld: SpectralField, alpha: float,
+              q_list: Sequence[float] = ()) -> DensitySet:
     """Extract rho, P, K, nu and grad rho by y rectangle-rule integration.
 
-    s = |u|^2 is formed once and gives both rho and nu.  With h_i = -i d_i u,
+    s = |u|^2 is formed once and gives rho, nu and the L^q norm of each
+    finite q in q_list (lebesgue_norm's formula).  With h_i = -i d_i u,
     P_i = Re(conj(u) h_i) and K_ij = Re(h_i conj(h_j)), so each is one real
-    dot over y of the interleaved float views.
+    dot over y of the interleaved float views.  A field built from a y
+    column takes each h_i over the x axes of its n = 0 column (_carrier) and
+    copies it out to the grid: the y sums run on the grid either way, so the
+    densities are the same bits as those of the full-grid transform.
     """
     g = fld.grid
     u = fld.samples()
     s = abs_sq(u)
     rho = np.einsum("...k->...", s) * g.dy
     nu = np.einsum("...k->...", abs_power(s, alpha + 2.0)) * g.dy
+    lq_norms = {q: _lq_from_sq(s, q, g) for q in q_list if q != np.inf}
     del s  # freed before the full-grid gradients are allocated
-    # h_i on the full grid as float views, one array per x axis
-    h = [sfft.ifftn(fld.coefficients * m, overwrite_x=True, norm="forward",
-                    workers=fft_workers()).view(np.float64)
-         for m in _gradient_multipliers(g)]
+    c = _carrier(fld)
+    h = []  # h_i on the full grid as float views, one array per x axis
+    for m in _gradient_multipliers(g):
+        hi = sfft.ifftn(c * m, axes=long_axes(c), overwrite_x=True,
+                        norm="forward", workers=fft_workers())
+        if hi.shape != g.shape:
+            hi = np.broadcast_to(hi, g.shape).copy()
+        h.append(hi.view(np.float64))
     uf = u.view(np.float64)
     P = np.empty((g.d,) + rho.shape)
     K = np.empty((g.d, g.d) + rho.shape)
@@ -540,7 +608,8 @@ def densities(fld: SpectralField, alpha: float) -> DensitySet:
         for j in range(i, g.d):
             K[i, j] = np.einsum("...k,...k->...", h[i], h[j]) * g.dy
             K[j, i] = K[i, j]
-    return DensitySet(rho=rho, P=P, K=K, nu=nu, grad_rho=_x_gradient(g, rho))
+    return DensitySet(rho=rho, P=P, K=K, nu=nu, grad_rho=_x_gradient(g, rho),
+                      lq_norms=lq_norms)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,9 @@ is exact away from underflow), so the snapshot samples are bitwise those of
 the full-grid run, and the coefficients differ from it only in the sign of
 the zeros at n != 0 (np.array_equal holds, a byte comparison does not).
 The run costs about 1/Ny of the full grid's stepping work, and no step or
-snapshot transforms the full grid.
+snapshot transforms the full grid.  The snapshot remembers its column, so
+the record a sink takes of it transforms the column alone too (see the
+field module docstring), with the bits of the full-grid record.
 
 The kick runs on as many threads as the FFT: fft_workers(), all cores unless
 NLSLAB_THREADS sets it.  A state of at least KICK_SPLIT_MIN entries is split
@@ -66,7 +68,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from .field import (Grid, SpectralField, _linear_phase, edge_cube_fraction,
-                    fft_workers, lebesgue_norm, y_independent)
+                    fft_workers, lebesgue_norm, long_axes, y_independent)
 
 
 class BlowUpError(RuntimeError):
@@ -219,7 +221,7 @@ def _advance(v: np.ndarray, phase: np.ndarray, physics: PhysicsParams,
     thread count itself, bitwise the one-thread kick (module docstring).
     """
     workers = fft_workers()
-    axes = [i for i, m in enumerate(v.shape) if m > 1]
+    axes = long_axes(v)
     h = dt / 2.0
     for k in range(1, n + 1):
         v = _nonlinear_kick(v, physics, h)

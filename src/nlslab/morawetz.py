@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Tuple, Union
+from typing import Callable, Dict, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import fft as sfft
@@ -155,11 +155,12 @@ def _odd(k: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum((a * b.conj()).imag * k))
 
 
-def _pairings(fld: SpectralField, physics: PhysicsParams
+def _pairings(fld: SpectralField, physics: PhysicsParams, q_list: Sequence[float] = ()
               ) -> Tuple[Tuple[float, float, float, float], DensitySet]:
-    """(J, S, lhs, rhs) of one snapshot, with the density pass they read."""
+    """(J, S, lhs, rhs) of one snapshot, with the density pass they read,
+    which also takes the L^q norm of each finite q in q_list."""
     k = make_kernels(fld.grid)  # cached per grid
-    ds = densities(fld, physics.alpha)
+    ds = densities(fld, physics.alpha, q_list)
     sp = _spectra(k, ds)
     d = k.grid.d
     J = -4.0 * sum(_odd(k.grad_phi[i], sp["P", i], sp["rho"]) for i in range(d))
@@ -279,10 +280,12 @@ class CubeSupAccumulator(TrapezoidFold):
 
 
 def morawetz_sample(fld: SpectralField, physics: PhysicsParams,
-                    cube: CubeSupAccumulator) -> Tuple[MorawetzSample, DensitySet]:
+                    cube: CubeSupAccumulator, q_list: Sequence[float] = ()
+                    ) -> Tuple[MorawetzSample, DensitySet]:
     """One sample of a run from one density pass, returned with that pass for
-    the other per-sample figures that need x-gradients."""
-    (J, S, lhs, rhs), ds = _pairings(fld, physics)
+    the other per-sample figures that need x-gradients or |u|^2 (the L^q
+    norm of each finite q in q_list)."""
+    (J, S, lhs, rhs), ds = _pairings(fld, physics, q_list)
     integral = cube.update(fld.time_tag, fld)
     return MorawetzSample(t=fld.time_tag, J=J, lhs=lhs, rhs=rhs, S=S,
                           cube_sup=cube.cube_sup, cube_sup_integral=integral), ds

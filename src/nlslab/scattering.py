@@ -30,17 +30,19 @@ from .field import (
     SpectralField,
     _lr_x,
     _mixed_from_power,
+    _multiplier_norm,
     _y_mode_power,
     free_evolve,
     lebesgue_norm,  # not called here; perfbench/tracing.py wraps scattering.lebesgue_norm
     mixed_norm,  # not called here; perfbench/tracing.py wraps scattering.mixed_norm
-    sobolev_h1,
+    sobolev_h1,  # not called here; perfbench/tracing.py wraps scattering.sobolev_h1
 )
 
 
-def pullback(fld: SpectralField) -> SpectralField:
-    """w(t) = free flow run backward to the t = 0 reference frame."""
-    return free_evolve(fld, -fld.time_tag)
+def pullback(fld: SpectralField, out: np.ndarray | None = None) -> SpectralField:
+    """w(t) = free flow run backward to the t = 0 reference frame, with its
+    coefficients in out when one is given (see free_evolve)."""
+    return free_evolve(fld, -fld.time_tag, out)
 
 
 def _check_increasing(times: Sequence[float], minimum: int) -> None:
@@ -56,16 +58,25 @@ def check_cauchy_times(times: Sequence[float]) -> None:
 
 
 def cauchy_table(snapshots: Sequence[SpectralField]) -> np.ndarray:
-    """C_ij = ||w(t_i) - w(t_j)||_{H^1}; symmetric with zero diagonal."""
+    """C_ij = ||w(t_i) - w(t_j)||_{H^1}; symmetric with zero diagonal.
+
+    sobolev_h1's multiplier norm, in memory that does not grow with the
+    snapshot count: the weight 1 + |xi|^2 + n^2 is built once, w(t_i) is
+    pulled back once per row into one buffer, w(t_j) and then the difference
+    are formed in place in a second, and the weighted |.|^2 in a third.
+    """
     check_cauchy_times([f.time_tag for f in snapshots])
-    ws = [pullback(f) for f in snapshots]
-    m = len(ws)
+    g = snapshots[0].grid
+    weight = 1.0 + g.laplace_symbol()
+    wi, wj = np.empty(g.shape, complex), np.empty(g.shape, complex)
+    power = np.empty(g.shape)
+    m = len(snapshots)
     C = np.zeros((m, m))
     for i in range(m):
+        pullback(snapshots[i], wi)
         for j in range(i + 1, m):
-            diff = SpectralField(ws[i].grid,
-                                 ws[i].coefficients - ws[j].coefficients)
-            C[i, j] = C[j, i] = sobolev_h1(diff)
+            diff = np.subtract(wi, pullback(snapshots[j], wj).coefficients, out=wj)
+            C[i, j] = C[j, i] = _multiplier_norm(SpectralField(g, diff), weight, power)
     return C
 
 

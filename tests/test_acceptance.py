@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import record_acceptance
+from conftest import load_json, record_acceptance
 from nlslab.cli import RecordBuilder, build_datum, parse_config, run_preset
 from nlslab.exponents import (
     ProblemParams,
@@ -94,7 +94,7 @@ def soliton_manifest(tmp_path_factory):
                                    "q_list": [4.0, 6.0],
                                    "output_dir": str(out)}))
     status = run_preset(cfg)
-    manifest = json.load(open(out / "manifest.json"))
+    manifest = load_json(out / "manifest.json")
     return status, manifest
 
 
@@ -104,7 +104,7 @@ def scattering_manifest(tmp_path_factory):
     cfg = parse_config(json.dumps({"preset": "scattering",
                                    "output_dir": str(out)}))
     status = run_preset(cfg)
-    manifest = json.load(open(out / "manifest.json"))
+    manifest = load_json(out / "manifest.json")
     return status, manifest
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import _CountedFFT, load_json
 from nlslab.cli import (
     DATUM_KINDS,
     ConfigError,
@@ -407,7 +408,7 @@ class TestBuildDatum:
                                     output_dir=str(tmp_path)))
         run_preset(cfg)
         assert len(calls) == 1
-        manifest = json.load(open(tmp_path / "manifest.json"))
+        manifest = load_json(tmp_path / "manifest.json")
         assert manifest["config"]["datum"] == {
             "kind": "gaussian", "amplitude": 0.5, "width": 1.0, "y_modulation": 0.0}
 
@@ -461,6 +462,84 @@ class TestRecordBuilderColumns:
             expect = a.max() if q == float("inf") else \
                 (np.sum(a ** q) * f.grid.weight) ** (1.0 / q)
             assert rec.lq_norms[q] == pytest.approx(expect, rel=1e-13, abs=0)
+
+
+# y-independent data with some momentum
+def _x_profile(d):
+    if d == 1:
+        return lambda x, y: 1.5 * np.exp(-x ** 2) * (1 + 0.2j * np.sin(x)) + 0.0 * y
+    return lambda x1, x2, y: (np.exp(-(x1 ** 2 + x2 ** 2)) * (1 + 0.2j * np.cos(x1 - x2))
+                              + 0.0 * y)
+
+
+class TestColumnSnapshotRecords:
+    """A record of a snapshot built from a y column takes its transforms on
+    the column, and is the record of the snapshot built from the same
+    samples on the full grid, byte for byte."""
+
+    @pytest.mark.parametrize("config, dt, every", [
+        ({"preset": "decay"}, 1e-3, 2),  # the decay-1d grid
+        ({"preset": "decay", "q_list": [4, 10 / 3, float("inf")]}, 1e-3, 3),
+        ({"preset": "morawetz", "d": 2, "alpha": "3",
+          "grid": {"Nx": 32, "Ny": 8, "L": 16.0}}, 1e-2, 1),
+        ({"preset": "morawetz", "d": 2, "alpha": "4/3",
+          "grid": {"Nx": 32, "Ny": 8, "L": 16.0},
+          "q_list": [4, 10 / 3, float("inf")]}, 1e-2, 2),
+        ({"preset": "soliton-control", "grid": {"Nx": 256, "Ny": 16, "L": 40.0},
+          "q_list": [4, 10 / 3, float("inf")]}, 1e-2, 3),  # focusing
+        ({"preset": "scattering", "grid": {"Nx": 256, "Ny": 16, "L": 40.0}}, 1e-2, 1),
+    ], ids=["decay-1d", "decay-1d-q", "d2", "d2-q", "focusing-q", "scattering"])
+    def test_records_csv_bytes(self, config, dt, every):
+        from nlslab.cli import RecordBuilder
+        from nlslab.field import SpectralField, from_profile
+        from nlslab.integrator import StepControl, evolve
+        cfg = parse_config(json.dumps(config))
+        g = cfg.grid()
+        columns = []
+        evolve(from_profile(g, _x_profile(g.d)), cfg.physics(),
+               StepControl(dt=dt, t_end=6 * dt, sample_every=every),
+               sinks=[lambda fld, flag: columns.append(fld)])
+        columns = columns[1:]  # the datum itself is a full-grid field
+        assert len(columns) >= 2 and all(f._column for f in columns)
+        full = [SpectralField.from_samples(g, f.samples().copy(), f.time_tag)
+                for f in columns]
+        texts = []
+        for snaps in (columns, full):
+            builder = RecordBuilder(cfg)
+            for f in snaps:
+                builder(f, False)
+            buf = io.StringIO()
+            emit_records(builder.records, buf, cfg.q_list)
+            texts.append(buf.getvalue())
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("config", [
+        {"preset": "decay", "grid": {"Nx": 256, "Ny": 16, "L": 40.0}},
+        {"preset": "morawetz", "d": 2, "alpha": "3", "grid": {"Nx": 32, "Ny": 8, "L": 16.0}},
+    ], ids=["d1", "d2"])
+    def test_no_full_grid_transform(self, config, monkeypatch):
+        from nlslab import field, morawetz
+        from nlslab.cli import RecordBuilder
+        from nlslab.field import SpectralField, from_profile
+        cfg = parse_config(json.dumps(config))
+        g = cfg.grid()
+        builder = RecordBuilder(cfg)
+        assert builder.accumulators is not None  # the y-mode power is taken too
+        col = from_profile(g, _x_profile(g.d)).samples()[..., :1].copy()
+        fakes = []
+        for t, samples in ((0.1, col), (0.2, np.broadcast_to(col, g.shape).copy())):
+            snap = SpectralField.from_samples(g, samples, t)
+            fake = _CountedFFT(g.ntot)
+            monkeypatch.setattr(field, "sfft", fake)
+            monkeypatch.setattr(morawetz, "sfft", fake)
+            builder(snap, False)
+            monkeypatch.undo()
+            fakes.append(fake)
+        column, grid = fakes
+        assert column.calls == 0
+        assert (("ifftn", g.shape[:-1] + (1,), list(range(g.d)))
+                in column.log)  # the gradients, on the column
+        assert grid.calls > 0  # the counter sees a full-grid snapshot's transforms
 
 
 def make_record(t, **over):
@@ -571,8 +650,8 @@ class TestRunPreset:
     def test_exponents_preset_without_theta(self, tmp_path, over):
         cfg = parse_config(cfg_text(preset="exponents", output_dir=str(tmp_path), **over))
         assert run_preset(cfg) == 1
-        assert json.load(open(tmp_path / "exponents.json"))["all_feasible"] is False
-        manifest = json.load(open(tmp_path / "manifest.json"))
+        assert load_json(tmp_path / "exponents.json")["all_feasible"] is False
+        manifest = load_json(tmp_path / "manifest.json")
         assert manifest["checks"] == {"all_feasible": False}
         assert manifest["exit_status"] == 1
 
@@ -585,19 +664,19 @@ class TestRunPreset:
             output_dir=str(tmp_path), **over))
         assert RecordBuilder(cfg).accumulators is None
         assert run_preset(cfg) == 1  # accumulators_saturated fails
-        manifest = json.load(open(tmp_path / "manifest.json"))
+        manifest = load_json(tmp_path / "manifest.json")
         assert manifest["aborted"] is False
         assert manifest["checks"]["accumulators_saturated"] is False
-        report = json.load(open(tmp_path / "scatter_report.json"))
+        report = load_json(tmp_path / "scatter_report.json")
         assert report["accumulators"] == {}
 
     def test_exponents_preset(self, tmp_path):
         cfg = parse_config(cfg_text(preset="exponents", alpha="5",
                                     output_dir=str(tmp_path)))
         assert run_preset(cfg) == 0
-        rep = json.load(open(tmp_path / "exponents.json"))
+        rep = load_json(tmp_path / "exponents.json")
         assert rep["all_feasible"] is True
-        manifest = json.load(open(tmp_path / "manifest.json"))
+        manifest = load_json(tmp_path / "manifest.json")
         assert manifest["exit_status"] == 0
         assert manifest["alpha_exact"] == "5"
         assert manifest["y_independent"] is None  # no datum, no run
@@ -608,7 +687,7 @@ class TestRunPreset:
             control={"dt": 0.01, "t_end": 0.5, "sample_every": 10},
             output_dir=str(tmp_path)))
         run_preset(cfg)  # short run; decay checks may fail, artifacts must exist
-        manifest = json.load(open(tmp_path / "manifest.json"))
+        manifest = load_json(tmp_path / "manifest.json")
         assert (tmp_path / "records.csv").exists()
         assert set(manifest["checks"]) >= {"morawetz_inequality", "positivity",
                                            "guard_never_fired"}
@@ -623,7 +702,7 @@ class TestRunPreset:
             datum={"kind": "gaussian", "y_modulation": 0.3},
             output_dir=str(tmp_path)))
         run_preset(cfg)
-        manifest = json.load(open(tmp_path / "manifest.json"))
+        manifest = load_json(tmp_path / "manifest.json")
         assert manifest["y_independent"] is False
 
     def test_determinism(self, tmp_path):
@@ -650,10 +729,10 @@ class TestRunPreset:
             control={"dt": 0.01, "t_end": 1.0, "sample_every": 2},
             datum={"kind": "gaussian", "amplitude": 0}, output_dir=str(tmp_path)))
         assert run_preset(cfg) == 1
-        manifest = json.load(open(tmp_path / "manifest.json"))
+        manifest = load_json(tmp_path / "manifest.json")
         assert manifest["aborted"] is False
         assert manifest["checks"] == checks
-        report = json.load(open(tmp_path / "scatter_report.json"))
+        report = load_json(tmp_path / "scatter_report.json")
         assert report["decay"]["4.0"]["ratio_last_to_max"] == 0.0
 
     def test_soliton_control_small(self, tmp_path):
@@ -663,7 +742,7 @@ class TestRunPreset:
             control={"dt": 2e-3, "t_end": 4.0, "sample_every": 50},
             output_dir=str(tmp_path)))
         status = run_preset(cfg)
-        manifest = json.load(open(tmp_path / "manifest.json"))
+        manifest = load_json(tmp_path / "manifest.json")
         assert manifest["checks"]["no_decay"] is True
         assert manifest["checks"]["no_scattering"] is True
         assert status == 0
@@ -1036,7 +1115,7 @@ class TestRecordBuilder:
         expect = mixed_norm(fld, float(base.r), 0.5 + float(Fraction(1, 30)))
         assert builder.records[-1].mixed_norm_theta == expect
         run_preset(cfg)
-        manifest = json.load(open(tmp_path / "manifest.json"))
+        manifest = load_json(tmp_path / "manifest.json")
         assert manifest["aborted"] is False
         assert manifest["checks"]["morawetz_inequality"] is True
 
@@ -1147,7 +1226,7 @@ class TestAbortedRun:
         lines = (tmp_path / "records.csv").read_text().splitlines()
         assert len(lines) == 3  # header, one record, marker
         assert lines[-1].startswith("# PARTIAL FILE")
-        manifest = json.load(open(tmp_path / "manifest.json"))
+        manifest = load_json(tmp_path / "manifest.json")
         assert manifest["aborted"] is True
         assert "non-finite state at t = 0.05" in manifest["error"]
         assert manifest["records_written"] == 1
@@ -1178,7 +1257,7 @@ class TestAbortedRun:
         lines = (tmp_path / "records.csv").read_text().splitlines()
         assert len(lines) == 4  # header, two records, marker
         assert lines[-1] == "# PARTIAL FILE: run aborted"
-        manifest = json.load(open(tmp_path / "manifest.json"))
+        manifest = load_json(tmp_path / "manifest.json")
         assert manifest["aborted"] is True
         assert manifest["error"] == "KeyboardInterrupt"
         assert manifest["records_written"] == 2
@@ -1218,7 +1297,7 @@ class TestAbortedRun:
         lines = (tmp_path / "records.csv").read_text().splitlines()
         assert len(lines) == 4  # header, two records, marker
         assert lines[-1] == "# PARTIAL FILE: run aborted"
-        manifest = json.load(open(tmp_path / "manifest.json"))
+        manifest = load_json(tmp_path / "manifest.json")
         assert manifest["aborted"] is True
         assert manifest["error"] == "SIGTERM"
         assert manifest["records_written"] == 2
@@ -1290,7 +1369,7 @@ class TestAbortedRun:
             output_dir=str(tmp_path)))
         with pytest.raises(RuntimeError, match="run aborted after record 17: no verdict"):
             run_preset(cfg)
-        manifest = json.load(open(tmp_path / "manifest.json"))
+        manifest = load_json(tmp_path / "manifest.json")
         assert manifest["aborted"] is True
         assert manifest["error"] == "no verdict"
         assert manifest["records_written"] == 18
@@ -1301,6 +1380,6 @@ class TestAbortedRun:
 
     def test_complete_run_not_aborted(self, tmp_path):
         run_preset(self.small_cfg(tmp_path))
-        manifest = json.load(open(tmp_path / "manifest.json"))
+        manifest = load_json(tmp_path / "manifest.json")
         assert manifest["aborted"] is False and "error" not in manifest
         assert not (tmp_path / "records.csv").read_text().startswith("#")

@@ -10,6 +10,7 @@ from nlslab.field import (
     SpectralField,
     _gradient_multipliers,
     _linear_phase,
+    _y_mode_power,
     abs_power,
     abs_sq,
     cube_sup_mass,
@@ -416,6 +417,14 @@ class TestFreeEvolve:
                               f.coefficients * _linear_phase(g1, -40.0))
         assert out.time_tag == -40.0
 
+    @pytest.mark.parametrize("grid", [Grid(1, 40.0, 256, 16), Grid(2, 20.0, 32, 8)])
+    def test_into_a_buffer(self, grid):
+        f = random_field(grid, 29)
+        buf = np.empty(grid.shape, complex)
+        out = free_evolve(f, -7.5, buf)
+        assert out.coefficients is buf and out.time_tag == -7.5
+        assert buf.tobytes() == free_evolve(f, -7.5).coefficients.tobytes()
+
 
 class TestYIndependent:
     def test_constant_along_y(self, g1, g2):
@@ -449,6 +458,46 @@ class TestYIndependent:
         for shape in [(g1.Nx, 2), (g1.Nx,), (1, g1.Ny)]:
             with pytest.raises(ValueError, match="matches neither grid"):
                 SpectralField.from_samples(g1, np.zeros(shape, complex))
+
+
+class TestColumnRecordPass:
+    """The record's transforms of a snapshot built from a y column run on the
+    column, and give the bits of the snapshot built from the broadcast
+    samples."""
+
+    @staticmethod
+    def pair(grid, seed):
+        rng = np.random.default_rng(seed)
+        shape = grid.shape[:-1] + (1,)
+        col = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        col[(0,) * grid.d] = 0.0  # one exact zero
+        full = SpectralField.from_samples(grid, np.broadcast_to(col, grid.shape).copy())
+        return SpectralField.from_samples(grid, col), full
+
+    @pytest.mark.parametrize("grid", [Grid(1, 40.0, 256, 16), Grid(2, 20.0, 32, 8),
+                                      Grid(1, 200.0, 4096, 32)])
+    @pytest.mark.parametrize("alpha", [5.0, 4.0 / 3.0])
+    def test_densities_bitwise(self, grid, alpha):
+        col, full = self.pair(grid, 41)
+        assert col._column and not full._column
+        q_list = [4.0, 10 / 3, np.inf]
+        got, want = densities(col, alpha, q_list), densities(full, alpha, q_list)
+        for name in ("rho", "P", "K", "nu", "grad_rho"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.lq_norms == want.lq_norms
+
+    @pytest.mark.parametrize("grid", [Grid(1, 40.0, 256, 16), Grid(2, 20.0, 32, 8)])
+    def test_y_mode_power_bitwise(self, grid):
+        col, full = self.pair(grid, 43)
+        got, want = _y_mode_power(col), _y_mode_power(full)
+        assert got.shape == grid.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_lq_norms_are_lebesgue_norms(self, g2):
+        f = random_field(g2, 47)
+        ds = densities(f, 3.0, [4.0, np.inf, 10 / 3, 7.0])
+        assert ds.lq_norms == {q: lebesgue_norm(f, q) for q in (4.0, 10 / 3, 7.0)}
+        assert densities(f, 3.0).lq_norms == {}
 
 class TestDensities:
     def test_real_field_zero_momentum(self, g1):
@@ -580,8 +629,10 @@ class TestSnapshotIO:
         f = random_field(g1, 25)
         path = str(tmp_path / "snap.bin")
         save_field(f, path)
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[:-8])
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(raw[:-8])
         with pytest.raises(ValueError):
             load_field(path)
 

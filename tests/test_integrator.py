@@ -3,8 +3,8 @@ import os
 
 import numpy as np
 import pytest
-import scipy.fft
 
+from conftest import _CountedFFT
 from nlslab.field import (
     Grid,
     SpectralField,
@@ -82,25 +82,6 @@ def test_separable_phase_matches_full_grid_exp(grid, dt):
     phase = _linear_phase(grid, dt)
     assert phase.shape == grid.shape
     assert np.abs(phase - np.exp(1j * dt * grid.laplace_symbol())).max() <= 2e-15
-
-
-class _CountedFFT:
-    """scipy.fft with each complex transform of a full grid counted, and
-    every complex transform logged as (name, shape, axes)."""
-
-    def __init__(self, size):
-        self.size, self.calls, self.log = size, 0, []
-
-    def __getattr__(self, name):
-        fn = getattr(scipy.fft, name)
-        if name not in ("fft", "ifft", "fftn", "ifftn", "fft2", "ifft2"):
-            return fn
-
-        def counted(x, *args, **kwargs):
-            self.calls += np.size(x) == self.size
-            self.log.append((name, np.shape(x), kwargs.get("axes")))
-            return fn(x, *args, **kwargs)
-        return counted
 
 
 @pytest.mark.parametrize("steps, every", [(1, 1), (4, 2), (7, 3), (5, 10)])

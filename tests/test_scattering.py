@@ -96,6 +96,54 @@ class TestCauchyTable:
         # pull-back differences stay at the size of the state itself
         assert cauchy_tail_maxima(C)[-1] > 1.0
 
+    @staticmethod
+    def pairwise_oracle(snapshots):
+        """The table as every pull-back held at once and one new difference
+        field and weight per pair."""
+        ws = [free_evolve(f, -f.time_tag) for f in snapshots]
+        m = len(ws)
+        C = np.zeros((m, m))
+        for i in range(m):
+            for j in range(i + 1, m):
+                g = ws[i].grid
+                diff = ws[i].coefficients - ws[j].coefficients
+                C[i, j] = C[j, i] = float(np.sqrt(g.measure * np.sum(
+                    (1.0 + g.laplace_symbol()) * np.abs(diff) ** 2)))
+        return C
+
+    @pytest.mark.parametrize("grid, profile", [
+        (Grid(1, 40.0, 256, 16),
+         lambda x, y: np.exp(-x ** 2 + 0.4j * x) * (1 + 0.3 * np.cos(y))),
+        (Grid(2, 16.0, 32, 8),
+         lambda x1, x2, y: np.exp(-x1 ** 2 - x2 ** 2) * (1 + 0.3j * np.sin(y))),
+    ])
+    def test_equals_the_pairwise_formula_bitwise(self, grid, profile):
+        times = [0.02, 0.05, 0.09, 0.14, 0.2]
+        snaps = segments(from_profile(grid, profile), PhysicsParams(3.0, 1), times, 1e-2)
+        C = cauchy_table(snaps)
+        assert C.tobytes() == self.pairwise_oracle(snaps).tobytes()
+        assert C.min() == 0.0 and C.max() > 0.0
+
+    def test_memory_does_not_grow_with_the_snapshots(self):
+        import tracemalloc
+        g = Grid(1, 40.0, 256, 16)  # 64 KiB per complex array
+        f = from_profile(g, lambda x, y: np.exp(-x ** 2) * (1 + 0.3 * np.cos(y)))
+        snaps = [SpectralField(g, f.coefficients * np.exp(0.1j * k), 0.1 * k)
+                 for k in range(1, 9)]
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for m in (3, 8):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                cauchy_table(snaps[:m])
+                peaks[m] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the C matrix and the time list grow by about 500 bytes
+        assert peaks[8] - peaks[3] < 4096, peaks
+        assert peaks[3] < 6 * f.coefficients.nbytes, peaks
+
 
 def lq_series(snaps, q_list):
     """Each L^q norm series of the snapshots, as the records hold it."""
