@@ -6,7 +6,8 @@ the exponent machinery receives exact values while the integrator uses the
 float image; both appear in the manifest.
 
 The parse checks every field, a file datum's header against the config,
-and the rules of code that runs later (the theta grid step, the Cauchy
+that a run's grid fits in the machine's memory (PEAK_ARRAYS), and the rules
+of code that runs later (the theta grid step, the Cauchy
 schedule's three snapshots), each by calling its owner.  It resolves the datum section once, against DATUM_KINDS: cfg.datum
 then holds the kind with every field filled in, which build_datum reads and
 the manifest records.  The boundary guard's tolerance is the constant
@@ -290,11 +291,31 @@ def _cauchy_schedule(cfg: RunConfig) -> List[float]:
     return geometric_sample_times(10 * sample_dt, cfg.t_end, sample_dt)
 
 
+# a run's peak memory, estimated as this many complex arrays of its grid
+# (16 ntot bytes each): the largest whole multiple at or below the peak RSS
+# of the three benchmark workloads, 124, 182 and 289 MiB at 2, 4 and 16 MiB
+# per array (62, 45 and 18 arrays; the interpreter's own 100 MiB weighs most
+# on the small grids).  Beyond the interpreter, a d = 2 Morawetz run grows
+# by about 10 arrays per array of grid (253 -> 717 MiB from 256^2 x 16 to
+# 512^2 x 16) and a full scattering run, which keeps its Cauchy snapshots,
+# holds about 21 (188 MiB at 16384 x 16), so the estimate is high on a large
+# d = 2 grid by less than a factor 2 and a little low on a scattering run
+PEAK_ARRAYS = 18
+
+
 def _check_run(cfg: RunConfig) -> None:
-    """Grid, step, datum and Cauchy schedule checks for the presets that run
-    dynamics; cfg.datum becomes the resolved datum spec.  A file datum's
-    header is read and checked here; build_datum checks the file again."""
-    _defer("grid.", cfg.grid)
+    """Grid, memory, step, datum and Cauchy schedule checks for the presets
+    that run dynamics; cfg.datum becomes the resolved datum spec.  A file
+    datum's header is read and checked here; build_datum checks the file
+    again.  A grid whose run would need more than the machine's physical
+    memory (PEAK_ARRAYS) is refused before anything is allocated."""
+    grid = _defer("grid.", cfg.grid)
+    need = PEAK_ARRAYS * 16 * grid.ntot
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    _check(need <= have, "grid", grid,
+           f"a run needs about {need / 2 ** 30:.3g} GiB ({PEAK_ARRAYS} complex "
+           f"arrays of the grid), more than the {have / 2 ** 30:.3g} GiB of "
+           "physical memory")
     _defer("control.", lambda: cfg.control().n_steps)
     cfg.datum = _datum_spec(cfg.datum)
     if cfg.datum["kind"] == "file":

@@ -39,19 +39,38 @@ snapshot transforms the full grid.  The snapshot remembers its column, so
 the record a sink takes of it transforms the column alone too (see the
 field module docstring), with the bits of the full-grid record.
 
+Inside evolve the stepping state is y-first: shape (Ny, Nx...), C-contiguous,
+so that every x line is contiguous and the x transforms, the larger part of
+a step on a grid such as 16384 x 16, read no strided axis.  The datum's
+samples are moved to that layout by the one copy that gives evolve its own
+state, the linear phase is written into it once per run, and each snapshot
+is built from an x-first copy of the state, so snapshots, sinks and files
+keep the (x..., y) layout.  A y column, (Nx,)^d x 1, is (1, Nx...) in this
+layout, the same memory.  The step transforms the x axes first and then y,
+each axis longer than one, as the x-first run does: an FFT over several axes
+is a sequence of 1-D transforms along lines, and each line goes through the
+same 1-D transform wherever its entries lie in memory, so the run is the
+x-first run bit for bit.  Only that order gives those bits: transforming y
+first rounds differently.  That a line's 1-D transform does not depend on
+its stride is a property of the pocketfft build, not a law, and
+test_y_first_transform_is_the_x_first_one in tests/test_integrator.py
+guards it.
+
 The kick runs on as many threads as the FFT: fft_workers(), all cores unless
-NLSLAB_THREADS sets it.  A state of at least KICK_SPLIT_MIN entries is split
-into that many contiguous blocks of rows along axis 0; the calling thread
-allocates the scratch for the whole state, runs the first block and hands
-the others to a pool of count - 1 threads, created at the first split kick
-for that count and kept for the process.  Smaller states (a y column of the
-decay grid) and one thread take the calling thread alone, with no pool and
-no lookup of the thread count.  Every entry passes through the same ufunc
-calls either way, so the split kick is the one-thread kick bit for bit as
-long as numpy's elementwise loops give an entry the same bits wherever its
-block starts, in a SIMD body or a tail.  That is a property of the numpy
-build, not a law; TestThreadedKick in tests/test_integrator.py guards it on
-the scattering grid, a d = 2 grid and block edges at odd entries.
+NLSLAB_THREADS sets it.  A state of at least KICK_SPLIT_MIN entries is cut,
+as one flat run of entries, into that many equal contiguous blocks; the
+calling thread allocates the scratch for the whole state, runs the first
+block and hands the others to a pool of count - 1 threads, created at the
+first split kick for that count and kept for the process.  A flat cut
+splits any state alike, whatever its axis lengths: a (1, 256, 256) column
+too.  Smaller states (a y column of the decay grid) and one thread take the
+calling thread alone, with no pool and no lookup of the thread count.  Every
+entry passes through the same ufunc calls either way, so the split kick is
+the one-thread kick bit for bit as long as numpy's elementwise loops give an
+entry the same bits wherever its block starts, in a SIMD body or a tail.
+That is a property of the numpy build, not a law; TestThreadedKick in
+tests/test_integrator.py guards it on the scattering grid, a d = 2 grid and
+block edges at odd entries.
 """
 
 from __future__ import annotations
@@ -68,7 +87,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from .field import (Grid, SpectralField, _linear_phase, edge_cube_fraction,
-                    fft_workers, lebesgue_norm, long_axes, y_independent)
+                    fft_workers, lebesgue_norm, y_independent)
 
 
 class BlowUpError(RuntimeError):
@@ -149,8 +168,8 @@ def _kick_threads() -> int:
     return workers if workers > 0 else os.cpu_count() or 1
 
 
-def _kick_rows(v: np.ndarray, rot: np.ndarray, theta: np.ndarray,
-               power: float, angle: float) -> None:
+def _kick_block(v: np.ndarray, rot: np.ndarray, theta: np.ndarray,
+                power: float, angle: float) -> None:
     """The kick on v in place, with rot and theta scratch of v's shape."""
     np.square(v.real, out=theta)
     theta += np.square(v.imag, out=rot.real)
@@ -162,26 +181,28 @@ def _kick_rows(v: np.ndarray, rot: np.ndarray, theta: np.ndarray,
 
 
 def _split_kick(v: np.ndarray, power: float, angle: float, threads: int) -> None:
-    """_kick_rows on `threads` contiguous row blocks of v at once.
+    """_kick_block on `threads` equal blocks of v's entries at once.
 
-    The calling thread allocates the scratch for all of v and runs the first
-    block itself; the pool's workers run the others and allocate nothing.
-    Each worker runs in a copy of the caller's context, so a np.errstate the
-    caller set holds in it too.
+    v must be C-contiguous (its flat view is cut; a copy would lose the
+    kick, so reshape raises instead).  The calling thread allocates the
+    scratch for all of v and runs the first block itself; the pool's workers
+    run the others and allocate nothing.  Each worker runs in a copy of the
+    caller's context, so a np.errstate the caller set holds in it too.
     """
-    rot = np.empty_like(v)
-    theta = np.empty(v.shape, v.real.dtype)
-    edges = [v.shape[0] * i // threads for i in range(threads + 1)]
-    blocks = [(v[a:b], rot[a:b], theta[a:b], power, angle)
+    flat = v.reshape(-1, copy=False)
+    rot = np.empty_like(flat)
+    theta = np.empty(flat.shape, flat.real.dtype)
+    edges = [flat.size * i // threads for i in range(threads + 1)]
+    blocks = [(flat[a:b], rot[a:b], theta[a:b], power, angle)
               for a, b in zip(edges, edges[1:])]
     with _kick_pools_lock:
         if threads not in _kick_pools:
             _kick_pools[threads] = ThreadPoolExecutor(
                 threads - 1, thread_name_prefix="nlslab-kick")
         pool = _kick_pools[threads]
-    futures = [pool.submit(contextvars.copy_context().run, _kick_rows, *block)
+    futures = [pool.submit(contextvars.copy_context().run, _kick_block, *block)
                for block in blocks[1:]]
-    _kick_rows(*blocks[0])
+    _kick_block(*blocks[0])
     for future in futures:
         future.result()
 
@@ -190,38 +211,40 @@ def _nonlinear_kick(v: np.ndarray, physics: PhysicsParams, h: float
                     ) -> np.ndarray:
     """The exact kick u <- u exp(i lam h |u|^alpha), in place on v; returns v.
 
-    A state of at least KICK_SPLIT_MIN entries is split into row blocks on
-    the FFT's thread count, bitwise the same kick (module docstring).
+    A state of at least KICK_SPLIT_MIN entries is cut into equal blocks of
+    entries on the FFT's thread count, bitwise the same kick (module
+    docstring).
     """
     if physics.lam == 0:
         return v
     power, angle = physics.alpha / 2.0, physics.lam * h
     if v.size >= KICK_SPLIT_MIN:
-        threads = min(_kick_threads(), v.shape[0])
+        threads = _kick_threads()
         if threads > 1:
             _split_kick(v, power, angle, threads)
             return v
-    _kick_rows(v, np.empty_like(v), np.empty(v.shape, v.real.dtype), power, angle)
+    _kick_block(v, np.empty_like(v), np.empty(v.shape, v.real.dtype), power, angle)
     return v
 
 
 def _advance(v: np.ndarray, phase: np.ndarray, physics: PhysicsParams,
              dt: float, n: int, t: float) -> np.ndarray:
-    """n Strang steps from the state v at time t, overwriting v.
+    """n Strang steps from the y-first state v at time t, overwriting v.
 
-    The interior half kicks are fused into full ones.  A non-finite sample
+    v and phase have shape (Ny, Nx...), or (1, Nx...) for a y column.  The
+    interior half kicks are fused into full ones.  A non-finite sample
     reaches every entry through the FFT pair, so one entry checked after
     each linear flow reports a blow-up at its step; the state after the
-    closing kick is checked in full.  The FFT pair runs over the axes of v
-    longer than one: all of them on a full grid, and the x axes only on a y
-    column, whose length-1 y transform would be the identity.  The
-    module-level kick is looked up on every call, and the state returned is
-    the array the last kick returned, so a replaced kick need not work in
-    place.  The kick splits a large state into row blocks on the FFT's
-    thread count itself, bitwise the one-thread kick (module docstring).
+    closing kick is checked in full.  The FFT pair runs over the x axes and
+    then y, each axis longer than one, the order of the x-first run's
+    transforms (module docstring): a y column's length-1 y transform would
+    be the identity.  The module-level kick is looked up on every call, and
+    the state returned is the array the last kick returned, so a replaced
+    kick need not work in place.  The kick splits a large state into blocks
+    on the FFT's thread count itself, bitwise the one-thread kick.
     """
     workers = fft_workers()
-    axes = long_axes(v)
+    axes = [a for a in (*range(1, v.ndim), 0) if v.shape[a] > 1]
     h = dt / 2.0
     for k in range(1, n + 1):
         v = _nonlinear_kick(v, physics, h)
@@ -247,10 +270,12 @@ def evolve(initial: SpectralField, physics: PhysicsParams, control: StepControl,
     At every sampling time each sink is called as sink(snapshot, guard_breached).
     The step-0 snapshot is the datum itself; each later one is built from the
     state by one forward transform (SpectralField.from_samples).  The last
-    snapshot emitted is returned.  A y-independent datum is stepped on one y
-    column, and each snapshot is built from the column by its x transform
-    (see the module docstring); its samples are the full-grid run's bit for
-    bit, and its coefficients equal them up to the signs of zeros.
+    snapshot emitted is returned.  The state is stepped y-first, shape
+    (Ny, Nx...), and each snapshot gets an x-first copy of it, bit for bit
+    the run of an x-first state (module docstring).  A y-independent datum
+    is stepped on one y column, and each snapshot is built from the column
+    by its x transform; its samples are the full-grid run's bit for bit, and
+    its coefficients equal them up to the signs of zeros.
     If guard_tol is given, the boundary-mass guard trips once the mass fraction
     of a unit cube in the band |x| > (3/4) L/2 exceeds it (edge_cube_fraction);
     the flag then stays set for all subsequent records.
@@ -275,19 +300,24 @@ def evolve(initial: SpectralField, physics: PhysicsParams, control: StepControl,
         raise BlowUpError(f"non-finite state at t = {t0:.6g}")
     # allocated before the first sink call, so that the sinks' temporaries
     # come after them in the heap: the peak RSS of a 256^2 x 16 benchmark run
-    # (2-vCPU VM) was 288 MiB this way and 300 MiB with the order reversed
-    phase = _linear_phase(g, dt)
-    v = initial.samples()
+    # (2-vCPU VM) was 288 MiB this way and 300 MiB with the order reversed.
+    # The phase is written y-first through an x-first view, with no
+    # transposed temporary: each entry is the same product of the same
+    # factors as in the x-first phase (TestYFirstRuns compares the bits)
+    phase = np.empty((g.Ny,) + g.shape[:-1], dtype=np.complex128)
+    _linear_phase(g, dt, out=np.moveaxis(phase, 0, -1))
+    v = np.moveaxis(initial.samples(), -1, 0)
     if y_independent(initial):
         # one y column and its n = 0 phases: the same bits as the full grid
-        phase, v = phase[..., :1].copy(), v[..., :1]
-    v = v.copy()
+        phase, v = phase[:1].copy(), v[:1]
+    v = v.copy()  # C order: the y-first state, evolve's own
     last = emit(initial)
     for start in range(0, n_steps, control.sample_every):
         n = min(control.sample_every, n_steps - start)
         last = None  # no snapshot outlives a chunk unless a sink keeps it
         v = _advance(v, phase, physics, dt, n, t0 + start * dt)
-        last = emit(SpectralField.from_samples(g, v.copy(), t0 + (start + n) * dt))
+        last = emit(SpectralField.from_samples(
+            g, np.moveaxis(v, 0, -1).copy(), t0 + (start + n) * dt))
     return last
 
 

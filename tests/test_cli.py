@@ -98,6 +98,35 @@ class TestParseConfig:
         assert section in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_grid_beyond_memory_fails_at_parse(self, tmp_path, capsys):
+        # the d = 1 grid defaults at d = 2, 4096^2 x 32: 8 GiB per complex
+        # array.  The parse refuses it before it allocates any grid array
+        import tracemalloc
+        from nlslab import cli
+        text = json.dumps({"preset": "morawetz", "d": 2, "alpha": "3",
+                           "output_dir": str(tmp_path / "out")})
+        need = cli.PEAK_ARRAYS * 16 * 4096 ** 2 * 32
+        if need <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+            pytest.skip("this machine's memory holds the default d = 2 grid")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"^grid = Grid\(d=2, L=200.0, "
+                               r"Nx=4096, Ny=32\): a run needs about 144 GiB"):
+                parse_config(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cpath)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("nlslab: error: grid = Grid(d=2")
+        assert "Traceback" not in "\n".join(err)
+        assert not (tmp_path / "out").exists()
+
     def test_scattering_range_accepted(self):
         cfg = parse_config(cfg_text(preset="scattering", alpha="5"))
         assert cfg.alpha_fraction() == 5

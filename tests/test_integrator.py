@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from conftest import _CountedFFT
 from nlslab.field import (
@@ -10,6 +11,7 @@ from nlslab.field import (
     SpectralField,
     _linear_phase,
     edge_cube_fraction,
+    fft_workers,
     free_evolve,
     from_profile,
     lebesgue_norm,
@@ -20,6 +22,7 @@ from nlslab.integrator import (
     PhysicsParams,
     StepControl,
     _advance,
+    _nonlinear_kick,
     energy,
     evolve,
     mass,
@@ -116,21 +119,22 @@ def test_transforms_per_y_independent_run(g1, monkeypatch):
 
 
 @pytest.mark.parametrize("grid, profile, axes", [
-    (Grid(1, 40.0, 256, 16), _x_profile_1d, [0]),
-    (Grid(2, 16.0, 32, 8), _x_profile_2d, [0, 1]),
+    (Grid(1, 40.0, 256, 16), _x_profile_1d, [1]),
+    (Grid(2, 16.0, 32, 8), _x_profile_2d, [1, 2]),
     (Grid(1, 40.0, 256, 16),
-     lambda x, y: np.exp(-x ** 2) * (1 + 0.3 * np.cos(y)), [0, 1]),
+     lambda x, y: np.exp(-x ** 2) * (1 + 0.3 * np.cos(y)), [1, 0]),
     (Grid(2, 16.0, 32, 8),
-     lambda x1, x2, y: np.exp(-x1 ** 2 - x2 ** 2) * (1 + 0.3 * np.cos(y)), [0, 1, 2]),
+     lambda x1, x2, y: np.exp(-x1 ** 2 - x2 ** 2) * (1 + 0.3 * np.cos(y)), [1, 2, 0]),
 ])
 def test_step_transform_axes(grid, profile, axes, monkeypatch):
-    # a y column is transformed along x only, a y-dependent state along all axes
+    # the state is y-first, (Ny, Nx...): a y column, (1, Nx...), is
+    # transformed along x only, a y-dependent state along x and then y
     from nlslab import integrator
     fake = _CountedFFT(grid.ntot)
     monkeypatch.setattr(integrator, "sfft", fake)
     evolve(from_profile(grid, profile), PhysicsParams(3.0, 1),
            StepControl(dt=1e-3, t_end=5e-3, sample_every=2))
-    shape = grid.shape[:-1] + (1,) if len(axes) == grid.d else grid.shape
+    shape = ((1 if len(axes) == grid.d else grid.Ny),) + grid.shape[:-1]
     assert fake.log == [(name, shape, axes) for _ in range(5)
                         for name in ("fftn", "ifftn")]
 
@@ -406,13 +410,31 @@ class TestCubeWindowsOncePerSample:
 
 
 def full_width_run(initial, physics, control):
-    """evolve's snapshots with every step taken on the full grid."""
+    """evolve's snapshots from an x-first Strang loop on the full grid.
+
+    The oracle of the y-first stepping: its state keeps the grid's
+    (x..., y) layout, each step transforms every axis in order, x then y,
+    and a blow-up is reported as evolve reports it.  Only the kick is the
+    program's: it is elementwise, and TestThreadedKick guards its bits.
+    """
     g, dt, t0 = initial.grid, control.dt, initial.time_tag
     phase, v = _linear_phase(g, dt), initial.samples().copy()
+    axes, workers = list(range(g.d + 1)), fft_workers()
     snaps = [initial]
     for start in range(0, control.n_steps, control.sample_every):
-        n = min(control.sample_every, control.n_steps - start)
-        v = _advance(v, phase, physics, dt, n, t0 + start * dt)
+        n, t = min(control.sample_every, control.n_steps - start), t0 + start * dt
+        h = dt / 2.0
+        for k in range(1, n + 1):
+            v = _nonlinear_kick(v, physics, h)
+            v = sfft.fftn(v, axes=axes, workers=workers, overwrite_x=True)
+            v *= phase
+            v = sfft.ifftn(v, axes=axes, workers=workers, overwrite_x=True)
+            if not np.isfinite(v.flat[0]):
+                raise BlowUpError(f"non-finite state at t = {t + k * dt:.6g}")
+            h = dt
+        v = _nonlinear_kick(v, physics, dt / 2.0)
+        if not np.all(np.isfinite(v)):
+            raise BlowUpError(f"non-finite state at t = {t + n * dt:.6g}")
         snaps.append(SpectralField.from_samples(g, v.copy(), t0 + (start + n) * dt))
     return snaps
 
@@ -451,7 +473,7 @@ class TestYIndependentRuns:
         shapes = _spy_advance(monkeypatch)
         seen = []
         out = evolve(f, physics, control, sinks=[lambda fld, flag: seen.append(fld)])
-        assert set(shapes) == {grid.shape[:-1] + (1,)}
+        assert set(shapes) == {(1,) + grid.shape[:-1]}
         assert len(seen) == len(expect)
         for snap, ref in zip(seen, expect):
             assert snap.time_tag == ref.time_tag
@@ -466,7 +488,7 @@ class TestYIndependentRuns:
         assert not y_independent(f)
         shapes = _spy_advance(monkeypatch)
         evolve(f, PhysicsParams(3.0, 1), StepControl(dt=1e-2, t_end=2e-2))
-        assert shapes == [g1.shape] * 2
+        assert shapes == [(g1.Ny,) + g1.shape[:-1]] * 2
 
     def test_blowup_reported_at_its_step(self, g1):
         # the peak of the y-modulated blow-up datum above, constant in y
@@ -491,6 +513,42 @@ class TestYIndependentRuns:
         evolve(f, PhysicsParams(3.0, 1), StepControl(dt=1e-3, t_end=5e-3, sample_every=2))
         assert np.array_equal(f.samples(), samples)
         assert np.array_equal(f.coefficients, coefficients)
+
+
+def _y_profile_1d(x, y):
+    return 1.5 * np.exp(-x ** 2) * (1 + 0.2j * np.sin(x)) * (1 + 0.3 * np.cos(y))
+
+
+def _y_profile_2d(x1, x2, y):
+    return (np.exp(-(x1 ** 2 + x2 ** 2)) * (1 + 0.2j * np.cos(x1 - x2))
+            * (1 + 0.3 * np.cos(y)))
+
+
+class TestYFirstRuns:
+    """A y-dependent state is stepped y-first, bit for bit the x-first run."""
+
+    @pytest.mark.parametrize("threads", [None, "1"], ids=["all-cores", "1-thread"])
+    @pytest.mark.parametrize("grid, profile, alpha, lam, dt, every", [
+        (Grid(1, 40.0, 256, 16), _y_profile_1d, 3.0, 1, 1e-2, 3),
+        (Grid(1, 40.0, 256, 16), _y_profile_1d, 4.0 / 3.0, -1, -1e-2, 1),
+        (Grid(1, 1024.0, 16384, 16), _y_profile_1d, 5.0, 1, 2e-3, 3),  # scattering
+        (Grid(2, 16.0, 32, 8), _y_profile_2d, 3.0, 1, 1e-2, 7),
+        (Grid(2, 16.0, 64, 16), _y_profile_2d, 2.0, -1, 1e-2, 3),
+    ])
+    def test_snapshots_equal_the_x_first_run(self, monkeypatch, threads, grid,
+                                              profile, alpha, lam, dt, every):
+        if threads is None:
+            monkeypatch.delenv("NLSLAB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("NLSLAB_THREADS", threads)
+        f = from_profile(grid, profile)
+        physics = PhysicsParams(alpha, lam)
+        control = StepControl(dt=dt, t_end=7 * dt, sample_every=every)
+        expect = [(s.time_tag, s.samples().tobytes(), s.coefficients.tobytes())
+                  for s in full_width_run(f, physics, control)]
+        shapes = _spy_advance(monkeypatch)
+        assert _snapshot_bytes(f, physics, control) == expect
+        assert set(shapes) == {(grid.Ny,) + grid.shape[:-1]}
 
 
 def _spread_state(shape, seed):
@@ -520,16 +578,16 @@ def _snapshot_bytes(initial, physics, control):
 
 
 class TestThreadedKick:
-    """The kick split over row blocks is bitwise the one-thread kick.
+    """The kick split into blocks of entries is bitwise the one-thread kick.
 
     That is a property of numpy's elementwise loops on the build at hand
     (their SIMD bodies and tails must agree), not a law; these tests guard it.
     """
 
     @pytest.mark.parametrize("shape, threads", [
-        ((16384, 16), 2),       # the scattering grid
-        ((64, 64, 16), 3),      # d = 2: edges at rows 21 and 42
-        ((2 * 16385, 3), 2),    # edge at row 16385, entry 49155: odd
+        ((16384, 16), 2),       # the scattering grid: edge at entry 131072
+        ((64, 64, 16), 3),      # d = 2: edges at entries 21845 and 43690
+        ((2 * 16385, 3), 2),    # edge at entry 49155: odd
         ((3 * 7919, 5), 3),     # edges at entries 39595 and 79190
     ])
     @pytest.mark.parametrize("alpha, lam", [(5.0, 1), (4.0 / 3.0, -1)])
@@ -555,23 +613,27 @@ class TestThreadedKick:
         assert counts == []
 
     @pytest.mark.parametrize("threads", [None, 3], ids=["all-cores", "3-threads"])
-    @pytest.mark.parametrize("grid, alpha", [
-        (Grid(1, 1024.0, 16384, 16), 5.0),   # the scattering preset's grid
-        (Grid(2, 16.0, 64, 16), 3.0),
-    ], ids=["scattering-grid", "d2"])
-    def test_runs_equal_the_one_thread_run(self, monkeypatch, grid, alpha, threads):
+    @pytest.mark.parametrize("grid, alpha, y_modulation", [
+        (Grid(1, 1024.0, 16384, 16), 5.0, 0.3),   # the scattering preset's grid
+        (Grid(2, 16.0, 64, 16), 3.0, 0.3),
+        (Grid(2, 16.0, 256, 4), 3.0, 0.0),        # a (1, 256, 256) y column
+    ], ids=["scattering-grid", "d2", "d2-column"])
+    def test_runs_equal_the_one_thread_run(self, monkeypatch, grid, alpha,
+                                           y_modulation, threads):
         # NLSLAB_THREADS unset against 1; three threads put the block edges
-        # at odd rows (5461 of 16384, 21 of 64).  The scattering datum shape,
-        # y_modulation 0.3: after a step every entry is nonzero
+        # at odd entries (87381 of 262144, 21845 of 65536).  The scattering
+        # datum shape: after a step every entry is nonzero.  A y column's
+        # state has one row, and is split all the same
         from nlslab import integrator
         if threads is None and (os.cpu_count() or 1) < 2:
             pytest.skip("one core: no kick is split")
         if grid.d == 1:
             f = from_profile(grid, lambda x, y: 0.6 * np.exp(-(x / 0.8) ** 2)
-                             * (1 + 0.3 * np.cos(y)))
+                             * (1 + y_modulation * np.cos(y)))
         else:
             f = from_profile(grid, lambda x1, x2, y: 0.8 * np.exp(
-                -(x1 ** 2 + x2 ** 2) / 1.5 ** 2) * (1 + 0.3 * np.cos(y)))
+                -(x1 ** 2 + x2 ** 2) / 1.5 ** 2) * (1 + y_modulation * np.cos(y)))
+        assert y_independent(f) == (y_modulation == 0)
         physics, control = PhysicsParams(alpha, 1), StepControl(2e-3, 8e-3, 3)
         monkeypatch.setenv("NLSLAB_THREADS", "1")
         one = _snapshot_bytes(f, physics, control)
@@ -640,3 +702,27 @@ class TestThreadedKick:
             with np.errstate(all="ignore"), pytest.raises(BlowUpError):
                 evolve(f, PhysicsParams(5.0, -1), StepControl(1e-3, 0.1, 50))
         assert counts and set(counts) == {2}
+
+
+@pytest.mark.parametrize("workers", [1, -1], ids=["1-worker", "all-cores"])
+@pytest.mark.parametrize("shape", [(16384, 16), (64, 64, 16), (45, 7)],
+                         ids=["scattering-grid", "d2", "odd-sized"])
+@pytest.mark.parametrize("transform", ["fftn", "ifftn"])
+def test_y_first_transform_is_the_x_first_one(transform, shape, workers):
+    """The transform of an x-first array over its axes in order, x then y,
+    is byte for byte that of its y-first copy over the x axes and then y,
+    moved back.
+
+    evolve's y-first stepping rests on this: each line goes through the same
+    1-D transform whatever its stride, as long as the axes come in the same
+    order.  That is a property of pocketfft on the build at hand, not a law;
+    this test guards it, with one worker and with all cores (the program's
+    default, NLSLAB_THREADS unset).
+    """
+    u = _spread_state(shape, 11)
+    d = u.ndim - 1
+    fn = getattr(sfft, transform)
+    x_first = fn(u, axes=list(range(d + 1)), workers=workers)
+    y_first = fn(np.moveaxis(u, -1, 0).copy(), axes=[*range(1, d + 1), 0],
+                 workers=workers)
+    assert np.moveaxis(y_first, 0, -1).tobytes() == x_first.tobytes()

@@ -85,3 +85,19 @@ def test_benchmark_smoke_run(tmp_path):
     assert value["integrator.fft_calls_per_step"] == 2
     assert value["integrator.fft_ms_per_step"] > 0
     assert value["field.snapshot_ms"] > 0
+
+
+def test_every_workload_config_parses(monkeypatch):
+    """Each benchmark workload's grid passes the parse, its memory check
+    included, with the preset's own datum in place of the benchmark's file."""
+    from nlslab.cli import parse_config
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(PERFBENCH, "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclass looks the module up by name while it is built
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    assert len(workloads.WORKLOADS) == 3
+    for wl in workloads.WORKLOADS.values():
+        cfg = parse_config(json.dumps(wl.config))
+        assert (cfg.d, cfg.Nx, cfg.Ny) == tuple(wl.grid[k] for k in ("d", "Nx", "Ny"))
