@@ -56,18 +56,17 @@ from .exponents import (
     perturbed_tuple,
     subcritical_pair,
     theta_grid_step,
-    theta_tuple,
+    theta_tuple,  # not called here; perfbench/tracing.py wraps cli.theta_tuple
 )
 from .field import (
     Grid,
     SpectralField,
-    _carrier,
-    abs_sq,
     fft_workers,
     from_profile,
-    lebesgue_norm,
+    lebesgue_norm,  # not called here; perfbench/tracing.py wraps cli.lebesgue_norm
     load_field,
     mixed_norm,  # not called here; perfbench/tracing.py wraps cli.mixed_norm
+    quadratic_terms,
     snapshot_header,
     sobolev_h1,  # not called here; perfbench/tracing.py wraps cli.sobolev_h1
     y_independent,
@@ -180,10 +179,6 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig(**merged)
     _validate(cfg)
     return cfg
-
-
-def emit_config(cfg: RunConfig) -> str:
-    return json.dumps(cfg.to_dict(), indent=2)
 
 
 def _check(ok: bool, name: str, value, rule: str) -> None:
@@ -446,14 +441,13 @@ class RecordBuilder:
                     chain["auxiliary_pair"][0])
 
     def __call__(self, fld: SpectralField, guard_breached: bool) -> None:
-        q_list = self.cfg.q_list
-        ms, ds = morawetz_sample(fld, self.physics_params, self._cube, q_list)
+        ms, ds = morawetz_sample(fld, self.physics_params, self._cube, self.cfg.q_list)
         acc_totals = dict.fromkeys(ACCUMULATORS, 0.0)
         theta_norm = 0.0
         if self.accumulators is not None:
             acc_totals = self.accumulators.update(fld.time_tag, fld, ds)
             theta_norm = self.accumulators.theta_mixed_norm
-        mass_value, kinetic, h1_norm = _quadratic_terms(fld)
+        mass_value, kinetic, h1_norm = quadratic_terms(fld)
         physics = self.physics_params
         # the potential term from nu, the y-integral of |u|^{alpha+2}
         potential = physics.lam / (physics.alpha + 2.0) * float(
@@ -463,9 +457,7 @@ class RecordBuilder:
             mass=mass_value,
             energy=kinetic + potential,
             h1_norm=h1_norm,
-            # the density pass's |u|^2 gives every finite q; inf is max |u|
-            lq_norms={q: ds.lq_norms[q] if q in ds.lq_norms else lebesgue_norm(fld, q)
-                      for q in q_list},
+            lq_norms=ds.lq_norms,
             J=ms.J,
             morawetz_lhs=ms.lhs,
             morawetz_rhs=ms.rhs,
@@ -479,25 +471,6 @@ class RecordBuilder:
         if any(abs(fld.time_tag - t) < 1e-9 * max(1.0, t) for t in self._schedule):
             # coefficients only: the report reads its L^q series from the records
             self.snapshots.append(SpectralField(fld.grid, fld.coefficients, fld.time_tag))
-
-
-def _quadratic_terms(fld: SpectralField) -> Tuple[float, float, float]:
-    """(mass, kinetic energy, H^1 norm) of a record from one |c|^2.
-
-    The oracles are integrator.mass, the kinetic part of integrator.energy
-    and field.sobolev_h1; the Laplace symbol |xi|^2 + n^2 is separable, so
-    its weighted sum is taken over the x and y frequencies apart.  A field
-    built from a y column sums its n = 0 column alone (field._carrier): its
-    other coefficients are +0, which add nothing to any of these sums.
-    """
-    g = fld.grid
-    c2 = abs_sq(_carrier(fld))
-    by_x = np.sum(c2, axis=-1)
-    mass_value = g.measure * float(np.sum(by_x))
-    lap_sum = float(np.sum(g.xi_sq()[..., 0] * by_x)) \
-        + float(np.sum(c2 @ g.n_axis()[:c2.shape[-1]] ** 2))
-    kinetic = 0.5 * g.measure * lap_sum
-    return mass_value, kinetic, float(np.sqrt(mass_value + 2.0 * kinetic))
 
 
 def build_datum(cfg: RunConfig) -> SpectralField:
@@ -619,11 +592,9 @@ def _exponent_chain(params: ProblemParams, r: Optional[Fraction],
     chain = {"critical_tuple": (base, rep)}
     if params.regime == "scattering" and rep.feasible:
         try:
-            theta = max_feasible_theta(base, params, theta_resolution)
+            chain["theta_tuple"] = max_feasible_theta(base, params, theta_resolution)
         except NoFeasibleTheta:
             pass
-        else:
-            chain["theta_tuple"] = theta_tuple(base, params, theta)
     chain["auxiliary_pair"] = auxiliary_pair(params, base, "equality")
     return chain
 

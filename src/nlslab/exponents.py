@@ -350,10 +350,11 @@ def theta_grid_step(resolution: RationalLike) -> Fraction:
 
 
 def max_feasible_theta(base: StrichartzTuple, params: ProblemParams,
-                       resolution: RationalLike = Fraction(1, 100)) -> Fraction:
-    """Largest theta < 1 on the resolution grid with a feasible theta tuple.
+                       resolution: RationalLike = Fraction(1, 100)):
+    """The feasible theta tuple of largest theta < 1 on the resolution grid,
+    with its constraint report.
 
-    theta = 1 is only the degenerate anchor; the returned value is strictly
+    theta = 1 is only the degenerate anchor; the tuple's theta is strictly
     below 1.  Scans downward from 1 - resolution.  The base itself must be
     feasible.
     """
@@ -362,9 +363,9 @@ def max_feasible_theta(base: StrichartzTuple, params: ProblemParams,
     res = theta_grid_step(resolution)
     th = 1 - res
     while th > 0:
-        _, report = theta_tuple(base, params, th)
+        tup, report = theta_tuple(base, params, th)
         if report.feasible:
-            return th
+            return tup, report
         th -= res
     raise NoFeasibleTheta("no feasible theta found on the grid (resolution too coarse)")
 

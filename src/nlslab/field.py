@@ -308,10 +308,23 @@ def sobolev_h1(fld: SpectralField) -> float:
     return _multiplier_norm(fld, 1.0 + fld.grid.laplace_symbol())
 
 
-def hs_x_hgamma_y(fld: SpectralField, s: float, gamma: float) -> float:
-    """Anisotropic norm with product multiplier <xi>^s <n>^gamma."""
+def quadratic_terms(fld: SpectralField) -> Tuple[float, float, float]:
+    """(mass, kinetic energy, H^1 norm) of a record from one |c|^2.
+
+    The oracles are integrator.mass, the kinetic part of integrator.energy
+    and sobolev_h1; the Laplace symbol |xi|^2 + n^2 is separable, so
+    its weighted sum is taken over the x and y frequencies apart.  A field
+    built from a y column sums its n = 0 column alone (_carrier): its
+    other coefficients are +0, which add nothing to any of these sums.
+    """
     g = fld.grid
-    return _multiplier_norm(fld, (1.0 + g.xi_sq()) ** s * (1.0 + g.n_grid() ** 2) ** gamma)
+    c2 = abs_sq(_carrier(fld))
+    by_x = np.sum(c2, axis=-1)
+    mass_value = g.measure * float(np.sum(by_x))
+    lap_sum = float(np.sum(g.xi_sq()[..., 0] * by_x)) \
+        + float(np.sum(c2 @ g.n_axis()[:c2.shape[-1]] ** 2))
+    kinetic = 0.5 * g.measure * lap_sum
+    return mass_value, kinetic, float(np.sqrt(mass_value + 2.0 * kinetic))
 
 
 def _lr_x(h_sq: np.ndarray, r: float, cell: float) -> float:
@@ -487,19 +500,6 @@ def edge_cube_fraction(fld: SpectralField) -> float:
     return float(window[mask].max()) / total
 
 
-def localized_gn_check(fld: SpectralField) -> Tuple[float, Tuple[float, float]]:
-    """Pieces of the localized Gagliardo-Nirenberg test.
-
-    Returns (lhs, (f1, f2)) with lhs = ||u||_{L^{2+4/(d+1)}}, f1 the square
-    root of the unit-cube sup mass and f2 = ||u||_{H^1}.  The caller checks
-    lhs <= C * f1^{2/(d+3)} * f2^{(d+1)/(d+3)} against a calibrated C.
-    """
-    lhs = lebesgue_norm(fld, 2.0 + 4.0 / (fld.grid.d + 1))
-    f1 = float(np.sqrt(cube_sup_mass(fld)))
-    f2 = sobolev_h1(fld)
-    return lhs, (f1, f2)
-
-
 # ---------------------------------------------------------------------------
 # linear flow and densities
 # ---------------------------------------------------------------------------
@@ -535,7 +535,7 @@ class DensitySet:
     K:        kinetic matrix Re(d_i u conj(d_j u)), shape (d, d) + (Nx,)*d
     nu:       potential density |u|^{alpha+2}, shape (Nx,)*d
     grad_rho: spectral x-gradient of rho, shape (d,) + (Nx,)*d
-    lq_norms: L^q norm of u for each finite q the pass was asked for
+    lq_norms: L^q norm of u for each q the pass was asked for, inf included
     """
 
     rho: np.ndarray
@@ -577,8 +577,9 @@ def densities(fld: SpectralField, alpha: float,
               q_list: Sequence[float] = ()) -> DensitySet:
     """Extract rho, P, K, nu and grad rho by y rectangle-rule integration.
 
-    s = |u|^2 is formed once and gives rho, nu and the L^q norm of each
-    finite q in q_list (lebesgue_norm's formula).  With h_i = -i d_i u,
+    s = |u|^2 is formed once, by squaring |u| in place, and gives rho, nu
+    and the L^q norm of each finite q in q_list; q = inf is the max of |u|
+    before the squaring.  Each is lebesgue_norm's value, bit for bit.  With h_i = -i d_i u,
     P_i = Re(conj(u) h_i) and K_ij = Re(h_i conj(h_j)), so each is one real
     dot over y of the interleaved float views.  A field built from a y
     column takes each h_i over the x axes of its n = 0 column (_carrier) and
@@ -587,10 +588,12 @@ def densities(fld: SpectralField, alpha: float,
     """
     g = fld.grid
     u = fld.samples()
-    s = abs_sq(u)
+    s = np.abs(u)
+    sup = float(s.max()) if np.inf in q_list else None
+    s *= s  # abs_sq(u), in place
     rho = np.einsum("...k->...", s) * g.dy
     nu = np.einsum("...k->...", abs_power(s, alpha + 2.0)) * g.dy
-    lq_norms = {q: _lq_from_sq(s, q, g) for q in q_list if q != np.inf}
+    lq_norms = {q: sup if q == np.inf else _lq_from_sq(s, q, g) for q in q_list}
     del s  # freed before the full-grid gradients are allocated
     c = _carrier(fld)
     h = []  # h_i on the full grid as float views, one array per x axis

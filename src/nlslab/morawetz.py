@@ -26,20 +26,22 @@ The tracked objects:
 Since hess and lap are even, 4 K:(hess * rho) + 4 rho (hess * K) =
 8 K:(hess * rho) and the two interaction pairings coincide, so lhs = S + rhs.
 For defocusing dynamics lhs - rhs = S >= 0 pointwise-in-time.
+
+The identities behind them, lhs = dJ/dt and the local mass flux that P
+carries, are checked in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 from scipy import fft as sfft
 from scipy.signal import fftconvolve  # noqa: F401  not called; perfbench/tracing.py wraps it
 
-from .field import (DensitySet, Grid, SpectralField, _x_gradient, cube_sup_mass, densities,
-                    fft_workers)
+from .field import DensitySet, Grid, SpectralField, cube_sup_mass, densities, fft_workers
 from .integrator import PhysicsParams
 from .scattering import TrapezoidFold, extended_power
 
@@ -158,7 +160,7 @@ def _odd(k: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 def _pairings(fld: SpectralField, physics: PhysicsParams, q_list: Sequence[float] = ()
               ) -> Tuple[Tuple[float, float, float, float], DensitySet]:
     """(J, S, lhs, rhs) of one snapshot, with the density pass they read,
-    which also takes the L^q norm of each finite q in q_list."""
+    which also takes the L^q norm of each q in q_list."""
     k = make_kernels(fld.grid)  # cached per grid
     ds = densities(fld, physics.alpha, q_list)
     sp = _spectra(k, ds)
@@ -206,52 +208,6 @@ def inequality_tolerance(lhs: float, rhs: float, mass_value: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# identity checks
-# ---------------------------------------------------------------------------
-
-def local_mass_flux_residual(f_minus: SpectralField, f_plus: SpectralField,
-                             psi: Union[np.ndarray, Callable[..., np.ndarray]]
-                             ) -> float:
-    """|d/dt int psi |u|^2 - (-2 Im int conj(u) grad psi . grad u)| at the midpoint.
-
-    The time derivative is the central difference of the two snapshots; the
-    flux side is the average of its values at the two times (both O(delta^2)).
-    """
-    g = f_minus.grid
-    delta2 = f_plus.time_tag - f_minus.time_tag
-    if delta2 <= 0:
-        raise ValueError("snapshots must be time-ordered")
-    if callable(psi):
-        axes = [g.x_axis()] * g.d
-        psi = np.asarray(psi(*np.meshgrid(*axes, indexing="ij")), dtype=float)
-    psi = np.broadcast_to(psi, (g.Nx,) * g.d)
-    grad_psi = _x_gradient(g, np.ascontiguousarray(psi))
-
-    def mass_and_flux(fld: SpectralField) -> Tuple[float, float]:
-        ds = densities(fld, alpha=2.0)
-        return (float(np.sum(psi * ds.rho) * g.cell),
-                float(sum(np.sum(grad_psi[i] * ds.P[i]) for i in range(g.d))
-                      * -2.0 * g.cell))
-
-    m_minus, flux_minus = mass_and_flux(f_minus)
-    m_plus, flux_plus = mass_and_flux(f_plus)
-    fd = (m_plus - m_minus) / delta2
-    side = 0.5 * (flux_minus + flux_plus)
-    return abs(fd - side)
-
-
-def finite_difference_dJdt_check(f_minus: SpectralField, f_center: SpectralField,
-                                 f_plus: SpectralField, physics: PhysicsParams) -> float:
-    """|(J(t+d) - J(t-d)) / 2d - lhs(t)|, O(delta^2) for exact trajectories."""
-    delta2 = f_plus.time_tag - f_minus.time_tag
-    if delta2 <= 0:
-        raise ValueError("snapshots must be time-ordered")
-    fd = (morawetz_J(f_plus) - morawetz_J(f_minus)) / delta2
-    lhs, _ = morawetz_terms(f_center, physics)
-    return abs(fd - lhs)
-
-
-# ---------------------------------------------------------------------------
 # accumulation along a run
 # ---------------------------------------------------------------------------
 
@@ -284,7 +240,7 @@ def morawetz_sample(fld: SpectralField, physics: PhysicsParams,
                     ) -> Tuple[MorawetzSample, DensitySet]:
     """One sample of a run from one density pass, returned with that pass for
     the other per-sample figures that need x-gradients or |u|^2 (the L^q
-    norm of each finite q in q_list)."""
+    norm of each q in q_list)."""
     (J, S, lhs, rhs), ds = _pairings(fld, physics, q_list)
     integral = cube.update(fld.time_tag, fld)
     return MorawetzSample(t=fld.time_tag, J=J, lhs=lhs, rhs=rhs, S=S,

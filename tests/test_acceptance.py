@@ -24,7 +24,6 @@ from nlslab.exponents import (
     perturbed_tuple,
     scan_feasible_r,
     subcritical_pair,
-    theta_tuple,
     verify_tuple,
 )
 from nlslab.field import (
@@ -134,8 +133,7 @@ def test_criterion_01_exponent_feasibility():
             ok &= prep.feasible
             aux, arep = auxiliary_pair(params, tup, "equality")
             ok &= arep.feasible
-            theta = max_feasible_theta(tup, params, F(1, 100))
-            _, trep = theta_tuple(tup, params, theta)
+            _, trep = max_feasible_theta(tup, params, F(1, 100))
             ok &= trep.feasible
             # interval formula vs. independent float grid scan
             lo, hi = feasible_r_interval(params)

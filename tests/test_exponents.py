@@ -196,14 +196,16 @@ class TestThetaTuple:
 
     def test_max_feasible_theta(self, base):
         params = ProblemParams(1, F(5))
-        star = max_feasible_theta(base, params, F(1, 100))
+        tup, report = max_feasible_theta(base, params, F(1, 100))
+        star = tup.theta
         assert 0 < star < 1
-        assert theta_tuple(base, params, star)[1].feasible
+        assert report.feasible
+        assert (tup, report) == theta_tuple(base, params, star)
         assert theta_tuple(base, params, star - F(1, 100))[1].feasible
 
     def test_star_value_fine_grid(self, base):
         params = ProblemParams(1, F(5))
-        assert max_feasible_theta(base, params, F(1, 100)) == F(99, 100)
+        assert max_feasible_theta(base, params, F(1, 100))[0].theta == F(99, 100)
 
     def test_coarse_grid_may_miss(self, base):
         # theta = 3/4 already drives 1/r~_th negative here, so a grid of

@@ -1,6 +1,7 @@
 """The benchmark in perfbench/ wraps program functions by name and replaces
 integrator._nonlinear_kick in its self-test; these tests fail when a refactor
-removes a name it relies on."""
+removes a name it relies on, or leaves a public name that nothing but unit
+tests reads."""
 
 import ast
 import importlib.util
@@ -55,6 +56,58 @@ def test_unused_imports_are_wrapped_names():
                 names = [a.asname or a.name.split(".")[0] for a in node.names]
                 unused += [(module, n) for n in names if n not in read]
     assert [u for u in unused if u not in targets] == []
+
+
+# public library names that no run, criterion or benchmark file reads, each
+# kept for the reason given
+UNREAD_BY_DESIGN = {
+    "nlslab.field.save_field": "writes the snapshot files that load_field "
+                               "reads, as a file datum",
+}
+
+
+def _names_read(tree, strings=False):
+    """The names a syntax tree reads: loaded names and attribute names, and
+    with strings the last dotted part of each string constant."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.add(n.value.rsplit(".", 1)[-1])
+    return out
+
+
+def _parse(path):
+    with open(path) as fh:
+        return ast.parse(fh.read())
+
+
+def test_every_public_name_is_read():
+    """Each public top-level def or class of the library is read by name in
+    the library outside its own definition, in perfbench/ (the string names
+    the tracer patches included) or in the acceptance criteria.  A name that
+    only unit tests call belongs in those tests."""
+    public, read = [], set()
+    for fname in sorted(os.listdir(SRC)):
+        if not fname.endswith(".py"):
+            continue
+        for node in _parse(os.path.join(SRC, fname)).body:
+            names = _names_read(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(node.name)
+                if not node.name.startswith("_"):
+                    public.append((f"nlslab.{fname[:-3]}.{node.name}", node.name))
+            read |= names
+    for fname in os.listdir(PERFBENCH):
+        if fname.endswith(".py"):
+            read |= _names_read(_parse(os.path.join(PERFBENCH, fname)), strings=True)
+    read |= _names_read(_parse(os.path.join(ROOT, "tests", "test_acceptance.py")))
+    unread = [full for full, name in public
+              if name not in read and full not in UNREAD_BY_DESIGN]
+    assert not unread, f"public names no run, criterion or benchmark reads: {unread}"
 
 
 def test_selftest_passes():

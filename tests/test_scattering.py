@@ -329,7 +329,7 @@ class TestSpacetimeAccumulators:
         from nlslab.exponents import max_feasible_theta
         params = ProblemParams(2, F(3))
         base, _ = critical_tuple(params)
-        theta, _ = theta_tuple(base, params, max_feasible_theta(base, params, F(1, 100)))
+        theta, _ = max_feasible_theta(base, params, F(1, 100))
         aux, _ = auxiliary_pair(params, base, "equality")
         acc = SpacetimeAccumulators(params, base, theta, aux)
         g = Grid(2, 16.0, 32, 4)
@@ -362,8 +362,7 @@ class TestSpacetimeAccumulators:
         ]:
             params = ProblemParams(d, alpha)
             base, _ = critical_tuple(params)
-            theta, _ = theta_tuple(base, params,
-                                   max_feasible_theta(base, params, F(1, 100)))
+            theta, _ = max_feasible_theta(base, params, F(1, 100))
             aux, _ = auxiliary_pair(params, base, "equality")
             acc = SpacetimeAccumulators(params, base, theta, aux)
             assert base.s == F(d, 2) - 2 / alpha
