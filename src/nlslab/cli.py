@@ -137,7 +137,7 @@ _PRESET_DEFAULTS: Dict[str, dict] = {
     "morawetz": {"alpha": "5", "lam": 1, "t_end": 10.0,
                  "datum": {"kind": "gaussian", "amplitude": 1.0, "width": 0.65,
                            "y_modulation": 0.0}},
-    "soliton-control": {"alpha": "2", "lam": -1, "L": 80.0, "Nx": 2048,
+    "soliton-control": {"alpha": "2", "lam": -1, "L": 80.0, "Nx": 1024,
                         "Ny": 4, "t_end": 20.0,
                         "datum": {"kind": "soliton", "B": 1.0}},
     "scattering": {"alpha": "5", "lam": 1, "L": 1024.0, "Nx": 16384, "Ny": 16,
@@ -595,7 +595,7 @@ def _exponent_chain(params: ProblemParams, r: Optional[Fraction],
             chain["theta_tuple"] = max_feasible_theta(base, params, theta_resolution)
         except NoFeasibleTheta:
             pass
-    chain["auxiliary_pair"] = auxiliary_pair(params, base, "equality")
+    chain["auxiliary_pair"] = auxiliary_pair(params, base)
     return chain
 
 

@@ -87,15 +87,6 @@ class ConstraintReport:
     def feasible(self) -> bool:
         return all(c.ok for c in self.constraints)
 
-    def first_violation(self) -> Optional[Constraint]:
-        for c in self.constraints:
-            if not c.ok:
-                return c
-        return None
-
-    def violations(self) -> list:
-        return [c for c in self.constraints if not c.ok]
-
     def to_json_dict(self) -> dict:
         return {
             "feasible": self.feasible,
@@ -184,11 +175,11 @@ class ThetaTuple:
 
 @dataclass(frozen=True)
 class AuxPair:
-    """Auxiliary pair (l, p) closing the gradient-norm bootstrap."""
+    """Auxiliary pair (l, p) closing the gradient-norm bootstrap through the
+    identity 1/l' = 1/l + alpha/q."""
 
     l: Fraction
     p: Fraction
-    strictness: str  # "strict" or "equality"
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +291,6 @@ def perturbed_tuple(base: StrichartzTuple, params: ProblemParams, epsilon: Ratio
     report = _verify_strichartz(tup, params, dual_mode="strict")
     report.check("s_eps > s_base", s_eps, ">" if eps > 0 else ">=", base.s)
     report.check("strict perturbation: epsilon > 0", eps, ">", Fraction(0))
-    if eps == 0:
-        return base, report
     return tup, report
 
 
@@ -370,20 +359,17 @@ def max_feasible_theta(base: StrichartzTuple, params: ProblemParams,
     raise NoFeasibleTheta("no feasible theta found on the grid (resolution too coarse)")
 
 
-def auxiliary_pair(params: ProblemParams, tup, strictness: str = "strict"):
+def auxiliary_pair(params: ProblemParams, tup):
     """Auxiliary (l, p): 1/l = alpha d/(4r), 1/p = 1/2 - alpha/(2r).
 
-    In "equality" mode the closing condition 1/l' = 1/l + alpha/q is an exact
-    identity (it is forced by alpha/q + alpha d/(2r) = 1); in "strict" mode it
-    is the strict inequality, as appropriate for a perturbed tuple.
+    The closing condition 1/l' = 1/l + alpha/q is then an exact identity: it
+    is forced by alpha/q + alpha d/(2r) = 1, which the critical and theta
+    tuples satisfy.
     """
-    if strictness not in ("strict", "equality"):
-        raise ValueError(f"strictness must be 'strict' or 'equality', got {strictness!r}")
     d, a = params.d, params.alpha
     r = tup.r_theta if isinstance(tup, ThetaTuple) else tup.r
     pair = AuxPair(l=_safe_reciprocal(Fraction(a * d, 4 * r)),
-                   p=_safe_reciprocal(Fraction(1, 2) - Fraction(a, 2 * r)),
-                   strictness=strictness)
+                   p=_safe_reciprocal(Fraction(1, 2) - Fraction(a, 2 * r)))
     return pair, verify_tuple(pair, params, base=tup)
 
 
@@ -482,8 +468,7 @@ def _verify_aux(pair: AuxPair, params: ProblemParams, base) -> ConstraintReport:
     il, ip = _safe_reciprocal(pair.l), _safe_reciprocal(pair.p)  # a stored 0 fails below
     report.check("2/l + d/p = d/2", 2 * il + d * ip, "=", Fraction(d, 2))
     report.check("1/p' = 1/p + alpha/r", 1 - ip, "=", ip + Fraction(a, r))
-    cmp = ">" if pair.strictness == "strict" else "="
-    report.check(f"1/l' {cmp} 1/l + alpha/q", 1 - il, cmp, il + Fraction(a, q))
+    report.check("1/l' = 1/l + alpha/q", 1 - il, "=", il + Fraction(a, q))
     return report
 
 

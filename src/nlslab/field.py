@@ -19,6 +19,10 @@ density pass, the y-mode power of the mixed norms (Ny u at n = 0, with no
 transform) and the |c|^2 sums of the record read the n = 0 column
 (_carrier).  Every y sum still runs on full-grid arrays, so such a record is
 the same bits as that of the full-grid field with the same samples.
+
+Every x-derivative is one transform, _x_derivatives: the inverse FFT of the
+coefficients times the multipliers cached per grid.  It serves u's
+coefficients and the y column of rho's x transform alike.
 """
 
 from __future__ import annotations
@@ -37,12 +41,14 @@ TWO_PI = 2.0 * np.pi
 
 
 def fft_workers() -> int:
-    """scipy.fft worker count: -1 (all cores) unless NLSLAB_THREADS is set to a
-    positive integer, which is clamped to the core count."""
+    """The thread count of every FFT and of the nonlinear kick: the core count
+    unless NLSLAB_THREADS is set to a positive integer, which is clamped to
+    the core count."""
     raw = os.environ.get("NLSLAB_THREADS", "")
     if raw and not (raw.isdecimal() and int(raw) >= 1):
         raise ValueError(f"NLSLAB_THREADS = {raw!r}: must be a positive integer")
-    return min(int(raw), os.cpu_count() or 1) if raw else -1
+    cores = os.cpu_count() or 1
+    return min(int(raw), cores) if raw else cores
 
 
 def _is_pow2(n: int) -> bool:
@@ -534,7 +540,8 @@ class DensitySet:
     P:        momentum density Im(conj(u) grad_x u), shape (d,) + (Nx,)*d
     K:        kinetic matrix Re(d_i u conj(d_j u)), shape (d, d) + (Nx,)*d
     nu:       potential density |u|^{alpha+2}, shape (Nx,)*d
-    grad_rho: spectral x-gradient of rho, shape (d,) + (Nx,)*d
+    grad_rho: spectral x-gradient of rho, shape (d,) + (Nx,)*d, through the
+              multipliers that give d_i u
     lq_norms: L^q norm of u for each q the pass was asked for, inf included
     """
 
@@ -544,19 +551,6 @@ class DensitySet:
     nu: np.ndarray
     grad_rho: np.ndarray
     lq_norms: Dict[float, float]
-
-
-def _x_gradient(grid: Grid, arr: np.ndarray) -> np.ndarray:
-    """Spectral gradient along the x axes of a real array on the x grid."""
-    out = np.empty((grid.d,) + arr.shape)
-    ah = sfft.fftn(arr, workers=fft_workers())
-    xi = grid.xi_axis()
-    for i in range(grid.d):
-        shape = [1] * arr.ndim
-        shape[i] = grid.Nx
-        deriv = sfft.ifftn(ah * (1j * xi.reshape(shape)), workers=fft_workers())
-        out[i] = deriv.real
-    return out
 
 
 @lru_cache(maxsize=8)
@@ -573,6 +567,15 @@ def _gradient_multipliers(grid: Grid) -> Tuple[np.ndarray, ...]:
     return out
 
 
+def _x_derivatives(c: np.ndarray, grid: Grid) -> list:
+    """-i d_i per x axis of the field whose coefficients c are given on the
+    grid or on its n = 0 column: ifftn(c * m_i) over c's long axes, without
+    normalization (_gradient_multipliers), each the shape of c."""
+    return [sfft.ifftn(c * m, axes=long_axes(c), overwrite_x=True,
+                       norm="forward", workers=fft_workers())
+            for m in _gradient_multipliers(grid)]
+
+
 def densities(fld: SpectralField, alpha: float,
               q_list: Sequence[float] = ()) -> DensitySet:
     """Extract rho, P, K, nu and grad rho by y rectangle-rule integration.
@@ -584,7 +587,11 @@ def densities(fld: SpectralField, alpha: float,
     dot over y of the interleaved float views.  A field built from a y
     column takes each h_i over the x axes of its n = 0 column (_carrier) and
     copies it out to the grid: the y sums run on the grid either way, so the
-    densities are the same bits as those of the full-grid transform.
+    densities are the same bits as those of the full-grid transform.  grad
+    rho takes the same transform on rho's x transform, a y column of
+    coefficients formed from the real rho: d_i rho = -Im(-i d_i rho).  This
+    is the real part of ifftn(fftn(rho) * i xi_i) bit for bit on the
+    benchmark's grids; a complex rho would round its transform differently.
     """
     g = fld.grid
     u = fld.samples()
@@ -595,11 +602,8 @@ def densities(fld: SpectralField, alpha: float,
     nu = np.einsum("...k->...", abs_power(s, alpha + 2.0)) * g.dy
     lq_norms = {q: sup if q == np.inf else _lq_from_sq(s, q, g) for q in q_list}
     del s  # freed before the full-grid gradients are allocated
-    c = _carrier(fld)
     h = []  # h_i on the full grid as float views, one array per x axis
-    for m in _gradient_multipliers(g):
-        hi = sfft.ifftn(c * m, axes=long_axes(c), overwrite_x=True,
-                        norm="forward", workers=fft_workers())
+    for hi in _x_derivatives(_carrier(fld), g):
         if hi.shape != g.shape:
             hi = np.broadcast_to(hi, g.shape).copy()
         h.append(hi.view(np.float64))
@@ -611,7 +615,11 @@ def densities(fld: SpectralField, alpha: float,
         for j in range(i, g.d):
             K[i, j] = np.einsum("...k,...k->...", h[i], h[j]) * g.dy
             K[j, i] = K[i, j]
-    return DensitySet(rho=rho, P=P, K=K, nu=nu, grad_rho=_x_gradient(g, rho),
+    col = rho[..., None]  # real: its transform keeps the direct pair's bits
+    c_rho = sfft.fftn(col, axes=long_axes(col), norm="forward", workers=fft_workers())
+    c_rho *= g.x_phase()
+    grad_rho = -np.stack([di.imag[..., 0] for di in _x_derivatives(c_rho, g)])
+    return DensitySet(rho=rho, P=P, K=K, nu=nu, grad_rho=grad_rho,
                       lq_norms=lq_norms)
 
 

@@ -63,11 +63,12 @@ calling thread allocates the scratch for the whole state, runs the first
 block and hands the others to a pool of count - 1 threads, created at the
 first split kick for that count and kept for the process.  A flat cut
 splits any state alike, whatever its axis lengths: a (1, 256, 256) column
-too.  Smaller states (a y column of the decay grid) and one thread take the
-calling thread alone, with no pool and no lookup of the thread count.  Every
-entry passes through the same ufunc calls either way, so the split kick is
-the one-thread kick bit for bit as long as numpy's elementwise loops give an
-entry the same bits wherever its block starts, in a SIMD body or a tail.
+too.  Smaller states (a y column of the decay grid) take the calling thread
+alone, with no lookup of the thread count, and so does one thread, with no
+pool.  Every entry passes through the same ufunc calls either way, so the
+split kick is the one-thread kick bit for bit as long as numpy's elementwise
+loops give an entry the same bits wherever its block starts, in a SIMD body
+or a tail.
 That is a property of the numpy build, not a law; TestThreadedKick in
 tests/test_integrator.py guards it on the scattering grid, a d = 2 grid and
 block edges at odd entries.
@@ -162,12 +163,6 @@ _kick_pools_lock = threading.Lock()
 os.register_at_fork(after_in_child=_kick_pools.clear)
 
 
-def _kick_threads() -> int:
-    """The thread count of fft_workers(): -1 there means every core."""
-    workers = fft_workers()
-    return workers if workers > 0 else os.cpu_count() or 1
-
-
 def _kick_block(v: np.ndarray, rot: np.ndarray, theta: np.ndarray,
                 power: float, angle: float) -> None:
     """The kick on v in place, with rot and theta scratch of v's shape."""
@@ -219,7 +214,7 @@ def _nonlinear_kick(v: np.ndarray, physics: PhysicsParams, h: float
         return v
     power, angle = physics.alpha / 2.0, physics.lam * h
     if v.size >= KICK_SPLIT_MIN:
-        threads = _kick_threads()
+        threads = fft_workers()
         if threads > 1:
             _split_kick(v, power, angle, threads)
             return v

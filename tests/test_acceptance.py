@@ -131,7 +131,7 @@ def test_criterion_01_exponent_feasibility():
             ok &= rep.feasible
             pert, prep = perturbed_tuple(tup, params, F(1, 100))
             ok &= prep.feasible
-            aux, arep = auxiliary_pair(params, tup, "equality")
+            aux, arep = auxiliary_pair(params, tup)
             ok &= arep.feasible
             _, trep = max_feasible_theta(tup, params, F(1, 100))
             ok &= trep.feasible
@@ -151,7 +151,7 @@ def test_criterion_01_exponent_feasibility():
 def test_criterion_02_worked_tuple():
     params = ProblemParams(1, F(5))
     tup, rep = critical_tuple(params, r=F(8))
-    aux, arep = auxiliary_pair(params, tup, "equality")
+    aux, arep = auxiliary_pair(params, tup)
     got = (tup.q, tup.q_tilde, tup.r_tilde, tup.s, aux.l, aux.p)
     want = (F(80, 11), F(40, 7), F(4), F(1, 10), F(32, 5), F(16, 3))
     equality = 1 - 1 / aux.l == 1 / aux.l + params.alpha / tup.q

@@ -7,6 +7,7 @@ import os
 import re
 import signal
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -261,6 +262,18 @@ class TestParseConfig:
     def test_preset_defaults_parse(self, preset):
         cfg = parse_config(cfg_text(preset=preset))
         assert parse_config(json.dumps(cfg.to_dict(), indent=2)) == cfg
+
+    @pytest.mark.parametrize("preset", ["decay", "morawetz", "soliton-control",
+                                        "scattering"])
+    def test_preset_defaults_pass_the_resolvability_check(self, preset):
+        # dt * max(|xi|^2 + n^2) stays below 2 pi on a run preset's own grid
+        # and step (4.39 for decay and morawetz, 1.62 for soliton-control,
+        # 5.18 for scattering), so its runs do not warn
+        from nlslab.integrator import _check_resolvability
+        cfg = parse_config(cfg_text(preset=preset))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _check_resolvability(cfg.grid(), cfg.dt)
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

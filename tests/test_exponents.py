@@ -104,7 +104,7 @@ class TestCriticalTuple:
     def test_boundary_r_infeasible(self):
         _, report = critical_tuple(ProblemParams(1, F(5)), r=6)
         assert not report.feasible
-        assert report.first_violation() is not None
+        assert [c for c in report.constraints if not c.ok]
 
     def test_d2_alpha3_midpoint(self):
         tup, report = critical_tuple(ProblemParams(2, F(3)))
@@ -121,7 +121,8 @@ class TestCriticalTuple:
         for k in range(1, 50):
             r = lo + (hi - lo) * F(k, 50)
             _, report = critical_tuple(params, r=r)
-            assert report.feasible, (d, alpha, r, report.first_violation())
+            assert report.feasible, (d, alpha, r,
+                                      [c for c in report.constraints if not c.ok])
 
 
 class TestPerturbedTuple:
@@ -147,7 +148,7 @@ class TestPerturbedTuple:
         tup, report = perturbed_tuple(base, params, 0)
         assert tup == base
         assert not report.feasible
-        bad = [c.label for c in report.violations()]
+        bad = [c.label for c in report.constraints if not c.ok]
         assert "strict perturbation: epsilon > 0" in bad
 
     def test_epsilon_huge_infeasible(self, base):
@@ -235,23 +236,16 @@ class TestAuxiliaryPair:
     def test_equality_mode_worked_example(self):
         params = ProblemParams(1, F(5))
         base, _ = critical_tuple(params, r=8)
-        pair, report = auxiliary_pair(params, base, "equality")
+        pair, report = auxiliary_pair(params, base)
         assert pair.l == F(32, 5) and pair.p == F(16, 3)
         assert 1 - F(5, 32) == F(27, 32) == F(5, 32) + F(5, 1) / base.q
-        assert report.feasible
-
-    def test_strict_mode_on_perturbed(self):
-        params = ProblemParams(1, F(5))
-        base, _ = critical_tuple(params, r=8)
-        pert, _ = perturbed_tuple(base, params, F(1, 50))
-        _, report = auxiliary_pair(params, pert, "strict")
         assert report.feasible
 
     def test_degenerate_geometry(self):
         # alpha/r >= 1 forces p <= 0
         params = ProblemParams(1, F(5))
         fake = StrichartzTuple(q=F(10), r=F(4), q_tilde=F(10), r_tilde=F(4), s=F(1, 10))
-        _, report = auxiliary_pair(params, fake, "strict")
+        _, report = auxiliary_pair(params, fake)
         assert not report.feasible
 
     def test_equality_collapse_property(self):
@@ -259,7 +253,7 @@ class TestAuxiliaryPair:
         for d, alpha in [(1, F(5)), (2, F(3)), (3, F(7, 5))]:
             params = ProblemParams(d, alpha)
             tup, _ = critical_tuple(params)
-            pair, report = auxiliary_pair(params, tup, "equality")
+            pair, report = auxiliary_pair(params, tup)
             assert report.feasible
             assert 1 - 1 / pair.l - 1 / pair.l - params.alpha / tup.q == 0
 
@@ -277,22 +271,20 @@ class TestVerifyTuple:
                               r_tilde=tup.r, s=tup.s)
         report = verify_tuple(bad, params)
         assert not report.feasible
-        labels = {c.label for c in report.violations()}
+        labels = {c.label for c in report.constraints if not c.ok}
         assert labels  # specific constraints are named
 
     def test_corrupted_aux_pair_flagged(self):
         # the stored exponents are checked, not the pair the base would give
         params = ProblemParams(1, F(5))
         base, _ = critical_tuple(params, r=F(8))
-        pair, _ = auxiliary_pair(params, base, "equality")
-        for bad in (AuxPair(l=F(1000), p=F(3), strictness="equality"),
-                    AuxPair(l=pair.l, p=pair.p + 1, strictness="equality"),
-                    AuxPair(l=pair.l + 1, p=pair.p, strictness="equality"),
-                    AuxPair(l=F(0), p=pair.p, strictness="equality"),
-                    AuxPair(l=pair.l, p=F(0), strictness="equality")):
+        pair, _ = auxiliary_pair(params, base)
+        for bad in (AuxPair(l=F(1000), p=F(3)), AuxPair(l=pair.l, p=pair.p + 1),
+                    AuxPair(l=pair.l + 1, p=pair.p), AuxPair(l=F(0), p=pair.p),
+                    AuxPair(l=pair.l, p=F(0))):
             report = verify_tuple(bad, params, base=base)
             assert not report.feasible
-            assert {c.label for c in report.violations()} <= {
+            assert {c.label for c in report.constraints if not c.ok} <= {
                 "2/l + d/p = d/2", "1/p' = 1/p + alpha/r", "1/l' = 1/l + alpha/q"}
 
     @pytest.mark.parametrize("kind, field, label", [
@@ -310,7 +302,8 @@ class TestVerifyTuple:
         assert report.feasible
         report = verify_tuple(replace(tup, **{field: F(0)}), params)
         assert not report.feasible
-        assert f"1/{label} < 1/2" in {c.label for c in report.violations()}
+        assert f"1/{label} < 1/2" in {c.label for c in report.constraints
+                                       if not c.ok}
 
     def test_zero_subcritical_exponent_flagged(self):
         params = ProblemParams(2, F(1))
@@ -326,7 +319,7 @@ class TestVerifyTuple:
     def test_aux_pair_needs_base(self):
         params = ProblemParams(1, F(5))
         tup, _ = critical_tuple(params, r=8)
-        pair, _ = auxiliary_pair(params, tup, "equality")
+        pair, _ = auxiliary_pair(params, tup)
         with pytest.raises(ValueError):
             verify_tuple(pair, params)
         assert verify_tuple(pair, params, base=tup).feasible

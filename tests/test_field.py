@@ -581,6 +581,34 @@ class TestLeanDensityPass:
             fused = sfft.ifftn(c * m, overwrite_x=True, norm="forward")
             assert np.array_equal(1j * fused, direct)
 
+    @staticmethod
+    def x_gradient(grid, arr):
+        """Oracle: the spectral x-gradient of a real array on the x grid, the
+        real part of ifftn(fftn(arr) * i xi_i) per x axis."""
+        from scipy import fft as sfft
+        ah = sfft.fftn(arr)
+        out = np.empty((grid.d,) + arr.shape)
+        for i in range(grid.d):
+            shape = [1] * arr.ndim
+            shape[i] = grid.Nx
+            out[i] = sfft.ifftn(ah * (1j * grid.xi_axis().reshape(shape))).real
+        return out
+
+    @pytest.mark.parametrize("grid", [
+        Grid(1, 200.0, 4096, 32), Grid(2, 64.0, 256, 16), Grid(1, 1024.0, 16384, 16)],
+        ids=["decay-1d", "morawetz-2d", "scattering-1d"])
+    @pytest.mark.parametrize("column", [False, True], ids=["y-dependent", "column"])
+    def test_grad_rho_equals_the_direct_gradient(self, grid, column):
+        # grad rho takes the density pass's multipliers on rho's column: the
+        # same values as the direct transform pair on rho, bit for bit
+        mesh = np.meshgrid(*[grid.x_axis()] * grid.d, grid.y_axis(), indexing="ij")
+        r2 = sum(x ** 2 for x in mesh[:-1])
+        u = np.exp(-r2 / 2.0 + 0.7j * mesh[0]) * (1 + 0.3 * np.cos(mesh[-1]))
+        f = SpectralField.from_samples(grid, u[..., :1].copy() if column else u)
+        assert f._column == column
+        ds = densities(f, 3.0)
+        assert np.array_equal(ds.grad_rho, self.x_gradient(grid, ds.rho))
+
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("alpha", [3.0, 5.0, 4.0 / 3.0])
     def test_densities_match_complex_formulas(self, d, alpha):
@@ -716,11 +744,12 @@ def test_transforms_bitwise_equal_to_out_of_place_formulas(grid, mod):
 
 class TestFftWorkers:
     def test_unset_or_empty_means_all_cores(self, monkeypatch):
+        import os
         from nlslab.field import fft_workers
         monkeypatch.delenv("NLSLAB_THREADS", raising=False)
-        assert fft_workers() == -1
+        assert fft_workers() == (os.cpu_count() or 1)
         monkeypatch.setenv("NLSLAB_THREADS", "")
-        assert fft_workers() == -1
+        assert fft_workers() == (os.cpu_count() or 1)
 
     def test_clamped_to_core_count(self, monkeypatch):
         import os

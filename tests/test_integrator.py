@@ -598,7 +598,7 @@ class TestThreadedKick:
         physics = PhysicsParams(alpha, lam)
         monkeypatch.setenv("NLSLAB_THREADS", "1")
         one = integrator._nonlinear_kick(v.copy(), physics, 0.37)
-        monkeypatch.setattr(integrator, "_kick_threads", lambda: threads)
+        monkeypatch.setattr(integrator, "fft_workers", lambda: threads)
         counts = _spy_split(monkeypatch)
         split = integrator._nonlinear_kick(v.copy(), physics, 0.37)
         assert counts == [threads]
@@ -606,7 +606,7 @@ class TestThreadedKick:
 
     def test_small_state_stays_on_one_thread(self, monkeypatch):
         from nlslab import integrator
-        monkeypatch.setattr(integrator, "_kick_threads", lambda: 2)
+        monkeypatch.setattr(integrator, "fft_workers", lambda: 2)
         counts = _spy_split(monkeypatch)
         v = _spread_state((integrator.KICK_SPLIT_MIN // 16 - 1, 16), 8)
         integrator._nonlinear_kick(v, PhysicsParams(5.0, 1), 0.1)
@@ -639,7 +639,7 @@ class TestThreadedKick:
         one = _snapshot_bytes(f, physics, control)
         monkeypatch.delenv("NLSLAB_THREADS")
         if threads is not None:
-            monkeypatch.setattr(integrator, "_kick_threads", lambda: threads)
+            monkeypatch.setattr(integrator, "fft_workers", lambda: threads)
         counts = _spy_split(monkeypatch)
         threaded = _snapshot_bytes(f, physics, control)
         # chunks of 3 steps and 1 step, each with n + 1 kicks
@@ -654,7 +654,7 @@ class TestThreadedKick:
         physics, control = PhysicsParams(5.0, 1), StepControl(1e-3, 6e-3, 3)
         monkeypatch.setenv("NLSLAB_THREADS", "1")
         one = _snapshot_bytes(f, physics, control)
-        monkeypatch.setattr(integrator, "_kick_threads", lambda: 2)
+        monkeypatch.setattr(integrator, "fft_workers", lambda: 2)
         monkeypatch.delenv("NLSLAB_THREADS")
         counts = _spy_split(monkeypatch)
         assert _snapshot_bytes(f, physics, control) == one
@@ -693,7 +693,7 @@ class TestThreadedKick:
         # stays silent and the run reports the blow-up at its step
         from nlslab import integrator
         import warnings
-        monkeypatch.setattr(integrator, "_kick_threads", lambda: 2)
+        monkeypatch.setattr(integrator, "fft_workers", lambda: 2)
         counts = _spy_split(monkeypatch)
         g = Grid(1, 400.0, 4096, 16)
         f = from_profile(g, lambda x, y: 2.8e61 * np.exp(-x ** 2) * (1 + 0.3 * np.cos(y)))

@@ -85,21 +85,42 @@ def _parse(path):
         return ast.parse(fh.read())
 
 
+def _scan(node, prefix):
+    """The public definitions at a syntax tree node, as (qualified name,
+    name), and the names the node reads outside each one's own definition.
+    A public class adds its public methods."""
+    if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [], _names_read(node)
+    if node.name.startswith("_"):
+        return [], _names_read(node) - {node.name}
+    full = f"{prefix}.{node.name}"
+    public, read = [(full, node.name)], set()
+    if isinstance(node, ast.ClassDef):
+        for part in node.bases + node.keywords + node.decorator_list:
+            read |= _names_read(part)
+        for child in node.body:
+            defs, names = _scan(child, full)
+            public += defs
+            read |= names
+    else:
+        read = _names_read(node)
+    read.discard(node.name)
+    return public, read
+
+
 def test_every_public_name_is_read():
-    """Each public top-level def or class of the library is read by name in
-    the library outside its own definition, in perfbench/ (the string names
-    the tracer patches included) or in the acceptance criteria.  A name that
-    only unit tests call belongs in those tests."""
+    """Each public top-level def or class of the library, and each public
+    method of a public class, is read by name in the library outside its own
+    definition, in perfbench/ (the string names the tracer patches included)
+    or in the acceptance criteria.  A name that only unit tests call belongs
+    in those tests."""
     public, read = [], set()
     for fname in sorted(os.listdir(SRC)):
         if not fname.endswith(".py"):
             continue
         for node in _parse(os.path.join(SRC, fname)).body:
-            names = _names_read(node)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names.discard(node.name)
-                if not node.name.startswith("_"):
-                    public.append((f"nlslab.{fname[:-3]}.{node.name}", node.name))
+            defs, names = _scan(node, f"nlslab.{fname[:-3]}")
+            public += defs
             read |= names
     for fname in os.listdir(PERFBENCH):
         if fname.endswith(".py"):

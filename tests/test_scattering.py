@@ -235,7 +235,7 @@ class TestSpacetimeAccumulators:
         params = ProblemParams(1, F(5))
         base, _ = critical_tuple(params, r=8)
         theta, _ = theta_tuple(base, params, F(9, 10))
-        aux, _ = auxiliary_pair(params, base, "equality")
+        aux, _ = auxiliary_pair(params, base)
         return params, base, theta, aux
 
     def test_zero_stream(self, g1, tuples):
@@ -330,7 +330,7 @@ class TestSpacetimeAccumulators:
         params = ProblemParams(2, F(3))
         base, _ = critical_tuple(params)
         theta, _ = max_feasible_theta(base, params, F(1, 100))
-        aux, _ = auxiliary_pair(params, base, "equality")
+        aux, _ = auxiliary_pair(params, base)
         acc = SpacetimeAccumulators(params, base, theta, aux)
         g = Grid(2, 16.0, 32, 4)
         f = from_profile(g, lambda x1, x2, y: np.exp(-(x1 ** 2 + 2 * x2 ** 2) / 4)
@@ -363,7 +363,7 @@ class TestSpacetimeAccumulators:
             params = ProblemParams(d, alpha)
             base, _ = critical_tuple(params)
             theta, _ = max_feasible_theta(base, params, F(1, 100))
-            aux, _ = auxiliary_pair(params, base, "equality")
+            aux, _ = auxiliary_pair(params, base)
             acc = SpacetimeAccumulators(params, base, theta, aux)
             assert base.s == F(d, 2) - 2 / alpha
             assert acc.delta == delta, (d, alpha)
