@@ -300,11 +300,15 @@ PEAK_ARRAYS = 18
 
 def _check_run(cfg: RunConfig) -> None:
     """Grid, memory, step, datum and Cauchy schedule checks for the presets
-    that run dynamics; cfg.datum becomes the resolved datum spec.  A file
+    that run dynamics; cfg.datum becomes the resolved datum spec.  A box
+    shorter than a unit cube (L < 1) is refused: its cube windows would wrap
+    onto themselves and count cells more than once.  A file
     datum's header is read and checked here; build_datum checks the file
     again.  A grid whose run would need more than the machine's physical
     memory (PEAK_ARRAYS) is refused before anything is allocated."""
     grid = _defer("grid.", cfg.grid)
+    _check(cfg.L >= 1, "grid.L", cfg.L, "must be at least 1, the side of the "
+           "unit cubes that the cube-sup mass and the boundary guard sum over")
     need = PEAK_ARRAYS * 16 * grid.ntot
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     _check(need <= have, "grid", grid,

@@ -22,12 +22,17 @@ the same bits as that of the full-grid field with the same samples.
 
 Every x-derivative is one transform, _x_derivatives: the inverse FFT of the
 coefficients times the multipliers cached per grid.  It serves u's
-coefficients and the y column of rho's x transform alike.
+coefficients and the y column of rho's x transform alike.  The (-1)^k phases
+of Grid.x_phase are cached per grid as well, and both are read-only.
+
+The module holds what a run reads.  The difference-quotient form of the
+H^s_y norm, the dealiased power u |u|^alpha and the fractional Leibniz ratio
+check the norm engine for the acceptance criteria, and live with them in
+tests/test_field.py.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 from dataclasses import dataclass
@@ -139,12 +144,14 @@ class Grid:
         """|xi|^2 + n^2 on the coefficient grid."""
         return self.xi_sq() + self.n_grid() ** 2
 
+    @lru_cache(maxsize=8)
     def x_phase(self) -> np.ndarray:
-        """(-1)^k factors absorbing the x0 = -L/2 grid offset (one per x axis)."""
+        """(-1)^k factors absorbing the x0 = -L/2 grid offset (one per x
+        axis), built once per grid and read-only."""
         p = np.where(np.arange(self.Nx) % 2 == 0, 1.0, -1.0)
-        if self.d == 1:
-            return p[:, None]
-        return p[:, None, None] * p[None, :, None]
+        out = p[:, None] if self.d == 1 else p[:, None, None] * p[None, :, None]
+        out.setflags(write=False)
+        return out
 
 
 class SpectralField:
@@ -373,90 +380,9 @@ def mixed_norm(fld: SpectralField, r: float, gamma: float) -> float:
     return _mixed_from_power(g, _y_mode_power(fld), r, (1.0 + g.n_axis() ** 2) ** gamma)
 
 
-def dq_normalizer(s: float) -> float:
-    """c(s) = int_R |e^{ir} - 1|^2 / |r|^{1+2s} dr = 2 pi / (Gamma(1+2s) sin(pi s)).
-
-    The integral is 4 int_0^inf (1 - cos r) r^{-1-2s} dr = -4 Gamma(-2s)
-    cos(pi s), which the reflection formula turns into the closed form; the
-    tests keep an adaptive quadrature of the integral as its oracle.
-    """
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie in (0, 1), got {s}")
-    return 2.0 * math.pi / (math.gamma(1.0 + 2.0 * s) * math.sin(math.pi * s))
-
-
-def difference_quotient_hs_y(fld: SpectralField, s: float) -> Tuple[float, float]:
-    """Homogeneous H^s_y norm two ways: (multiplier form, difference-quotient form).
-
-    The second form integrates ||u(.,y+h) - u(.,y)||^2 / |h|^{1+2s} over a
-    10 000-point midpoint h-grid on [-50, 50] and divides by the normalizer
-    c(s).  The y-integral per h is evaluated exactly through Parseval.
-    """
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie in (0, 1), got {s}")
-    g = fld.grid
-    n = g.n_axis()
-    # mass per y-mode, x integrated: m_n = measure * sum_k |c|^2
-    axes_x = tuple(range(g.d))
-    m_n = g.measure * np.sum(np.abs(fld.coefficients) ** 2, axis=axes_x)
-    multiplier = float(np.sqrt(np.sum(np.abs(n) ** (2.0 * s) * m_n)))
-
-    dh = 100.0 / 10_000
-    h = -50.0 + dh * (np.arange(10_000) + 0.5)
-    # ||u(y+h) - u(y)||^2_{L^2} = sum_n 4 sin^2(n h / 2) m_n   (exact)
-    diff_sq = 4.0 * np.sin(0.5 * np.outer(h, n)) ** 2 @ m_n
-    weights = np.abs(h) ** (-1.0 - 2.0 * s)
-    # the two cells touching h = 0 are handled analytically (the midpoint rule
-    # is poor near the |h|^{-1-2s} singularity): 4 sin^2(nh/2) ~ n^2 h^2 there
-    head_cells = (np.abs(h) < dh)
-    weights = np.where(head_cells, 0.0, weights)
-    integral = float(np.sum(diff_sq * weights) * dh)
-    m2 = float(np.sum(n ** 2 * m_n))
-    integral += m2 * 2.0 * dh ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-    # analytic remainder for |h| > 50: 4 sin^2(nh/2) averages to 2 there,
-    # so the tail is 2 * (sum over oscillating modes of m_n) * 50^{-2s} / s
-    m_osc = float(np.sum(m_n[n != 0]))
-    integral += 2.0 * m_osc * 50.0 ** (-2.0 * s) / s
-    quadrature = float(np.sqrt(integral / dq_normalizer(s)))
-    return multiplier, quadrature
-
-
 # ---------------------------------------------------------------------------
-# nonlinear products and inequality probes
+# unit-cube masses
 # ---------------------------------------------------------------------------
-
-def nonlinear_power(fld: SpectralField, alpha: float) -> SpectralField:
-    """u |u|^alpha formed on a 3/2 zero-padded grid to suppress aliasing."""
-    g = fld.grid
-    Mx, My = (3 * g.Nx) // 2, (3 * g.Ny) // 2
-    big_shape = (Mx,) * g.d + (My,)
-    big = np.zeros(big_shape, dtype=np.complex128)
-    idx = []
-    for N, M in [(g.Nx, Mx)] * g.d + [(g.Ny, My)]:
-        wrap = np.r_[np.arange(0, N // 2), np.arange(M - N // 2, M)]
-        idx.append(wrap)
-    mesh = np.ix_(*idx)
-    big[mesh] = fld.coefficients
-    vals = sfft.ifftn(big, workers=fft_workers()) * (Mx ** g.d * My)
-    out = vals * np.abs(vals) ** alpha
-    big_out = sfft.fftn(out, workers=fft_workers()) / (Mx ** g.d * My)
-    return SpectralField(g, big_out[mesh], fld.time_tag)
-
-
-def fractional_leibniz_ratio(fld: SpectralField, s: float, alpha: float) -> float:
-    """||u|u|^alpha||_{H^s_y(hom)} / (||u||_{H^s_y(hom)} ||u||_inf^alpha)."""
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie in (0, 1), got {s}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    w = np.abs(fld.grid.n_grid()) ** (2.0 * s)
-    denom_hs = _multiplier_norm(fld, w)
-    sup = lebesgue_norm(fld, np.inf)
-    if denom_hs == 0.0 or sup == 0.0:
-        raise ValueError("denominator vanishes (field constant in y or zero)")
-    num_field = nonlinear_power(fld, alpha)
-    return _multiplier_norm(num_field, w) / (denom_hs * sup ** alpha)
-
 
 def _cube_window_sums(fld: SpectralField):
     """Masses of all grid-aligned unit cubes, indexed by start cell.

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import load_json, record_acceptance
+from nlslab import integrator
 from nlslab.cli import RecordBuilder, build_datum, parse_config, run_preset
 from nlslab.exponents import (
     ProblemParams,
@@ -22,7 +23,6 @@ from nlslab.exponents import (
     feasible_r_interval,
     max_feasible_theta,
     perturbed_tuple,
-    scan_feasible_r,
     subcritical_pair,
     verify_tuple,
 )
@@ -30,8 +30,6 @@ from nlslab.field import (
     Grid,
     SpectralField,
     densities,
-    difference_quotient_hs_y,
-    fractional_leibniz_ratio,
     free_evolve,
     from_profile,
     lebesgue_norm,
@@ -112,6 +110,7 @@ def scattering_manifest(tmp_path_factory):
 # ---------------------------------------------------------------------------
 
 def test_criterion_01_exponent_feasibility():
+    from test_exponents import scan_feasible_r
     t0 = time.perf_counter()
     ok = True
     for d in range(1, 7):
@@ -288,7 +287,8 @@ def test_criterion_08_scattering(scattering_manifest):
 
 
 def test_criterion_09_norm_engine_oracles():
-    from test_field import C_CAL_LEIBNIZ
+    from test_field import (C_CAL_LEIBNIZ, difference_quotient_hs_y,
+                            fractional_leibniz_ratio)
     g = Grid(1, 40.0, 256, 16)
     # difference-quotient vs multiplier on a band-limited family (|n| <= Ny/4)
     worst_dq = 0.0
@@ -328,7 +328,7 @@ def test_criterion_09_norm_engine_oracles():
                          f"free-flow H1 isometry {iso:.1e}")
 
 
-def test_criterion_10_linear_exactness():
+def test_criterion_10_linear_exactness(monkeypatch):
     g = Grid(1, 40.0, 512, 16)
     # plane-wave propagation: closed-form phase rotation
     A, k0, n0 = 1.3, 3, 2
@@ -339,9 +339,11 @@ def test_criterion_10_linear_exactness():
     out = evolve(pw, ph, StepControl(dt, t_end))
     phase = np.exp(1j * t_end * (xi0 ** 2 + n0 ** 2 + 1.0 * A ** 2))
     err_pw = np.abs(out.samples() - pw.samples() * phase).max() / A
-    # pullback(evolve) identity and pure-linear run vs free_evolve (lam = 0)
+    # pullback(evolve) identity and pure-linear run vs free_evolve: the kick
+    # replaced by the identity
+    monkeypatch.setattr(integrator, "_nonlinear_kick", lambda v, physics, h: v)
     f = from_profile(g, lambda x, y: np.exp(-x ** 2) * (1 + 0.3 * np.cos(y)))
-    lin = evolve(f, PhysicsParams(2.0, 0), StepControl(dt, t_end))
+    lin = evolve(f, ph, StepControl(dt, t_end))
     exact = free_evolve(f, t_end)
     scale = np.abs(f.coefficients).max()
     err_lin = np.abs(lin.coefficients - exact.coefficients).max() / scale

@@ -237,6 +237,8 @@ class TestParseConfig:
         # q_list's float images: one overflows, two coincide
         ({"q_list": [4, 10 ** 400]}, "q_list"),
         ({"q_list": [9007199254740993, 9007199254740992]}, "q_list"),
+        ({"grid": {"L": 0.5}}, "grid.L"),
+        ({"preset": "exponents", "lam": 0}, "physics.lam"),
     ])
     def test_bad_field_named(self, over, field):
         # JSON carries NaN and Infinity as bare words, which json.dumps writes
@@ -321,7 +323,9 @@ _BAD_VALUES = {
                             "exponents")))),
     "d": ("grid.d", st.one_of(_NOT_INT, st.integers(max_value=0))),
     "L": ("grid.L", st.one_of(_NOT_NUMBER, st.floats(max_value=0),
-                              st.integers(max_value=0))),
+                              st.integers(max_value=0),
+                              st.floats(min_value=0, max_value=1, exclude_min=True,
+                                        exclude_max=True))),
     "Nx": ("grid.Nx", st.one_of(_NOT_INT, st.integers(max_value=3), _NOT_POWER_OF_TWO)),
     "Ny": ("grid.Ny", st.one_of(_NOT_INT, st.integers(max_value=3), _NOT_POWER_OF_TWO)),
     "alpha": ("physics.alpha", st.one_of(st.none(), _NOT_RATIONAL, _NOT_POSITIVE)),
@@ -1054,7 +1058,7 @@ class TestMain:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("config, message", [
-        ('{"preset": "decay", "lam": 2}', "physics.lam must be +1, -1 or 0"),
+        ('{"preset": "decay", "lam": 2}', "physics.lam must be +1 or -1"),
         ("{not json", "malformed config JSON"),
         ('{"preset": "decay", "datum": {"kind": "file", "path": "DATUM"}, '
          '"output_dir": "OUT"}', "datum.path: DATUM: snapshot body truncated"),

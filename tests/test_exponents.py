@@ -14,11 +14,56 @@ from nlslab.exponents import (
     feasible_r_interval,
     max_feasible_theta,
     perturbed_tuple,
-    scan_feasible_r,
     subcritical_pair,
     theta_tuple,
     verify_tuple,
 )
+
+
+# The oracle of feasible_r_interval for criterion 1 (tests/test_acceptance.py):
+# a float grid scan of the raw system.  No run reads it.
+
+
+def scan_feasible_r(params: ProblemParams, r_min: float = 2.0, r_max: float = 50.0,
+                    resolution: float = 1e-3):
+    """Float grid scan of the raw system over r; independent of the interval formulas.
+
+    Returns (r_first, r_last): the outermost grid points marked feasible, or
+    None when no grid point is feasible.  Uses vectorized float arithmetic;
+    adequacy at the stated resolution is guaranteed by the endpoint-within-one-
+    cell contract, not by exactness.
+    """
+    import numpy as np
+
+    d = params.d
+    a = float(params.alpha)
+    s = float(params.s_critical)
+    r = np.arange(r_min + resolution, r_max, resolution)
+    inv_q = 1.0 / a - d / (2.0 * r)
+    inv_qt = -1.0 / a + (a + 1.0) * d / (2.0 * r)
+    inv_rt = 1.0 - (a + 1.0) / r
+    inv_r = 1.0 / r
+    ok = np.ones_like(r, dtype=bool)
+    for inv in (inv_q, inv_r, inv_qt, inv_rt):
+        ok &= (inv > 0) & (inv < 0.5)
+    if d >= 3:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = inv_rt / inv_r  # r / r~
+        ok &= inv_q + inv_qt < 1
+        ok &= ((d - 2) / d < ratio) & (ratio < d / (d - 2))
+    ok &= inv_q + d * inv_r < d / 2
+    ok &= inv_qt + d * inv_rt < d / 2
+    # the equalities of the raw system hold by construction of the closed
+    # forms; check them to float tolerance anyway as a wiring guard
+    ok &= np.abs(2 * inv_q + d * inv_r - (d / 2 - s)) < 1e-9
+    ok &= np.abs(2 * inv_q + d * inv_r + 2 * inv_qt + d * inv_rt - d) < 1e-9
+    ok &= np.abs((1 - inv_qt) - (a + 1) * inv_q) < 1e-9
+    ok &= np.abs((1 - inv_rt) - (a + 1) * inv_r) < 1e-9
+    ok &= a * inv_r < 1
+    if not ok.any():
+        return None
+    idx = np.nonzero(ok)[0]
+    return float(r[idx[0]]), float(r[idx[-1]])
 
 
 class TestProblemParams:
@@ -150,6 +195,7 @@ class TestPerturbedTuple:
         assert not report.feasible
         bad = [c.label for c in report.constraints if not c.ok]
         assert "strict perturbation: epsilon > 0" in bad
+        assert "s_eps > s_base" in bad
 
     def test_epsilon_huge_infeasible(self, base):
         params = ProblemParams(1, F(5))

@@ -1,29 +1,30 @@
 import io
+import math
 import re
 import struct
+from typing import Tuple
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from nlslab.field import (
     Grid,
     SpectralField,
     _gradient_multipliers,
     _linear_phase,
+    _multiplier_norm,
     _y_mode_power,
     abs_power,
     abs_sq,
     cube_sup_mass,
     densities,
-    difference_quotient_hs_y,
-    dq_normalizer,
-    fractional_leibniz_ratio,
+    fft_workers,
     free_evolve,
     from_profile,
     lebesgue_norm,
     load_field,
     mixed_norm,
-    nonlinear_power,
     save_field,
     snapshot_header,
     sobolev_h1,
@@ -182,6 +183,91 @@ class TestSobolevNorms:
         a = mixed_norm(f, 2.0, 0.5)
         b = hs_x_hgamma_y(f, 0.0, 0.5)
         assert a == pytest.approx(b, rel=1e-12)
+
+
+# The oracles of criterion 9 (tests/test_acceptance.py): the homogeneous
+# H^s_y norm as a difference-quotient quadrature, and the fractional Leibniz
+# ratio with its dealiased power u |u|^alpha.  No run reads them.
+
+def dq_normalizer(s: float) -> float:
+    """c(s) = int_R |e^{ir} - 1|^2 / |r|^{1+2s} dr = 2 pi / (Gamma(1+2s) sin(pi s)).
+
+    The integral is 4 int_0^inf (1 - cos r) r^{-1-2s} dr = -4 Gamma(-2s)
+    cos(pi s), which the reflection formula turns into the closed form; the
+    tests keep an adaptive quadrature of the integral as its oracle.
+    """
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"s must lie in (0, 1), got {s}")
+    return 2.0 * math.pi / (math.gamma(1.0 + 2.0 * s) * math.sin(math.pi * s))
+
+
+def difference_quotient_hs_y(fld: SpectralField, s: float) -> Tuple[float, float]:
+    """Homogeneous H^s_y norm two ways: (multiplier form, difference-quotient form).
+
+    The second form integrates ||u(.,y+h) - u(.,y)||^2 / |h|^{1+2s} over a
+    10 000-point midpoint h-grid on [-50, 50] and divides by the normalizer
+    c(s).  The y-integral per h is evaluated exactly through Parseval.
+    """
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"s must lie in (0, 1), got {s}")
+    g = fld.grid
+    n = g.n_axis()
+    # mass per y-mode, x integrated: m_n = measure * sum_k |c|^2
+    axes_x = tuple(range(g.d))
+    m_n = g.measure * np.sum(np.abs(fld.coefficients) ** 2, axis=axes_x)
+    multiplier = float(np.sqrt(np.sum(np.abs(n) ** (2.0 * s) * m_n)))
+
+    dh = 100.0 / 10_000
+    h = -50.0 + dh * (np.arange(10_000) + 0.5)
+    # ||u(y+h) - u(y)||^2_{L^2} = sum_n 4 sin^2(n h / 2) m_n   (exact)
+    diff_sq = 4.0 * np.sin(0.5 * np.outer(h, n)) ** 2 @ m_n
+    weights = np.abs(h) ** (-1.0 - 2.0 * s)
+    # the two cells touching h = 0 are handled analytically (the midpoint rule
+    # is poor near the |h|^{-1-2s} singularity): 4 sin^2(nh/2) ~ n^2 h^2 there
+    head_cells = (np.abs(h) < dh)
+    weights = np.where(head_cells, 0.0, weights)
+    integral = float(np.sum(diff_sq * weights) * dh)
+    m2 = float(np.sum(n ** 2 * m_n))
+    integral += m2 * 2.0 * dh ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
+    # analytic remainder for |h| > 50: 4 sin^2(nh/2) averages to 2 there,
+    # so the tail is 2 * (sum over oscillating modes of m_n) * 50^{-2s} / s
+    m_osc = float(np.sum(m_n[n != 0]))
+    integral += 2.0 * m_osc * 50.0 ** (-2.0 * s) / s
+    quadrature = float(np.sqrt(integral / dq_normalizer(s)))
+    return multiplier, quadrature
+
+
+def nonlinear_power(fld: SpectralField, alpha: float) -> SpectralField:
+    """u |u|^alpha formed on a 3/2 zero-padded grid to suppress aliasing."""
+    g = fld.grid
+    Mx, My = (3 * g.Nx) // 2, (3 * g.Ny) // 2
+    big_shape = (Mx,) * g.d + (My,)
+    big = np.zeros(big_shape, dtype=np.complex128)
+    idx = []
+    for N, M in [(g.Nx, Mx)] * g.d + [(g.Ny, My)]:
+        wrap = np.r_[np.arange(0, N // 2), np.arange(M - N // 2, M)]
+        idx.append(wrap)
+    mesh = np.ix_(*idx)
+    big[mesh] = fld.coefficients
+    vals = sfft.ifftn(big, workers=fft_workers()) * (Mx ** g.d * My)
+    out = vals * np.abs(vals) ** alpha
+    big_out = sfft.fftn(out, workers=fft_workers()) / (Mx ** g.d * My)
+    return SpectralField(g, big_out[mesh], fld.time_tag)
+
+
+def fractional_leibniz_ratio(fld: SpectralField, s: float, alpha: float) -> float:
+    """||u|u|^alpha||_{H^s_y(hom)} / (||u||_{H^s_y(hom)} ||u||_inf^alpha)."""
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"s must lie in (0, 1), got {s}")
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    w = np.abs(fld.grid.n_grid()) ** (2.0 * s)
+    denom_hs = _multiplier_norm(fld, w)
+    sup = lebesgue_norm(fld, np.inf)
+    if denom_hs == 0.0 or sup == 0.0:
+        raise ValueError("denominator vanishes (field constant in y or zero)")
+    num_field = nonlinear_power(fld, alpha)
+    return _multiplier_norm(num_field, w) / (denom_hs * sup ** alpha)
 
 
 class TestDifferenceQuotient:
@@ -574,7 +660,6 @@ class TestLeanDensityPass:
 
     @pytest.mark.parametrize("grid", [Grid(1, 40.0, 256, 16), Grid(2, 20.0, 32, 8)])
     def test_gradient_transform_bitwise(self, grid):
-        from scipy import fft as sfft
         c = random_field(grid, 31).coefficients
         for xg, m in zip(grid.xi_grids(), _gradient_multipliers(grid)):
             direct = sfft.ifftn(c * (1j * xg) * grid.x_phase()) * grid.ntot
@@ -585,7 +670,6 @@ class TestLeanDensityPass:
     def x_gradient(grid, arr):
         """Oracle: the spectral x-gradient of a real array on the x grid, the
         real part of ifftn(fftn(arr) * i xi_i) per x axis."""
-        from scipy import fft as sfft
         ah = sfft.fftn(arr)
         out = np.empty((grid.d,) + arr.shape)
         for i in range(grid.d):
@@ -612,7 +696,6 @@ class TestLeanDensityPass:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("alpha", [3.0, 5.0, 4.0 / 3.0])
     def test_densities_match_complex_formulas(self, d, alpha):
-        from scipy import fft as sfft
         grid = Grid(1, 40.0, 256, 16) if d == 1 else Grid(2, 20.0, 32, 8)
         f = random_field(grid, 37, decay=10.0)
         u, c = f.samples(), f.coefficients
@@ -730,8 +813,6 @@ class TestSnapshotIO:
 def test_transforms_bitwise_equal_to_out_of_place_formulas(grid, mod):
     # the benchmark's grids; a y-independent datum (mod = 0) leaves many
     # exact zeros in the spectrum, where the sign of zero shows
-    from scipy import fft as sfft
-    from nlslab.field import fft_workers
     mesh = np.meshgrid(*[grid.x_axis()] * grid.d, grid.y_axis(), indexing="ij")
     r2 = sum(x ** 2 for x in mesh[:-1])
     u = np.exp(-r2 + 0.3j * mesh[0]) * (1 + mod * np.cos(mesh[-1]))
@@ -745,7 +826,6 @@ def test_transforms_bitwise_equal_to_out_of_place_formulas(grid, mod):
 class TestFftWorkers:
     def test_unset_or_empty_means_all_cores(self, monkeypatch):
         import os
-        from nlslab.field import fft_workers
         monkeypatch.delenv("NLSLAB_THREADS", raising=False)
         assert fft_workers() == (os.cpu_count() or 1)
         monkeypatch.setenv("NLSLAB_THREADS", "")
@@ -753,13 +833,11 @@ class TestFftWorkers:
 
     def test_clamped_to_core_count(self, monkeypatch):
         import os
-        from nlslab.field import fft_workers
         monkeypatch.setenv("NLSLAB_THREADS", str(64 * (os.cpu_count() or 1)))
         assert fft_workers() == (os.cpu_count() or 1)
 
     @pytest.mark.parametrize("bad", ["0", "-1", "two", "1.5", " 2"])
     def test_bad_value_names_the_variable(self, monkeypatch, bad):
-        from nlslab.field import fft_workers
         monkeypatch.setenv("NLSLAB_THREADS", bad)
         with pytest.raises(ValueError, match="NLSLAB_THREADS"):
             fft_workers()
@@ -780,7 +858,6 @@ class TestFftWorkers:
         field.SpectralField(g, f.coefficients).samples()
         field.mixed_norm(f, 4.0, 0.5)
         field.densities(f, 2.0)
-        field.nonlinear_power(f, 2.0)
         physics = integrator.PhysicsParams(2.0, 1)
         integrator.evolve(f, physics, integrator.StepControl(1e-3, 1e-3))
         integrator.evolve(f, physics, integrator.StepControl(1e-3, 2e-3))

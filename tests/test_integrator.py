@@ -55,7 +55,8 @@ class TestParams:
             PhysicsParams(0.0, 1)
         with pytest.raises(ValueError):
             PhysicsParams(2.0, 2)
-        PhysicsParams(2.0, 0)  # test hook allowed
+        with pytest.raises(ValueError):
+            PhysicsParams(2.0, 0)
 
     def test_control_validation(self):
         with pytest.raises(ValueError):
@@ -72,7 +73,7 @@ class TestParams:
 
     def test_resolvability_warning(self, g1, gaussian):
         with pytest.warns(RuntimeWarning):
-            evolve(gaussian, PhysicsParams(2.0, 0), StepControl(dt=0.1, t_end=0.1))
+            evolve(gaussian, PhysicsParams(2.0, 1), StepControl(dt=0.1, t_end=0.1))
 
 
 # the benchmark's grids and step sizes (decay-1d, morawetz-2d, scattering-1d),
@@ -167,8 +168,11 @@ class TestStrangStep:
 
 
 class TestEvolve:
-    def test_lambda_zero_matches_free_flow(self, g1, gaussian):
-        out = evolve(gaussian, PhysicsParams(2.0, 0),
+    def test_lambda_zero_matches_free_flow(self, monkeypatch, g1, gaussian):
+        # the kick replaced by the identity: the step is the linear flow alone
+        from nlslab import integrator
+        monkeypatch.setattr(integrator, "_nonlinear_kick", lambda v, physics, h: v)
+        out = evolve(gaussian, PhysicsParams(2.0, 1),
                      StepControl(dt=0.01, t_end=1.0))
         lin = free_evolve(gaussian, 1.0)
         assert np.abs(out.coefficients - lin.coefficients).max() < 1e-12

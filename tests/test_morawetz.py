@@ -293,13 +293,13 @@ class TestDJdtIdentity:
         assert abs(fd - lhs) / abs(lhs) < 1e-4
 
     def test_richardson_order_free_flow(self, g1):
-        # exact trajectories isolate the pure finite-difference error
-        ph0 = PhysicsParams(2.0, 0)
+        # exact trajectories isolate the pure finite-difference error; along
+        # the free flow dJ/dt is S
         f = from_profile(
             g1, lambda x, y: np.exp(-(x - 3) ** 2) * np.exp(1j * x) + 0 * y)
         t0 = 0.1
         res = []
-        lhs, _ = morawetz_terms(free_evolve(f, t0), ph0)
+        lhs = positivity_certificate(free_evolve(f, t0))
         for d in (2e-3, 1e-3, 5e-4):
             fd = (morawetz_J(free_evolve(f, t0 + d))
                   - morawetz_J(free_evolve(f, t0 - d))) / (2 * d)

@@ -1,6 +1,6 @@
 """The benchmark in perfbench/ wraps program functions by name and replaces
 integrator._nonlinear_kick in its self-test; these tests fail when a refactor
-removes a name it relies on, or leaves a public name that nothing but unit
+removes a name it relies on, or leaves a public name that nothing but the
 tests reads."""
 
 import ast
@@ -58,8 +58,8 @@ def test_unused_imports_are_wrapped_names():
     assert [u for u in unused if u not in targets] == []
 
 
-# public library names that no run, criterion or benchmark file reads, each
-# kept for the reason given
+# public library names that no run or benchmark file reads, each kept for
+# the reason given
 UNREAD_BY_DESIGN = {
     "nlslab.field.save_field": "writes the snapshot files that load_field "
                                "reads, as a file datum",
@@ -111,9 +111,9 @@ def _scan(node, prefix):
 def test_every_public_name_is_read():
     """Each public top-level def or class of the library, and each public
     method of a public class, is read by name in the library outside its own
-    definition, in perfbench/ (the string names the tracer patches included)
-    or in the acceptance criteria.  A name that only unit tests call belongs
-    in those tests."""
+    definition or in perfbench/ (the string names the tracer patches
+    included).  A name that only the tests call, the acceptance criteria
+    included, belongs in those tests."""
     public, read = [], set()
     for fname in sorted(os.listdir(SRC)):
         if not fname.endswith(".py"):
@@ -125,10 +125,9 @@ def test_every_public_name_is_read():
     for fname in os.listdir(PERFBENCH):
         if fname.endswith(".py"):
             read |= _names_read(_parse(os.path.join(PERFBENCH, fname)), strings=True)
-    read |= _names_read(_parse(os.path.join(ROOT, "tests", "test_acceptance.py")))
     unread = [full for full, name in public
               if name not in read and full not in UNREAD_BY_DESIGN]
-    assert not unread, f"public names no run, criterion or benchmark reads: {unread}"
+    assert not unread, f"public names no run or benchmark reads: {unread}"
 
 
 def test_selftest_passes():
