@@ -301,8 +301,8 @@ PEAK_ARRAYS = 18
 def _check_run(cfg: RunConfig) -> None:
     """Grid, memory, step, datum and Cauchy schedule checks for the presets
     that run dynamics; cfg.datum becomes the resolved datum spec.  A box
-    shorter than a unit cube (L < 1) is refused: its cube windows would wrap
-    onto themselves and count cells more than once.  A file
+    shorter than a unit cube (L < 1) is refused: no unit cube fits in it,
+    and its cube windows would span the whole box.  A file
     datum's header is read and checked here; build_datum checks the file
     again.  A grid whose run would need more than the machine's physical
     memory (PEAK_ARRAYS) is refused before anything is allocated."""

@@ -13,12 +13,12 @@ accurate for smooth periodic fields.  The induced Parseval identity is
 
     ||u||_{L^2}^2 = (L^d * 2 pi) * sum |c|^2.
 
-A field that SpectralField.from_samples built from a y column remembers it,
-and a record of it transforms the column alone: the x-gradients of the
-density pass, the y-mode power of the mixed norms (Ny u at n = 0, with no
-transform) and the |c|^2 sums of the record read the n = 0 column
-(_carrier).  Every y sum still runs on full-grid arrays, so such a record is
-the same bits as that of the full-grid field with the same samples.
+A field that SpectralField.from_samples built from a y column keeps the
+column, and a record of it works on the column alone: its transforms read
+the n = 0 coefficients (_carrier), its y-mode power is that of Ny u with no
+transform, and each y sum is Ny times the column's (_y_samples).  The
+full-grid field with the same samples sums Ny equal rows instead, so the
+two agree within the recursive-summation bound, 2 Ny eps sum_y |terms|.
 
 Every x-derivative is one transform, _x_derivatives: the inverse FFT of the
 coefficients times the multipliers cached per grid.  It serves u's
@@ -170,7 +170,7 @@ class SpectralField:
         self.time_tag = float(time_tag)
         self._samples = None
         self._windows = None  # see _cube_window_sums
-        self._column = False  # built from a y column; see _carrier
+        self._column = None  # the y column from_samples built it from; see _y_samples
 
     def samples(self) -> np.ndarray:
         """Physical-space values on the grid (lazily computed, then cached)."""
@@ -188,7 +188,8 @@ class SpectralField:
         """The field with these samples, given on the grid or on one y column.
 
         A y column, shape (Nx,)^d x 1, is the field constant along y; the
-        field caches it broadcast to the grid.  Its spectrum is the column's
+        field keeps the column, and its samples() is a read-only broadcast
+        view of it, with no full-grid copy.  Its spectrum is the column's
         x transform divided by Nx^d (that is, times Ny / ntot) at n = 0, and
         exact zeros at every n != 0.  A power-of-two FFT of a constant y row
         is exactly Ny times the value at n = 0 and zero elsewhere, so these
@@ -196,8 +197,8 @@ class SpectralField:
         and the samples are the same bits.  Only the signs of zeros can
         differ (a byte comparison sees them): the column form has +0 at every
         n != 0, where the full-grid transform's zeros carry the (-1)^k phase.
-        The field remembers its column, so that the transforms of its record
-        run on the column alone (_carrier).
+        The record of such a field works on the column alone (_carrier,
+        _y_samples).
         """
         samples = np.asarray(samples, dtype=np.complex128)
         column = grid.shape[:-1] + (1,)
@@ -209,12 +210,14 @@ class SpectralField:
         c = sfft.fftn(samples, axes=long_axes(samples), workers=fft_workers())
         c /= samples.size
         c *= grid.x_phase()
-        is_column = samples.shape == column
-        if is_column:
-            c, samples = _at_n0(c, grid), np.broadcast_to(samples, grid.shape).copy()
-        out = cls(grid, c, time_tag)
+        if samples.shape == column:
+            full = np.zeros(grid.shape, dtype=c.dtype)
+            full[..., :1] = c  # +0 at every n != 0
+            out = cls(grid, full, time_tag)
+            out._column, samples = samples, np.broadcast_to(samples, grid.shape)
+        else:
+            out = cls(grid, c, time_tag)
         out._samples = samples
-        out._column = is_column
         return out
 
 
@@ -224,18 +227,21 @@ def long_axes(a: np.ndarray) -> list:
     return [i for i, m in enumerate(a.shape) if m > 1]
 
 
-def _at_n0(column: np.ndarray, grid: Grid) -> np.ndarray:
-    """A y column of values put at n = 0 of the grid, with +0 at every n != 0."""
-    full = np.zeros(grid.shape, dtype=column.dtype)
-    full[..., :1] = column
-    return full
-
-
 def _carrier(fld: SpectralField) -> np.ndarray:
     """The coefficients the transforms of a record need: the n = 0 column of
     a field that from_samples built from a y column, whose other entries are
     all +0, and every coefficient of any other field."""
-    return fld.coefficients[..., :1] if fld._column else fld.coefficients
+    return fld.coefficients[..., :1] if fld._column is not None else fld.coefficients
+
+
+def _y_samples(fld: SpectralField) -> Tuple[np.ndarray, float]:
+    """The samples a y sum reads and the weight of each y point: the y
+    column of a field that from_samples built from one, a point of weight
+    Ny dy = 2 pi (each y sum is Ny times the column's), and the samples on
+    the grid with weight dy otherwise."""
+    if fld._column is not None:
+        return fld._column, TWO_PI
+    return fld.samples(), fld.grid.dy
 
 
 def from_profile(grid: Grid,
@@ -290,17 +296,19 @@ def abs_sq(u: np.ndarray) -> np.ndarray:
 
 
 def lebesgue_norm(fld: SpectralField, q: float) -> float:
-    """L^q norm over the full box; q = inf gives the sup of |u|."""
+    """L^q norm over the full box; q = inf gives the sup of |u|.  A field
+    built from a y column sums its column alone (_y_samples)."""
+    u, wy = _y_samples(fld)
     if q == np.inf:
-        return float(np.abs(fld.samples()).max())
+        return float(np.abs(u).max())
     if q < 1:
         raise ValueError(f"q must be >= 1 or inf, got {q}")
-    return _lq_from_sq(abs_sq(fld.samples()), q, fld.grid)
+    return _lq_from_sq(abs_sq(u), q, fld.grid.cell * wy)
 
 
-def _lq_from_sq(s: np.ndarray, q: float, grid: Grid) -> float:
-    """The finite L^q norm from s = |u|^2 on the grid."""
-    return float((np.sum(abs_power(s, q)) * grid.weight) ** (1.0 / q))
+def _lq_from_sq(s: np.ndarray, q: float, weight: float) -> float:
+    """The finite L^q norm from s = |u|^2, each entry of the given weight."""
+    return float((np.sum(abs_power(s, q)) * weight) ** (1.0 / q))
 
 
 def _multiplier_norm(fld: SpectralField, w: np.ndarray,
@@ -352,26 +360,27 @@ def _y_mode_power(fld: SpectralField) -> np.ndarray:
 
     The y transform of a constant row is exactly Ny times its value at n = 0
     and zero elsewhere, so a field built from a y column takes the power of
-    Ny u on the column and puts it at n = 0, with no transform.
+    Ny u on the column, with no transform, and returns the n = 0 column
+    alone: the power of every other mode is zero.
     """
     g = fld.grid
-    u = fld.samples()
-    if fld._column:
-        uy = u[..., :1] * g.Ny
+    if fld._column is not None:
+        uy = fld._column * g.Ny
     else:
-        uy = sfft.fft(u, axis=-1, workers=fft_workers())
+        uy = sfft.fft(fld.samples(), axis=-1, workers=fft_workers())
     power = np.square(uy.real)
     power += np.square(uy.imag, out=uy.real)
     power *= TWO_PI / g.Ny ** 2
-    return _at_n0(power, g) if fld._column else power
+    return power
 
 
 def _mixed_from_power(grid: Grid, power: np.ndarray, r: float, w: np.ndarray
                       ) -> float:
-    """L^r_x norm of the y-mode multiplier norm with weight w(n), from _y_mode_power."""
+    """L^r_x norm of the y-mode multiplier norm with weight w(n), from
+    _y_mode_power: the modes it holds are the first of w's."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    return _lr_x(power @ w, r, grid.cell)
+    return _lr_x(power @ w[:power.shape[-1]], r, grid.cell)
 
 
 def mixed_norm(fld: SpectralField, r: float, gamma: float) -> float:
@@ -387,15 +396,17 @@ def mixed_norm(fld: SpectralField, r: float, gamma: float) -> float:
 def _cube_window_sums(fld: SpectralField):
     """Masses of all grid-aligned unit cubes, indexed by start cell.
 
-    A unit cube is round(1/dx) cells per side, and one cell on a grid
-    coarser than one unit.  The moving-window sums wrap periodically, like
-    the box.  Taken once per snapshot and cached on it; returns (window
-    masses, cells per side).
+    A unit cube is round(1/dx) cells per side: one cell on a grid coarser
+    than one unit, and the whole axis on a box shorter than one unit, so no
+    window covers a cell twice.  The moving-window sums wrap periodically,
+    like the box.  rho is the y sum of |u|^2 (_y_samples).  Taken once per
+    snapshot and cached on it; returns (window masses, cells per side).
     """
     if fld._windows is None:
         g = fld.grid
-        m = max(1, int(round(1.0 / g.dx)))
-        window = np.sum(np.abs(fld.samples()) ** 2, axis=-1) * g.dy  # rho
+        m = min(g.Nx, max(1, int(round(1.0 / g.dx))))
+        u, wy = _y_samples(fld)
+        window = np.sum(np.abs(u) ** 2, axis=-1) * wy  # rho
         for ax in range(g.d):
             acc = np.zeros_like(window)
             for j in range(m):
@@ -511,35 +522,34 @@ def densities(fld: SpectralField, alpha: float,
     before the squaring.  Each is lebesgue_norm's value, bit for bit.  With h_i = -i d_i u,
     P_i = Re(conj(u) h_i) and K_ij = Re(h_i conj(h_j)), so each is one real
     dot over y of the interleaved float views.  A field built from a y
-    column takes each h_i over the x axes of its n = 0 column (_carrier) and
-    copies it out to the grid: the y sums run on the grid either way, so the
-    densities are the same bits as those of the full-grid transform.  grad
+    column takes each h_i over the x axes of its n = 0 column (_carrier),
+    and every y sum on the column, times Ny (_y_samples): all of its work is
+    on the column.  It agrees with the full-grid pass of the same samples up
+    to the y sums' rounding, 2 Ny eps sum_y |terms| per entry.  grad
     rho takes the same transform on rho's x transform, a y column of
     coefficients formed from the real rho: d_i rho = -Im(-i d_i rho).  This
     is the real part of ifftn(fftn(rho) * i xi_i) bit for bit on the
     benchmark's grids; a complex rho would round its transform differently.
     """
     g = fld.grid
-    u = fld.samples()
+    u, wy = _y_samples(fld)
     s = np.abs(u)
     sup = float(s.max()) if np.inf in q_list else None
     s *= s  # abs_sq(u), in place
-    rho = np.einsum("...k->...", s) * g.dy
-    nu = np.einsum("...k->...", abs_power(s, alpha + 2.0)) * g.dy
-    lq_norms = {q: sup if q == np.inf else _lq_from_sq(s, q, g) for q in q_list}
-    del s  # freed before the full-grid gradients are allocated
-    h = []  # h_i on the full grid as float views, one array per x axis
-    for hi in _x_derivatives(_carrier(fld), g):
-        if hi.shape != g.shape:
-            hi = np.broadcast_to(hi, g.shape).copy()
-        h.append(hi.view(np.float64))
+    rho = np.einsum("...k->...", s) * wy
+    nu = np.einsum("...k->...", abs_power(s, alpha + 2.0)) * wy
+    lq_norms = {q: sup if q == np.inf else _lq_from_sq(s, q, g.cell * wy)
+                for q in q_list}
+    del s  # freed before the gradients are allocated
+    # h_i as float views, one array per x axis, of u's shape
+    h = [hi.view(np.float64) for hi in _x_derivatives(_carrier(fld), g)]
     uf = u.view(np.float64)
     P = np.empty((g.d,) + rho.shape)
     K = np.empty((g.d, g.d) + rho.shape)
     for i in range(g.d):
-        P[i] = np.einsum("...k,...k->...", uf, h[i]) * g.dy
+        P[i] = np.einsum("...k,...k->...", uf, h[i]) * wy
         for j in range(i, g.d):
-            K[i, j] = np.einsum("...k,...k->...", h[i], h[j]) * g.dy
+            K[i, j] = np.einsum("...k,...k->...", h[i], h[j]) * wy
             K[j, i] = K[i, j]
     col = rho[..., None]  # real: its transform keeps the direct pair's bits
     c_rho = sfft.fftn(col, axes=long_axes(col), norm="forward", workers=fft_workers())

@@ -28,16 +28,19 @@ R^d.  evolve then steps one y column, (Nx,)^d x 1, with the n = 0 column of
 the linear phase.  The FFT pair of a step then runs over the x axes only,
 since a length-1 transform is the identity, and each snapshot is built from
 the column: SpectralField.from_samples takes its x transform, puts it at
-n = 0 with zeros elsewhere, and caches the column broadcast to the grid.
+n = 0 with zeros elsewhere, and keeps the column, whose read-only broadcast
+view is the snapshot's samples.
 The kick is elementwise, and a power-of-two FFT of a constant y row has exact
 zeros for n != 0 and Ny times the column at n = 0 (scaling by a power of two
 is exact away from underflow), so the snapshot samples are bitwise those of
 the full-grid run, and the coefficients differ from it only in the sign of
 the zeros at n != 0 (np.array_equal holds, a byte comparison does not).
 The run costs about 1/Ny of the full grid's stepping work, and no step or
-snapshot transforms the full grid.  The snapshot remembers its column, so
-the record a sink takes of it transforms the column alone too (see the
-field module docstring), with the bits of the full-grid record.
+snapshot transforms the full grid.  The snapshot keeps its column, so the
+guard and the record a sink takes of it work on the column alone too, each
+y sum Ny times the column's (see the field module docstring).  That record
+agrees with the full-grid record of the same samples up to the y sums'
+rounding, within the recursive-summation bound.
 
 Inside evolve the stepping state is y-first: shape (Ny, Nx...), C-contiguous,
 so that every x line is contiguous and the x transforms, the larger part of
@@ -265,8 +268,9 @@ def evolve(initial: SpectralField, physics: PhysicsParams, control: StepControl,
     (Ny, Nx...), and each snapshot gets an x-first copy of it, bit for bit
     the run of an x-first state (module docstring).  A y-independent datum
     is stepped on one y column, and each snapshot is built from the column
-    by its x transform; its samples are the full-grid run's bit for bit, and
-    its coefficients equal them up to the signs of zeros.
+    by its x transform; its samples are the full-grid run's bit for bit, as
+    a read-only broadcast view of the column, and its coefficients equal
+    them up to the signs of zeros.
     If guard_tol is given, the boundary-mass guard trips once the mass fraction
     of a unit cube in the band |x| > (3/4) L/2 exceeds it (edge_cube_fraction);
     the flag then stays set for all subsequent records.

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import fft as sfft
 
 from conftest import _CountedFFT, load_json
 from nlslab.cli import (
@@ -519,10 +520,47 @@ def _x_profile(d):
                               + 0.0 * y)
 
 
+EPS = np.finfo(float).eps
+
+
+def _term_bounds(f, cfg, rec, ell):
+    """T_v for each records.csv column that reads a y sum: a bound on the
+    sum of the |terms| that reach it, from the full-grid snapshot f and its
+    record rec (ell: the auxiliary pair's power, or None).
+
+    A column that sums positive terms bounds them by its value, times the
+    power it takes of the sum: L^q norms, the cube masses, the potential of
+    the energy and grad_lp.  A Morawetz pairing <a, k * b> has |k| <= 1
+    (|grad phi|, |hess phi| <= 1) or <= d (lap phi), so its terms sum to at
+    most ||a||_1 ||b||_1 (times d), with ||P_i||_1 <= int |u| |d_i u|,
+    ||K_ij||_1 <= int |d_i u| |d_j u| and ||d_i rho||_1 <= 2 int |u| |d_i u|.
+    """
+    g, alpha = f.grid, float(cfg.alpha_fraction())
+    a = np.abs(f.samples())
+    du = [np.abs(sfft.ifftn(f.coefficients * (1j * xg) * g.x_phase()) * g.ntot)
+          for xg in g.xi_grids()]
+    mass = float(np.sum(a ** 2)) * g.weight
+    p1 = sum(float(np.sum(a * di)) for di in du) * g.weight
+    k1 = float(np.sum(sum(du) ** 2)) * g.weight
+    n1 = float(np.sum(a ** (alpha + 2.0))) * g.weight
+    S = 8 * k1 * mass + 8 * p1 ** 2 + 2 * (2 * p1) ** 2
+    rhs = 4 * alpha / (alpha + 2) * g.d * n1 * mass
+    out = {"J": 4 * p1 * mass, "positivity_S": S, "morawetz_rhs": rhs,
+           "morawetz_lhs": S + rhs,
+           "energy": abs(rec["energy"]) + 2 * n1 / (alpha + 2),  # >= kinetic + |potential|
+           "cube_sup": rec["cube_sup"],
+           "cube_sup_integral": (alpha + 4) / 2 * rec["cube_sup_integral"]}
+    out.update({k: v for k, v in rec.items() if k.startswith("lq_") and k != "lq_inf"})
+    if ell is not None:
+        out["acc_grad_lp"] = (ell / 2 + 1) * rec["acc_grad_lp"]
+    return out
+
+
 class TestColumnSnapshotRecords:
-    """A record of a snapshot built from a y column takes its transforms on
-    the column, and is the record of the snapshot built from the same
-    samples on the full grid, byte for byte."""
+    """A record of a snapshot built from a y column takes its transforms and
+    y sums on the column.  The record of the snapshot built from the same
+    samples on the full grid is its oracle: the columns no y sum reaches are
+    the same bytes, and the others lie within the summation bound."""
 
     @pytest.mark.parametrize("config, dt, every", [
         ({"preset": "decay"}, 1e-3, 2),  # the decay-1d grid
@@ -547,18 +585,33 @@ class TestColumnSnapshotRecords:
                StepControl(dt=dt, t_end=6 * dt, sample_every=every),
                sinks=[lambda fld, flag: columns.append(fld)])
         columns = columns[1:]  # the datum itself is a full-grid field
-        assert len(columns) >= 2 and all(f._column for f in columns)
+        assert len(columns) >= 2 and all(f._column is not None for f in columns)
         full = [SpectralField.from_samples(g, f.samples().copy(), f.time_tag)
                 for f in columns]
-        texts = []
+        rows = []
         for snaps in (columns, full):
             builder = RecordBuilder(cfg)
             for f in snaps:
                 builder(f, False)
             buf = io.StringIO()
             emit_records(builder.records, buf, cfg.q_list)
-            texts.append(buf.getvalue())
-        assert texts[0] == texts[1]
+            buf.seek(0)
+            rows.append(read_records(buf))
+        ell = builder.accumulators and float(builder.accumulators.aux.l)
+        # A column record's y sums are Ny times the column's and the full
+        # record's sum Ny rows, so they differ in the last bits (the name
+        # predates that).  Every sum either record takes has at most ntot
+        # terms ((2 Nx)^d <= ntot for the pairings' padded grid, as Ny >= 4),
+        # so the recursive-summation bound puts each column v within
+        # 2 ntot eps T_v of the oracle, T_v the sum of the |terms| that reach
+        # it (_term_bounds).
+        for f, got, want in zip(full, *rows):
+            bounds = _term_bounds(f, cfg, want, ell)
+            for name, value in want.items():
+                if name in bounds:
+                    assert abs(got[name] - value) <= 2 * g.ntot * EPS * bounds[name], name
+                else:
+                    assert got[name] == value, name
 
     @pytest.mark.parametrize("config", [
         {"preset": "decay", "grid": {"Nx": 256, "Ny": 16, "L": 40.0}},
@@ -587,6 +640,29 @@ class TestColumnSnapshotRecords:
         assert (("ifftn", g.shape[:-1] + (1,), list(range(g.d)))
                 in column.log)  # the gradients, on the column
         assert grid.calls > 0  # the counter sees a full-grid snapshot's transforms
+
+    def test_no_full_grid_block(self):
+        # The guard and a record of a column snapshot of the decay grid work
+        # on the column.  The traced peak above the start stays below one
+        # complex full-grid array, 16 ntot bytes, so no block of that size
+        # is allocated; the snapshot's own coefficients are made before.
+        import tracemalloc
+        from nlslab.cli import RecordBuilder
+        from nlslab.field import SpectralField, edge_cube_fraction
+        cfg = parse_config(json.dumps({"preset": "decay"}))
+        g = cfg.grid()
+        snap = SpectralField.from_samples(g, _x_profile(1)(g.x_axis()[:, None], 0.0), 0.1)
+        builder = RecordBuilder(cfg)
+        assert builder.accumulators is not None  # the y-mode power is taken too
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            edge_cube_fraction(snap)
+            builder(snap, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 16 * g.ntot
 
 
 def make_record(t, **over):

@@ -6,6 +6,7 @@ from typing import Tuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import fft as sfft
 
 from nlslab.field import (
@@ -19,6 +20,7 @@ from nlslab.field import (
     abs_sq,
     cube_sup_mass,
     densities,
+    edge_cube_fraction,
     fft_workers,
     free_evolve,
     from_profile,
@@ -30,6 +32,9 @@ from nlslab.field import (
     sobolev_h1,
     y_independent,
 )
+
+
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture
@@ -377,10 +382,11 @@ C_CAL_EMBED_D2 = 0.10016358732415241
 
 
 def naive_cube_sup(f):
-    """Largest mass of max(1, round(1/dx)) consecutive cells (d = 1), by a plain
-    loop in the window sums' order, so that it is equal to them bit for bit."""
+    """Largest mass of max(1, round(1/dx)) consecutive cells, at most Nx
+    (d = 1), by a plain loop in the window sums' order, so that it is equal
+    to them bit for bit."""
     g = f.grid
-    m = max(1, round(1.0 / g.dx))
+    m = min(g.Nx, max(1, round(1.0 / g.dx)))
     rho = np.sum(np.abs(f.samples()) ** 2, axis=-1) * g.dy
     best = 0.0
     for i0 in range(g.Nx):
@@ -414,6 +420,21 @@ class TestCubeSupMass:
         m = round(1.0 / g2.dx)
         expect = 2 * np.pi * (m * g2.dx) ** 2
         assert cube_sup_mass(f) == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_box_shorter_than_a_unit(self, d):
+        # a unit cube spans the whole box there, so no window counts a cell
+        # twice and no cube holds more than the mass
+        from nlslab.integrator import mass
+        g = Grid(d, 0.5, 4, 4)
+        f = from_profile(g, lambda *xy: np.exp(-sum(x ** 2 for x in xy[:-1]))
+                         + 0.0 * xy[-1])
+        # both read 2.0 before m was clamped to Nx; at d = 2 the cube's sum
+        # of the samples and mass's sum of |c|^2 differ in the last bit
+        tol = 0.0 if d == 1 else 4 * EPS
+        assert cube_sup_mass(f) / mass(f) <= 1.0 + tol
+        assert edge_cube_fraction(f) <= 1.0 + tol
+        assert cube_sup_mass(f) == pytest.approx(mass(f), rel=1e-14)
 
 
 class TestLocalizedGN:
@@ -558,10 +579,59 @@ class TestYIndependent:
                 SpectralField.from_samples(g1, np.zeros(shape, complex))
 
 
+def column_pair(grid, col):
+    """The snapshot built from a y column and the one built from its
+    broadcast samples, the full-grid oracle."""
+    full = SpectralField.from_samples(grid, np.broadcast_to(col, grid.shape).copy())
+    return SpectralField.from_samples(grid, col), full
+
+
+def assert_column_pass_within_bound(col, full, alpha, q_list):
+    """The density pass of a column snapshot within the stated bound of the
+    full-grid pass of the same samples.
+
+    Each y sum of the column pass is Ny times the column's value; the full
+    pass sums the Ny equal rows.  The recursive-summation bound puts the two
+    within 2 Ny eps sum_y |terms| per entry, each term weighted by dy.  The
+    terms' magnitudes come from the full grid: |u|^2 for rho,
+    |u|^(alpha+2) for nu, |u| |d_i u| for P_i and |d_i u| |d_j u| for K_ij
+    (by Cauchy-Schwarz, each is at least the sum of the two float products
+    of one complex term).  grad rho is rho's spectral gradient, a map of
+    norm xi_max = max |xi|, so ||delta||_2 <= xi_max (||delta rho||_2 +
+    16 log2(Nx^d) eps ||rho||_2), the second term the rounding of the two
+    passes' transform pairs.  A finite L^q norm's q-th power sums ntot
+    terms, so the norm moves by at most (2 ntot eps / q + 2 eps) of itself;
+    the sup is exact.
+    """
+    g = full.grid
+    got, want = densities(col, alpha, q_list), densities(full, alpha, q_list)
+    u = full.samples()
+    du = [sfft.ifftn(full.coefficients * (1j * xg) * g.x_phase()) * g.ntot
+          for xg in g.xi_grids()]
+    a = np.abs(u)
+    terms = {"rho": a ** 2, "nu": a ** (alpha + 2.0),
+             "P": np.stack([a * np.abs(di) for di in du]),
+             "K": np.stack([[np.abs(di) * np.abs(dj) for dj in du] for di in du])}
+    for name, t in terms.items():
+        delta = np.abs(getattr(got, name) - getattr(want, name))
+        assert np.all(delta <= 2 * g.Ny * EPS * np.sum(t, axis=-1) * g.dy), name
+    xi_max = np.abs(g.xi_axis()).max()
+    bound = xi_max * (np.linalg.norm(got.rho - want.rho)
+                      + 16 * np.log2(g.Nx ** g.d) * EPS * np.linalg.norm(want.rho))
+    assert np.linalg.norm(got.grad_rho - want.grad_rho) <= bound
+    assert list(got.lq_norms) == list(q_list)
+    for q in q_list:
+        if q == np.inf:
+            assert got.lq_norms[q] == want.lq_norms[q]
+        else:
+            rel = 2 * g.ntot * EPS / q + 2 * EPS
+            assert abs(got.lq_norms[q] - want.lq_norms[q]) <= rel * want.lq_norms[q]
+
+
 class TestColumnRecordPass:
-    """The record's transforms of a snapshot built from a y column run on the
-    column, and give the bits of the snapshot built from the broadcast
-    samples."""
+    """The record pass of a snapshot built from a y column runs on the
+    column, within the recursive-summation bound of the snapshot built from
+    the broadcast samples (assert_column_pass_within_bound)."""
 
     @staticmethod
     def pair(grid, seed):
@@ -569,34 +639,55 @@ class TestColumnRecordPass:
         shape = grid.shape[:-1] + (1,)
         col = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         col[(0,) * grid.d] = 0.0  # one exact zero
-        full = SpectralField.from_samples(grid, np.broadcast_to(col, grid.shape).copy())
-        return SpectralField.from_samples(grid, col), full
+        return column_pair(grid, col)
 
     @pytest.mark.parametrize("grid", [Grid(1, 40.0, 256, 16), Grid(2, 20.0, 32, 8),
                                       Grid(1, 200.0, 4096, 32)])
     @pytest.mark.parametrize("alpha", [5.0, 4.0 / 3.0])
     def test_densities_bitwise(self, grid, alpha):
+        # not bitwise, despite the name: P and K move in their last bits, and
+        # rho too at larger Ny; each entry stays within 2 Ny eps sum_y |terms|
         col, full = self.pair(grid, 41)
-        assert col._column and not full._column
-        q_list = [4.0, 10 / 3, np.inf]
-        got, want = densities(col, alpha, q_list), densities(full, alpha, q_list)
-        for name in ("rho", "P", "K", "nu", "grad_rho"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-        assert got.lq_norms == want.lq_norms
+        assert col._column is not None and full._column is None
+        assert_column_pass_within_bound(col, full, alpha, [4.0, 10 / 3, np.inf])
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.sampled_from([1, 2]), Ny=st.sampled_from([4, 8, 16, 32, 64]),
+           alpha=st.sampled_from([5.0, 3.0, 4.0 / 3.0]),
+           q=st.sampled_from([4.0, 10 / 3, np.inf]),
+           seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(1e-3, 1e3))
+    @example(d=1, Ny=64, alpha=5.0, q=4.0, seed=41, scale=1.0)
+    @example(d=2, Ny=64, alpha=4.0 / 3.0, q=10 / 3, seed=41, scale=1.0)
+    def test_densities_within_summation_bound(self, d, Ny, alpha, q, seed, scale):
+        # Ny = 64 is the first Ny where even rho is not bitwise
+        grid = Grid(1, 40.0, 128, Ny) if d == 1 else Grid(2, 12.0, 16, Ny)
+        rng = np.random.default_rng(seed)
+        shape = grid.shape[:-1] + (1,)
+        col = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        assert_column_pass_within_bound(*column_pair(grid, col), alpha, [q])
 
     @pytest.mark.parametrize("grid", [Grid(1, 40.0, 256, 16), Grid(2, 20.0, 32, 8)])
     def test_y_mode_power_bitwise(self, grid):
+        # the column's power is the full grid's n = 0 column bit for bit;
+        # every other mode of the full grid has power +0
         col, full = self.pair(grid, 43)
         got, want = _y_mode_power(col), _y_mode_power(full)
-        assert got.shape == grid.shape
-        assert got.tobytes() == want.tobytes()
+        assert got.shape == grid.shape[:-1] + (1,)
+        assert got.tobytes() == want[..., :1].tobytes()
+        assert not np.any(want[..., 1:])
+        for r, gamma in ((2.0, 0.0), (4.0, 0.55), (np.inf, 1.0)):
+            assert mixed_norm(col, r, gamma) == mixed_norm(full, r, gamma)
 
     def test_lq_norms_are_lebesgue_norms(self, g2):
         f = random_field(g2, 47)
-        ds = densities(f, 3.0, [4.0, np.inf, 10 / 3, 7.0])
-        # every q, inf included, is lebesgue_norm's value bit for bit
-        assert ds.lq_norms == {q: lebesgue_norm(f, q) for q in (4.0, np.inf, 10 / 3, 7.0)}
-        assert densities(f, 3.0).lq_norms == {}
+        column = SpectralField.from_samples(g2, f.samples()[..., :1].copy())
+        assert column._column is not None
+        for fld in (f, column):
+            ds = densities(fld, 3.0, [4.0, np.inf, 10 / 3, 7.0])
+            # every q, inf included, is lebesgue_norm's value bit for bit
+            assert ds.lq_norms == {q: lebesgue_norm(fld, q)
+                                   for q in (4.0, np.inf, 10 / 3, 7.0)}
+            assert densities(fld, 3.0).lq_norms == {}
 
 class TestDensities:
     def test_real_field_zero_momentum(self, g1):
@@ -689,7 +780,7 @@ class TestLeanDensityPass:
         r2 = sum(x ** 2 for x in mesh[:-1])
         u = np.exp(-r2 / 2.0 + 0.7j * mesh[0]) * (1 + 0.3 * np.cos(mesh[-1]))
         f = SpectralField.from_samples(grid, u[..., :1].copy() if column else u)
-        assert f._column == column
+        assert (f._column is not None) == column
         ds = densities(f, 3.0)
         assert np.array_equal(ds.grad_rho, self.x_gradient(grid, ds.rho))
 
