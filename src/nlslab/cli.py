@@ -75,7 +75,7 @@ from .field import (
 # and cli.energy
 from .integrator import PhysicsParams, StepControl, energy, evolve, mass, \
     soliton_profile
-from .morawetz import CubeSupAccumulator, inequality_tolerance, morawetz_sample
+from .morawetz import CubeSupAccumulator, inequality_tolerance, pairings
 from .scattering import (ACCUMULATORS, DECAY_TRANSIENT, SpacetimeAccumulators, all_finite,
                          check_cauchy_times, extended_power,
                          geometric_sample_times, make_scatter_report, settled_tail,
@@ -445,7 +445,8 @@ class RecordBuilder:
                     chain["auxiliary_pair"][0])
 
     def __call__(self, fld: SpectralField, guard_breached: bool) -> None:
-        ms, ds = morawetz_sample(fld, self.physics_params, self._cube, self.cfg.q_list)
+        (J, S, lhs, rhs), ds = pairings(fld, self.physics_params, self.cfg.q_list)
+        cube_sup_integral = self._cube.update(fld.time_tag, fld)
         acc_totals = dict.fromkeys(ACCUMULATORS, 0.0)
         theta_norm = 0.0
         if self.accumulators is not None:
@@ -462,12 +463,12 @@ class RecordBuilder:
             energy=kinetic + potential,
             h1_norm=h1_norm,
             lq_norms=ds.lq_norms,
-            J=ms.J,
-            morawetz_lhs=ms.lhs,
-            morawetz_rhs=ms.rhs,
-            positivity_S=ms.S,
-            cube_sup=ms.cube_sup,
-            cube_sup_integral=ms.cube_sup_integral,
+            J=J,
+            morawetz_lhs=lhs,
+            morawetz_rhs=rhs,
+            positivity_S=S,
+            cube_sup=self._cube.cube_sup,
+            cube_sup_integral=cube_sup_integral,
             mixed_norm_theta=theta_norm,
             accumulators=acc_totals,
             boundary_guard_flag=guard_breached,

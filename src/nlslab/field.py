@@ -20,10 +20,12 @@ transform, and each y sum is Ny times the column's (_y_samples).  The
 full-grid field with the same samples sums Ny equal rows instead, so the
 two agree within the recursive-summation bound, 2 Ny eps sum_y |terms|.
 
-Every x-derivative is one transform, _x_derivatives: the inverse FFT of the
-coefficients times the multipliers cached per grid.  It serves u's
-coefficients and the y column of rho's x transform alike.  The (-1)^k phases
-of Grid.x_phase are cached per grid as well, and both are read-only.
+Every transform of the module is one of a pair, both with norm="forward":
+_forward takes samples, on the grid or on a y column, to coefficients, for
+from_samples and for rho's x transform; _inverse takes coefficients times a
+multiplier to samples, for samples() (the (-1)^k phases of Grid.x_phase)
+and for every x-derivative (_x_derivatives, with the multipliers cached per
+grid).  The phases are cached per grid as well, and both are read-only.
 
 The module holds what a run reads.  The difference-quotient form of the
 H^s_y norm, the dealiased power u |u|^alpha and the fractional Leibniz ratio
@@ -37,7 +39,7 @@ import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import BinaryIO, Callable, Dict, NamedTuple, Sequence, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import fft as sfft
@@ -90,11 +92,6 @@ class Grid:
     def cell(self) -> float:
         """x-cell volume (L/Nx)^d."""
         return self.dx ** self.d
-
-    @property
-    def weight(self) -> float:
-        """Full quadrature weight (L/Nx)^d * (2 pi / Ny)."""
-        return self.cell * self.dy
 
     @property
     def measure(self) -> float:
@@ -175,17 +172,15 @@ class SpectralField:
     def samples(self) -> np.ndarray:
         """Physical-space values on the grid (lazily computed, then cached)."""
         if self._samples is None:
-            g = self.grid
-            u = sfft.ifftn(self.coefficients * g.x_phase(), overwrite_x=True,
-                           workers=fft_workers())
-            u *= g.ntot
-            self._samples = u
+            self._samples = _inverse(self.coefficients, self.grid.x_phase())
         return self._samples
 
     @classmethod
     def from_samples(cls, grid: Grid, samples: np.ndarray, time_tag: float = 0.0
                      ) -> "SpectralField":
-        """The field with these samples, given on the grid or on one y column.
+        """The field with these samples, given on the grid or on one y column:
+        their forward transform (_forward), fftn(samples) / size * x_phase
+        bit for bit.
 
         A y column, shape (Nx,)^d x 1, is the field constant along y; the
         field keeps the column, and its samples() is a read-only broadcast
@@ -205,11 +200,7 @@ class SpectralField:
         if samples.shape not in (grid.shape, column):
             raise ValueError(f"sample shape {samples.shape} matches neither grid "
                              f"{grid.shape} nor its y column {column}")
-        # in place: bitwise the result of fftn(...) / size * x_phase, without
-        # its two temporaries
-        c = sfft.fftn(samples, axes=long_axes(samples), workers=fft_workers())
-        c /= samples.size
-        c *= grid.x_phase()
+        c = _forward(samples, grid)
         if samples.shape == column:
             full = np.zeros(grid.shape, dtype=c.dtype)
             full[..., :1] = c  # +0 at every n != 0
@@ -225,6 +216,27 @@ def long_axes(a: np.ndarray) -> list:
     """The axes of a longer than one: a transform over a length-1 axis is the
     identity, so a y column is transformed over its x axes alone."""
     return [i for i, m in enumerate(a.shape) if m > 1]
+
+
+# The transform pair.  Both scale with norm="forward": the forward transform
+# by 1/size, the inverse not at all.  Each size is a power of two, so that
+# scale is exact, and the pair gives the bits of fftn(a) / size and of
+# ifftn(c * m) * size away from underflow.
+
+def _forward(a: np.ndarray, grid: Grid) -> np.ndarray:
+    """Plane-wave amplitudes of the samples a, given on the grid or on one y
+    column: fftn over a's long axes, divided by their size, times x_phase."""
+    c = sfft.fftn(a, axes=long_axes(a), norm="forward", workers=fft_workers())
+    c *= grid.x_phase()
+    return c
+
+
+def _inverse(c: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The samples of the multiplier m applied to the coefficients c, given on
+    the grid or on its n = 0 column: ifftn(c * m) over c's long axes, without
+    normalization.  m = x_phase gives the field's own samples."""
+    return sfft.ifftn(c * m, axes=long_axes(c), overwrite_x=True, norm="forward",
+                      workers=fft_workers())
 
 
 def _carrier(fld: SpectralField) -> np.ndarray:
@@ -349,9 +361,8 @@ def quadratic_terms(fld: SpectralField) -> Tuple[float, float, float]:
 
 
 def _lr_x(h_sq: np.ndarray, r: float, cell: float) -> float:
-    """Outer L^r_x norm of an inner norm given by its square h_sq on the x grid."""
-    if r == np.inf:
-        return float(np.sqrt(h_sq.max()))
+    """Outer L^r_x norm, r finite, of an inner norm given by its square h_sq
+    on the x grid."""
     return float((np.sum(h_sq ** (r / 2.0)) * cell) ** (1.0 / r))
 
 
@@ -378,8 +389,8 @@ def _mixed_from_power(grid: Grid, power: np.ndarray, r: float, w: np.ndarray
                       ) -> float:
     """L^r_x norm of the y-mode multiplier norm with weight w(n), from
     _y_mode_power: the modes it holds are the first of w's."""
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    if not 1 <= r < np.inf:
+        raise ValueError(f"r must be finite and >= 1, got {r}")
     return _lr_x(power @ w[:power.shape[-1]], r, grid.cell)
 
 
@@ -506,11 +517,9 @@ def _gradient_multipliers(grid: Grid) -> Tuple[np.ndarray, ...]:
 
 def _x_derivatives(c: np.ndarray, grid: Grid) -> list:
     """-i d_i per x axis of the field whose coefficients c are given on the
-    grid or on its n = 0 column: ifftn(c * m_i) over c's long axes, without
-    normalization (_gradient_multipliers), each the shape of c."""
-    return [sfft.ifftn(c * m, axes=long_axes(c), overwrite_x=True,
-                       norm="forward", workers=fft_workers())
-            for m in _gradient_multipliers(grid)]
+    grid or on its n = 0 column: _inverse(c, m_i) (_gradient_multipliers),
+    each the shape of c."""
+    return [_inverse(c, m) for m in _gradient_multipliers(grid)]
 
 
 def densities(fld: SpectralField, alpha: float,
@@ -551,9 +560,8 @@ def densities(fld: SpectralField, alpha: float,
         for j in range(i, g.d):
             K[i, j] = np.einsum("...k,...k->...", h[i], h[j]) * wy
             K[j, i] = K[i, j]
-    col = rho[..., None]  # real: its transform keeps the direct pair's bits
-    c_rho = sfft.fftn(col, axes=long_axes(col), norm="forward", workers=fft_workers())
-    c_rho *= g.x_phase()
+    # rho is real: its transform keeps the direct pair's bits
+    c_rho = _forward(rho[..., None], g)
     grad_rho = -np.stack([di.imag[..., 0] for di in _x_derivatives(c_rho, g)])
     return DensitySet(rho=rho, P=P, K=K, nu=nu, grad_rho=grad_rho,
                       lq_norms=lq_norms)
@@ -566,14 +574,12 @@ def densities(fld: SpectralField, alpha: float,
 _HEADER = struct.Struct("<idqqd")  # d, L, Nx, Ny, time_tag
 
 
-def save_field(fld: SpectralField, fh: Union[str, BinaryIO]) -> None:
+def save_field(fld: SpectralField, path: str) -> None:
     """Write header (d, L, Nx, Ny, time_tag) + interleaved re/im coefficients."""
-    if isinstance(fh, str):
-        with open(fh, "wb") as f:
-            return save_field(fld, f)
     g = fld.grid
-    fh.write(_HEADER.pack(g.d, g.L, g.Nx, g.Ny, fld.time_tag))
-    fh.write(np.ascontiguousarray(fld.coefficients, dtype="<c16"))
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(g.d, g.L, g.Nx, g.Ny, fld.time_tag))
+        fh.write(np.ascontiguousarray(fld.coefficients, dtype="<c16"))
 
 
 class SnapshotHeader(NamedTuple):
@@ -583,61 +589,52 @@ class SnapshotHeader(NamedTuple):
     time_tag: float
 
 
-def _from_path(read: Callable, path: str):
-    """read(f) on the file at path, its ValueError prefixed with the path."""
-    with open(path, "rb") as f:
+def _read_file(path: str, body: bool):
+    """The header of the save_field file at path, and with body its field.
+
+    The header, then the body size it implies, are checked before any of the
+    body is read, and then the bytes read.  A ValueError says what is wrong
+    and names the path.
+    """
+    with open(path, "rb") as fh:
         try:
-            return read(f)
+            head = fh.read(_HEADER.size)
+            if len(head) < _HEADER.size:
+                raise ValueError(f"snapshot file of {len(head)} bytes is shorter "
+                                 f"than its {_HEADER.size}-byte header")
+            d, L, Nx, Ny, time_tag = _HEADER.unpack(head)
+            try:
+                grid = Grid(d, L, Nx, Ny)
+            except ValueError as e:
+                raise ValueError(f"bad snapshot header: {e}") from None
+            if not (np.isfinite(L) and np.isfinite(time_tag)):
+                raise ValueError(f"bad snapshot header: L = {L} and time_tag = "
+                                 f"{time_tag} must be finite")
+            size = 16 * grid.ntot
+            left = fh.seek(0, os.SEEK_END) - _HEADER.size
+            if left != size:
+                what = "truncated" if left < size else "followed by trailing bytes"
+                raise ValueError(f"snapshot body {what}: the header implies {size} "
+                                 f"bytes, {left} follow it")
+            if not body:
+                return SnapshotHeader(grid, time_tag)
+            fh.seek(_HEADER.size)
+            coeff = np.empty(grid.shape, dtype="<c16")
+            got = fh.readinto(coeff)
+            if got != size:
+                raise ValueError(f"snapshot body truncated: the header implies "
+                                 f"{size} bytes, {got} could be read")
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from None
-
-
-def snapshot_header(fh: Union[str, BinaryIO]) -> SnapshotHeader:
-    """The grid and time tag of a save_field file, from a path or a seekable
-    binary stream, and the header's checks that load_field makes.
-
-    The header, then the body size it implies, are checked; the body itself
-    is not read, and a stream is left at its start.  A ValueError says what
-    is wrong and names the path, given one.
-    """
-    if isinstance(fh, str):
-        return _from_path(snapshot_header, fh)
-    head = fh.read(_HEADER.size)
-    if len(head) < _HEADER.size:
-        raise ValueError(f"snapshot file of {len(head)} bytes is shorter than "
-                         f"its {_HEADER.size}-byte header")
-    d, L, Nx, Ny, time_tag = _HEADER.unpack(head)
-    try:
-        grid = Grid(d, L, Nx, Ny)
-    except ValueError as e:
-        raise ValueError(f"bad snapshot header: {e}") from None
-    if not (np.isfinite(L) and np.isfinite(time_tag)):
-        raise ValueError(f"bad snapshot header: L = {L} and time_tag = {time_tag} "
-                         "must be finite")
-    size = 16 * grid.ntot
-    start = fh.tell()
-    left = fh.seek(0, os.SEEK_END) - start
-    fh.seek(start)
-    if left != size:
-        what = "truncated" if left < size else "followed by trailing bytes"
-        raise ValueError(f"snapshot body {what}: the header implies {size} bytes, "
-                         f"{left} follow it")
-    return SnapshotHeader(grid, time_tag)
-
-
-def load_field(fh: Union[str, BinaryIO]) -> SpectralField:
-    """Read a save_field file from a path or a seekable binary stream.
-
-    snapshot_header checks the header first; a ValueError says what is
-    wrong and names the path, given one.
-    """
-    if isinstance(fh, str):
-        return _from_path(load_field, fh)
-    grid, time_tag = snapshot_header(fh)
-    size = 16 * grid.ntot
-    coeff = np.empty(grid.shape, dtype="<c16")
-    got = fh.readinto(coeff)
-    if got != size:
-        raise ValueError(f"snapshot body truncated: the header implies {size} "
-                         f"bytes, {got} could be read")
     return SpectralField(grid, coeff, time_tag)
+
+
+def snapshot_header(path: str) -> SnapshotHeader:
+    """The grid and time tag of a save_field file, with the header's checks
+    that load_field makes; the body is not read."""
+    return _read_file(path, body=False)
+
+
+def load_field(path: str) -> SpectralField:
+    """Read a save_field file; its header is checked first."""
+    return _read_file(path, body=True)

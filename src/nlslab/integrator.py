@@ -18,18 +18,20 @@ The step runs in place on one state buffer that evolve owns, so it allocates
 no full-grid temporary per step beyond the kick's own scratch.
 
 The linear phase is a product of per-axis 1-D exponentials, since the
-symbol |xi|^2 + n^2 is separable.  evolve hands the datum itself to the sinks
-as the step-0 snapshot, builds each later snapshot with one forward
-transform, and returns the last snapshot it emitted.
+symbol |xi|^2 + n^2 is separable.  evolve builds each snapshot from the
+state with one forward transform, and returns the last snapshot it emitted;
+only the step-0 snapshot of a y-dependent datum is the datum itself.
 
 The equation commutes with translations in y, so a datum whose samples are
 exactly equal along y (field.y_independent) stays so, and its run is NLS on
 R^d.  evolve then steps one y column, (Nx,)^d x 1, with the n = 0 column of
 the linear phase.  The FFT pair of a step then runs over the x axes only,
-since a length-1 transform is the identity, and each snapshot is built from
-the column: SpectralField.from_samples takes its x transform, puts it at
-n = 0 with zeros elsewhere, and keeps the column, whose read-only broadcast
-view is the snapshot's samples.
+since a length-1 transform is the identity, and each snapshot, step 0
+included, is built from the column: SpectralField.from_samples takes its x
+transform, puts it at n = 0 with zeros elsewhere, and keeps the column,
+whose read-only broadcast view is the snapshot's samples.  The step-0
+snapshot thus has the datum's samples, and its coefficients are the
+datum's up to one round trip of the transform pair.
 The kick is elementwise, and a power-of-two FFT of a constant y row has exact
 zeros for n != 0 and Ny times the column at n = 0 (scaling by a power of two
 is exact away from underflow), so the snapshot samples are bitwise those of
@@ -262,15 +264,11 @@ def evolve(initial: SpectralField, physics: PhysicsParams, control: StepControl,
     """Run Strang steps to t_end, feeding immutable snapshots to the sinks.
 
     At every sampling time each sink is called as sink(snapshot, guard_breached).
-    The step-0 snapshot is the datum itself; each later one is built from the
-    state by one forward transform (SpectralField.from_samples).  The last
-    snapshot emitted is returned.  The state is stepped y-first, shape
-    (Ny, Nx...), and each snapshot gets an x-first copy of it, bit for bit
-    the run of an x-first state (module docstring).  A y-independent datum
-    is stepped on one y column, and each snapshot is built from the column
-    by its x transform; its samples are the full-grid run's bit for bit, as
-    a read-only broadcast view of the column, and its coefficients equal
-    them up to the signs of zeros.
+    Each snapshot is built from an x-first copy of the y-first state by one
+    forward transform (SpectralField.from_samples), except that a y-dependent
+    datum is itself the step-0 snapshot; the last one emitted is returned.
+    A y-independent datum is stepped on one y column, and each snapshot,
+    step 0 included, is built from the column (module docstring).
     If guard_tol is given, the boundary-mass guard trips once the mass fraction
     of a unit cube in the band |x| > (3/4) L/2 exceeds it (edge_cube_fraction);
     the flag then stays set for all subsequent records.
@@ -302,17 +300,22 @@ def evolve(initial: SpectralField, physics: PhysicsParams, control: StepControl,
     phase = np.empty((g.Ny,) + g.shape[:-1], dtype=np.complex128)
     _linear_phase(g, dt, out=np.moveaxis(phase, 0, -1))
     v = np.moveaxis(initial.samples(), -1, 0)
-    if y_independent(initial):
+    reduced = y_independent(initial)
+    if reduced:
         # one y column and its n = 0 phases: the same bits as the full grid
         phase, v = phase[:1].copy(), v[:1]
     v = v.copy()  # C order: the y-first state, evolve's own
-    last = emit(initial)
+
+    def snapshot(t: float) -> SpectralField:
+        # from a copy: _advance overwrites the state
+        return SpectralField.from_samples(g, np.moveaxis(v, 0, -1).copy(), t)
+
+    last = emit(snapshot(t0) if reduced else initial)
     for start in range(0, n_steps, control.sample_every):
         n = min(control.sample_every, n_steps - start)
         last = None  # no snapshot outlives a chunk unless a sink keeps it
         v = _advance(v, phase, physics, dt, n, t0 + start * dt)
-        last = emit(SpectralField.from_samples(
-            g, np.moveaxis(v, 0, -1).copy(), t0 + (start + n) * dt))
+        last = emit(snapshot(t0 + (start + n) * dt))
     return last
 
 
@@ -355,9 +358,6 @@ def soliton_profile(grid: Grid, B: float) -> SpectralField:
             f"B*L = {B * grid.L:.3g} leaves sech tails above 1e-12 at the box edge",
             RuntimeWarning,
         )
+    # the y column: the field keeps it (SpectralField.from_samples)
     return SpectralField.from_samples(
-        grid,
-        np.sqrt(2.0) * B / np.cosh(B * grid.x_axis())[:, None]
-        * np.ones((1, grid.Ny)),
-        0.0,
-    )
+        grid, np.sqrt(2.0) * B / np.cosh(B * grid.x_axis())[:, None], 0.0)

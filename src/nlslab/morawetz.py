@@ -8,12 +8,13 @@ with k a derivative of phi(x) = <x> = sqrt(1 + |x|^2).  The double sums are
 taken by Parseval on a zero-padded grid of M = 2 Nx points per axis: k sits
 at its wrapped displacement there, and since M >= 2 Nx - 1 no wrap-around
 touches a pairing, so each equals the whole-space double sum exactly.  The
-kernel spectra are built once per grid.  One function, ``_pairings``, takes
+kernel spectra are built once per grid.  One function, ``pairings``, takes
 the density pass, transforms each density once and returns J, S, lhs and
 rhs, each pairing one weighted sum over the half spectrum, with no inverse
-transform; ``morawetz_J``, ``positivity_certificate``, ``morawetz_terms``
-and ``morawetz_sample`` all read it.  No wrap-around touches the inequality
-checks as long as the boundary-mass guard holds.
+transform; a run's record (cli.RecordBuilder), ``MorawetzRecorder``,
+``morawetz_J``, ``positivity_certificate`` and ``morawetz_terms`` all read
+it.  No wrap-around touches the inequality checks as long as the
+boundary-mass guard holds.
 
 The tracked objects:
 
@@ -157,7 +158,7 @@ def _odd(k: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum((a * b.conj()).imag * k))
 
 
-def _pairings(fld: SpectralField, physics: PhysicsParams, q_list: Sequence[float] = ()
+def pairings(fld: SpectralField, physics: PhysicsParams, q_list: Sequence[float] = ()
               ) -> Tuple[Tuple[float, float, float, float], DensitySet]:
     """(J, S, lhs, rhs) of one snapshot, with the density pass they read,
     which also takes the L^q norm of each q in q_list."""
@@ -189,17 +190,17 @@ def morawetz_J(fld: SpectralField) -> float:
     Equals the full two-term momentum pairing: the rho-against-(grad_phi * P)
     partner coincides with this one because grad_phi is odd.
     """
-    return _pairings(fld, _NU_UNREAD)[0][0]
+    return pairings(fld, _NU_UNREAD)[0][0]
 
 
 def positivity_certificate(fld: SpectralField) -> float:
     """S >= 0: y-integrated image of the pointwise bound 4 A hess(phi) conj(A) >= 0."""
-    return _pairings(fld, _NU_UNREAD)[0][1]
+    return pairings(fld, _NU_UNREAD)[0][1]
 
 
 def morawetz_terms(fld: SpectralField, physics: PhysicsParams) -> Tuple[float, float]:
     """(lhs, rhs): lhs = I+II+III = dJ/dt; rhs the interaction lower bound."""
-    return _pairings(fld, physics)[0][2:]
+    return pairings(fld, physics)[0][2:]
 
 
 def inequality_tolerance(lhs: float, rhs: float, mass_value: float) -> float:
@@ -213,6 +214,8 @@ def inequality_tolerance(lhs: float, rhs: float, mass_value: float) -> float:
 
 @dataclass
 class MorawetzSample:
+    """One row of MorawetzRecorder."""
+
     t: float
     J: float
     lhs: float
@@ -235,20 +238,9 @@ class CubeSupAccumulator(TrapezoidFold):
         return self.fold(t, {"cube": self.cube_sup ** ((self.alpha + 4.0) / 2.0)})["cube"]
 
 
-def morawetz_sample(fld: SpectralField, physics: PhysicsParams,
-                    cube: CubeSupAccumulator, q_list: Sequence[float] = ()
-                    ) -> Tuple[MorawetzSample, DensitySet]:
-    """One sample of a run from one density pass, returned with that pass for
-    the other per-sample figures that need x-gradients or |u|^2 (the L^q
-    norm of each q in q_list)."""
-    (J, S, lhs, rhs), ds = _pairings(fld, physics, q_list)
-    integral = cube.update(fld.time_tag, fld)
-    return MorawetzSample(t=fld.time_tag, J=J, lhs=lhs, rhs=rhs, S=S,
-                          cube_sup=cube.cube_sup, cube_sup_integral=integral), ds
-
-
 class MorawetzRecorder:
-    """Sink producing one MorawetzSample per snapshot of a run."""
+    """Sink producing one MorawetzSample per snapshot of a run, as a record
+    does; perfbench/tracing.py wraps its __call__."""
 
     def __init__(self, physics: PhysicsParams):
         self.physics = physics
@@ -256,4 +248,7 @@ class MorawetzRecorder:
         self._acc = CubeSupAccumulator(physics.alpha)
 
     def __call__(self, fld: SpectralField, guard_breached: bool) -> None:
-        self.samples.append(morawetz_sample(fld, self.physics, self._acc)[0])
+        (J, S, lhs, rhs), _ = pairings(fld, self.physics)
+        integral = self._acc.update(fld.time_tag, fld)
+        self.samples.append(MorawetzSample(fld.time_tag, J, lhs, rhs, S,
+                                           self._acc.cube_sup, integral))

@@ -5,6 +5,7 @@ the decay run feeds criteria 3 (mass drift), 5 and 6; the soliton and
 scattering preset runs feed criteria 7 and 8.
 """
 
+import contextlib
 import json
 import math
 import time
@@ -172,7 +173,10 @@ def test_criterion_03_scheme_conservation(decay_run):
     e0 = energy(datum, ph)
     errs = []
     for dt in (4e-3, 2e-3, 1e-3):
-        out = evolve(datum, ph, StepControl(dt, 1.0))
+        # at the two larger steps the top modes rotate more than 2 pi per step
+        with (pytest.warns(RuntimeWarning, match="exceeds 2 pi") if dt > 1e-3
+              else contextlib.nullcontext()):
+            out = evolve(datum, ph, StepControl(dt, 1.0))
         errs.append(abs(energy(out, ph) - e0))
     orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
     wall = time.perf_counter() - t0

@@ -506,7 +506,7 @@ class TestRecordBuilderColumns:
         a = np.abs(f.samples())
         for q in q_list:
             expect = a.max() if q == float("inf") else \
-                (np.sum(a ** q) * f.grid.weight) ** (1.0 / q)
+                (np.sum(a ** q) * f.grid.cell * f.grid.dy) ** (1.0 / q)
             assert rec.lq_norms[q] == pytest.approx(expect, rel=1e-13, abs=0)
         # the density pass gives every column, inf included, bit for bit
         assert rec.lq_norms == {q: lebesgue_norm(f, q) for q in q_list}
@@ -539,10 +539,10 @@ def _term_bounds(f, cfg, rec, ell):
     a = np.abs(f.samples())
     du = [np.abs(sfft.ifftn(f.coefficients * (1j * xg) * g.x_phase()) * g.ntot)
           for xg in g.xi_grids()]
-    mass = float(np.sum(a ** 2)) * g.weight
-    p1 = sum(float(np.sum(a * di)) for di in du) * g.weight
-    k1 = float(np.sum(sum(du) ** 2)) * g.weight
-    n1 = float(np.sum(a ** (alpha + 2.0))) * g.weight
+    mass = float(np.sum(a ** 2)) * g.cell * g.dy
+    p1 = sum(float(np.sum(a * di)) for di in du) * g.cell * g.dy
+    k1 = float(np.sum(sum(du) ** 2)) * g.cell * g.dy
+    n1 = float(np.sum(a ** (alpha + 2.0))) * g.cell * g.dy
     S = 8 * k1 * mass + 8 * p1 ** 2 + 2 * (2 * p1) ** 2
     rhs = 4 * alpha / (alpha + 2) * g.d * n1 * mass
     out = {"J": 4 * p1 * mass, "positivity_S": S, "morawetz_rhs": rhs,
@@ -584,8 +584,8 @@ class TestColumnSnapshotRecords:
         evolve(from_profile(g, _x_profile(g.d)), cfg.physics(),
                StepControl(dt=dt, t_end=6 * dt, sample_every=every),
                sinks=[lambda fld, flag: columns.append(fld)])
-        columns = columns[1:]  # the datum itself is a full-grid field
-        assert len(columns) >= 2 and all(f._column is not None for f in columns)
+        # every snapshot, step 0 included, is built from the column
+        assert len(columns) >= 3 and all(f._column is not None for f in columns)
         full = [SpectralField.from_samples(g, f.samples().copy(), f.time_tag)
                 for f in columns]
         rows = []
@@ -612,6 +612,65 @@ class TestColumnSnapshotRecords:
                     assert abs(got[name] - value) <= 2 * g.ntot * EPS * bounds[name], name
                 else:
                     assert got[name] == value, name
+
+    def test_step0_record_of_a_coefficient_datum(self):
+        # A file datum holds coefficients only.  The step-0 snapshot of its
+        # run has the datum's samples, built into a column, and coefficients
+        # one round trip of the transform pair away from the datum's.  Its
+        # record is held to the datum's own record: the y sums within the
+        # summation bound, as above, plus each column's share of the round
+        # trip, |dc| <= beta |c| in l^2 with beta = 8 log2(ntot) eps (the
+        # error bound of a radix-2 FFT, twice).
+        from nlslab.cli import RecordBuilder
+        from nlslab.field import SpectralField, from_profile
+        from nlslab.integrator import StepControl, evolve
+        cfg = parse_config(json.dumps({"preset": "decay"}))
+        g = cfg.grid()
+        datum = SpectralField(g, from_profile(g, _x_profile(1)).coefficients)
+        snaps = []
+        evolve(datum, cfg.physics(), StepControl(dt=1e-3, t_end=1e-3),
+               sinks=[lambda fld, flag: snaps.append(fld)])
+        step0 = snaps[0]
+        assert step0._column is not None and step0.time_tag == 0.0
+        assert step0.samples().tobytes() == datum.samples().tobytes()
+        beta = 8 * math.log2(g.ntot) * EPS
+        c0 = datum.coefficients
+        assert np.linalg.norm(step0.coefficients - c0) <= beta * np.linalg.norm(c0)
+        rows = []
+        for f in (step0, datum):
+            builder = RecordBuilder(cfg)
+            builder(f, False)
+            buf = io.StringIO()
+            emit_records(builder.records, buf, cfg.q_list)
+            buf.seek(0)
+            rows.append(read_records(buf)[0])
+        got, want = rows
+        ell = builder.accumulators and float(builder.accumulators.aux.l)
+        sums = _term_bounds(datum, cfg, want, ell)
+        sums.update(mass=want["mass"], h1_norm=want["h1_norm"])  # sums of |c|^2
+        # The round trip moves mass and the kinetic energy, quadratic in c,
+        # by at most (2 + beta) beta mass times the largest weight, and
+        # h1_norm, a weighted l^2 norm of c, by sqrt(weight) beta sqrt(mass).
+        # It moves each d_i u by at most D = xi_max beta sqrt(mass) in L^2,
+        # where ||d_i u||_2 <= H = h1_norm, so P_i by sqrt(mass) D in L^1
+        # and K_ij by D (2 H + D); the kernels of J and S are at most 1.
+        mass, H = want["mass"], want["h1_norm"]
+        xi_max = math.pi * g.Nx / g.L
+        lap_max = g.d * xi_max ** 2 + (g.Ny / 2) ** 2
+        D = xi_max * beta * math.sqrt(mass)
+        trip = {"mass": (2 + beta) * beta * mass,
+                "h1_norm": math.sqrt(1 + lap_max) * beta * math.sqrt(mass),
+                "energy": 0.5 * lap_max * (2 + beta) * beta * mass,
+                "J": 4 * g.d * mass * math.sqrt(mass) * D,
+                "positivity_S": 16 * g.d ** 2 * mass * D * (2 * H + D)}
+        trip["morawetz_lhs"] = trip["positivity_S"]
+        assert got != want
+        for name, value in want.items():
+            if name in sums or name in trip:
+                bound = 2 * g.ntot * EPS * sums.get(name, 0.0) + trip.get(name, 0.0)
+                assert abs(got[name] - value) <= bound, name
+            else:
+                assert got[name] == value, name
 
     @pytest.mark.parametrize("config", [
         {"preset": "decay", "grid": {"Nx": 256, "Ny": 16, "L": 40.0}},
@@ -646,9 +705,12 @@ class TestColumnSnapshotRecords:
         # on the column.  The traced peak above the start stays below one
         # complex full-grid array, 16 ntot bytes, so no block of that size
         # is allocated; the snapshot's own coefficients are made before.
+        # The same holds for the step-0 sink call of a run whose datum holds
+        # coefficients only, as a file datum does.
         import tracemalloc
         from nlslab.cli import RecordBuilder
         from nlslab.field import SpectralField, edge_cube_fraction
+        from nlslab.integrator import StepControl, evolve
         cfg = parse_config(json.dumps({"preset": "decay"}))
         g = cfg.grid()
         snap = SpectralField.from_samples(g, _x_profile(1)(g.x_axis()[:, None], 0.0), 0.1)
@@ -660,9 +722,46 @@ class TestColumnSnapshotRecords:
             edge_cube_fraction(snap)
             builder(snap, False)
             peak = tracemalloc.get_traced_memory()[1]
+            marks = []
+
+            def mark(fld, flag):
+                if fld.time_tag == 0.0:
+                    tracemalloc.reset_peak()
+                    marks.append(tracemalloc.get_traced_memory()[0])
+
+            def measure(fld, flag):
+                if fld.time_tag == 0.0:
+                    marks.append(tracemalloc.get_traced_memory()[1])
+            evolve(SpectralField(g, snap.coefficients), cfg.physics(),
+                   StepControl(dt=1e-3, t_end=1e-3),
+                   sinks=[mark, RecordBuilder(cfg), measure], guard_tol=cfg.guard_tol)
         finally:
             tracemalloc.stop()
         assert peak - start < 16 * g.ntot
+        assert len(marks) == 2 and marks[1] - marks[0] < 16 * g.ntot
+
+
+@pytest.mark.parametrize("config", [
+    {"preset": "decay", "grid": {"Nx": 256, "Ny": 16, "L": 40.0}},
+    {"preset": "morawetz", "d": 2, "alpha": "3", "grid": {"Nx": 32, "Ny": 8, "L": 16.0},
+     "datum": {"kind": "gaussian", "y_modulation": 0.3}},
+], ids=["d1-column", "d2"])
+def test_record_equals_the_morawetz_recorder(config):
+    # a record's Morawetz columns are a MorawetzRecorder sample of the same
+    # snapshot, bit for bit
+    from nlslab.cli import RecordBuilder
+    from nlslab.integrator import StepControl, evolve
+    from nlslab.morawetz import MorawetzRecorder
+    cfg = parse_config(json.dumps(config))
+    recorder, builder = MorawetzRecorder(cfg.physics()), RecordBuilder(cfg)
+    evolve(build_datum(cfg), cfg.physics(), StepControl(dt=1e-3, t_end=5e-3, sample_every=2),
+           sinks=[recorder, builder])
+    assert len(recorder.samples) == len(builder.records) == 4
+    for s, r in zip(recorder.samples, builder.records):
+        assert [x.hex() for x in (s.t, s.J, s.lhs, s.rhs, s.S, s.cube_sup,
+                                  s.cube_sup_integral)] == \
+            [x.hex() for x in (r.t, r.J, r.morawetz_lhs, r.morawetz_rhs, r.positivity_S,
+                               r.cube_sup, r.cube_sup_integral)]
 
 
 def make_record(t, **over):

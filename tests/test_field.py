@@ -74,7 +74,8 @@ class TestGrid:
             Grid(1, 10.0, 64, 2)  # below minimum
 
     def test_weights(self, g1):
-        assert g1.weight == pytest.approx((40.0 / 256) * (2 * np.pi / 16))
+        assert g1.cell == pytest.approx(40.0 / 256)
+        assert g1.dy == pytest.approx(2 * np.pi / 16)
         assert g1.measure == pytest.approx(40.0 * 2 * np.pi)
 
     def test_frequencies_wrapped(self, g1):
@@ -112,7 +113,7 @@ class TestFromProfile:
         assert np.abs(f.coefficients - pred).max() < 1e-8
 
     def test_nonfinite_rejected(self, g1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError), np.errstate(divide="ignore"):
             from_profile(g1, lambda x, y: 1.0 / (x - x[0, 0]))
 
 
@@ -146,7 +147,7 @@ class TestLebesgueNorm:
         f = random_field(g2, 7)
         a = np.abs(f.samples())
         expect = a.max() if q == np.inf else \
-            (np.sum(a ** q) * g2.weight) ** (1.0 / q)
+            (np.sum(a ** q) * g2.cell * g2.dy) ** (1.0 / q)
         assert lebesgue_norm(f, q) == pytest.approx(expect, rel=1e-13, abs=0)
 
     def test_parseval(self, g1):
@@ -176,6 +177,10 @@ class TestSobolevNorms:
                 a = mixed_norm(f, 2.0, gamma)
                 b = hs_x_hgamma_y(f, 0.0, gamma)
                 assert abs(a - b) <= 1e-12 * b
+
+    def test_infinite_r_rejected(self, g1):
+        with pytest.raises(ValueError, match="r must be finite and >= 1"):
+            mixed_norm(random_field(g1, 3), np.inf, 0.5)
 
     def test_y_independent_mixed_norm_gamma_free(self, g1):
         f = from_profile(g1, lambda x, y: np.exp(-x ** 2) + 0.0 * y)
@@ -675,7 +680,7 @@ class TestColumnRecordPass:
         assert got.shape == grid.shape[:-1] + (1,)
         assert got.tobytes() == want[..., :1].tobytes()
         assert not np.any(want[..., 1:])
-        for r, gamma in ((2.0, 0.0), (4.0, 0.55), (np.inf, 1.0)):
+        for r, gamma in ((2.0, 0.0), (4.0, 0.55), (7.0, 1.0)):
             assert mixed_norm(col, r, gamma) == mixed_norm(full, r, gamma)
 
     def test_lq_norms_are_lebesgue_norms(self, g2):
@@ -822,12 +827,11 @@ class TestEmbeddingD2:
 
 
 class TestSnapshotIO:
-    def test_roundtrip(self, g1):
+    def test_roundtrip(self, g1, tmp_path):
         f = random_field(g1, 21)
-        buf = io.BytesIO()
-        save_field(f, buf)
-        buf.seek(0)
-        back = load_field(buf)
+        path = str(tmp_path / "snap.bin")
+        save_field(f, path)
+        back = load_field(path)
         assert back.grid == f.grid
         assert back.time_tag == f.time_tag
         assert np.array_equal(back.coefficients, f.coefficients)
@@ -864,37 +868,38 @@ class TestSnapshotIO:
          "bad snapshot header: d must be 1 or 2"),
     ], ids=["short", "truncated", "trailing", "huge-Nx", "nan-time-tag", "bad-d"])
     def test_bad_file_named(self, tmp_path, damage, message):
-        f = random_field(Grid(1, 40.0, 64, 4), 27)
-        buf = io.BytesIO()
-        save_field(f, buf)
         path = str(tmp_path / "snap.bin")
+        save_field(random_field(Grid(1, 40.0, 64, 4), 27), path)
+        with open(path, "rb") as fh:
+            raw = fh.read()
         with open(path, "wb") as fh:
-            fh.write(damage(buf.getvalue()))
+            fh.write(damage(raw))
         for read in (load_field, snapshot_header):  # the header alone finds each
             with pytest.raises(ValueError, match=f"^{re.escape(path)}: .*{re.escape(message)}"):
                 read(path)
-            with open(path, "rb") as fh, pytest.raises(ValueError) as exc:
-                read(fh)
-            assert message in str(exc.value) and path not in str(exc.value)
 
     def test_header_alone(self, g2, tmp_path):
         f = SpectralField(g2, random_field(g2, 31).coefficients, 0.25)
         path = str(tmp_path / "snap.bin")
         save_field(f, path)
         assert snapshot_header(path) == (g2, 0.25)
-        with open(path, "rb") as fh:
-            assert snapshot_header(fh).grid == g2
-            assert fh.tell() == 36  # at the body, unread
 
-    def test_short_read_rejected(self, g1):
+    def test_short_read_rejected(self, g1, tmp_path, monkeypatch):
+        # a file whose size matches its header but whose read comes up short
+        from nlslab import field
+
         class ShortRead(io.BytesIO):
             def readinto(self, buf):
                 return super().readinto(memoryview(buf).cast("B")[:-16])
-        buf = io.BytesIO()
-        save_field(random_field(g1, 29), buf)
-        with pytest.raises(ValueError, match="body truncated: the header implies "
+        path = str(tmp_path / "snap.bin")
+        save_field(random_field(g1, 29), path)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        monkeypatch.setattr(field, "open", lambda *a: ShortRead(raw), raising=False)
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: snapshot body "
+                                             "truncated: the header implies "
                                              "65536 bytes, 65520 could be read"):
-            load_field(ShortRead(buf.getvalue()))
+            load_field(path)
 
 
 @pytest.mark.parametrize("grid", [
@@ -912,6 +917,50 @@ def test_transforms_bitwise_equal_to_out_of_place_formulas(grid, mod):
     assert SpectralField.from_samples(grid, u).coefficients.tobytes() == c.tobytes()
     back = sfft.ifftn(c * grid.x_phase(), workers=w) * grid.ntot
     assert SpectralField(grid, c).samples().tobytes() == back.tobytes()
+
+
+def _workload_datum(name, seed):
+    """The grid and the datum samples of a benchmark workload, from
+    perfbench/workloads.py."""
+    import importlib.util
+    import os
+    import sys
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads_datum", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks the module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    wl = workloads.WORKLOADS[name]
+    grid = Grid(*(wl.grid[k] for k in ("d", "L", "Nx", "Ny")))
+    return grid, workloads.datum_samples(wl, seed)
+
+
+@pytest.mark.parametrize("name", ["decay-1d", "morawetz-2d", "scattering-1d"])
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("column", [False, True], ids=["grid", "column"])
+def test_transform_pair_is_the_former_expressions(name, seed, column):
+    # _forward and _inverse scale with norm="forward"; the calls they
+    # replaced divided by the size after an unnormalized forward transform
+    # and multiplied by it after the inverse one, which divides by it.  The
+    # same bits on each workload datum, on the grid and on its first y
+    # column, for the samples' multiplier and the gradients'
+    from nlslab.field import _forward, _inverse, long_axes
+    grid, u = _workload_datum(name, seed)
+    if column:
+        u = u[..., :1].copy()
+    w, axes, size = fft_workers(), long_axes(u), u.size
+    c = sfft.fftn(u, axes=axes, workers=w)
+    c /= size
+    c *= grid.x_phase()
+    assert _forward(u, grid).tobytes() == c.tobytes()
+    for m in (grid.x_phase(), *_gradient_multipliers(grid)):
+        back = sfft.ifftn(c * m, axes=axes, overwrite_x=True, workers=w)
+        back *= size
+        assert _inverse(c, m).tobytes() == back.tobytes()
 
 
 class TestFftWorkers:

@@ -67,16 +67,17 @@ UNREAD_BY_DESIGN = {
 
 
 def _names_read(tree, strings=False):
-    """The names a syntax tree reads: loaded names and attribute names, and
-    with strings the last dotted part of each string constant."""
+    """The names a syntax tree reads, each as ("name", n) for a loaded name
+    or ("attr", n) for an attribute name, and with strings ("attr", n) for
+    the last dotted part n of each string constant."""
     out = set()
     for n in ast.walk(tree):
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-            out.add(n.id)
+            out.add(("name", n.id))
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
+            out.add(("attr", n.attr))
         elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
-            out.add(n.value.rsplit(".", 1)[-1])
+            out.add(("attr", n.value.rsplit(".", 1)[-1]))
     return out
 
 
@@ -85,35 +86,37 @@ def _parse(path):
         return ast.parse(fh.read())
 
 
-def _scan(node, prefix):
+def _scan(node, prefix, member=False):
     """The public definitions at a syntax tree node, as (qualified name,
-    name), and the names the node reads outside each one's own definition.
-    A public class adds its public methods."""
+    name, whether a class member), and the names the node reads outside
+    each one's own definition.  A public class adds its public methods."""
     if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
         return [], _names_read(node)
+    own = {("name", node.name), ("attr", node.name)}
     if node.name.startswith("_"):
-        return [], _names_read(node) - {node.name}
+        return [], _names_read(node) - own
     full = f"{prefix}.{node.name}"
-    public, read = [(full, node.name)], set()
+    public, read = [(full, node.name, member)], set()
     if isinstance(node, ast.ClassDef):
         for part in node.bases + node.keywords + node.decorator_list:
             read |= _names_read(part)
         for child in node.body:
-            defs, names = _scan(child, full)
+            defs, names = _scan(child, full, member=True)
             public += defs
             read |= names
     else:
         read = _names_read(node)
-    read.discard(node.name)
-    return public, read
+    return public, read - own
 
 
 def test_every_public_name_is_read():
     """Each public top-level def or class of the library, and each public
     method of a public class, is read by name in the library outside its own
     definition or in perfbench/ (the string names the tracer patches
-    included).  A name that only the tests call, the acceptance criteria
-    included, belongs in those tests."""
+    included).  A method counts as read only through an attribute access or
+    a tracer string, not through a bare local name of the same spelling.  A
+    name that only the tests call, the acceptance criteria included, belongs
+    in those tests."""
     public, read = [], set()
     for fname in sorted(os.listdir(SRC)):
         if not fname.endswith(".py"):
@@ -125,8 +128,9 @@ def test_every_public_name_is_read():
     for fname in os.listdir(PERFBENCH):
         if fname.endswith(".py"):
             read |= _names_read(_parse(os.path.join(PERFBENCH, fname)), strings=True)
-    unread = [full for full, name in public
-              if name not in read and full not in UNREAD_BY_DESIGN]
+    unread = [full for full, name, member in public
+              if not ({("attr", name)} if member else {("attr", name), ("name", name)})
+              & read and full not in UNREAD_BY_DESIGN]
     assert not unread, f"public names no run or benchmark reads: {unread}"
 
 
