@@ -269,13 +269,43 @@ def from_profile(grid: Grid,
 
 
 def y_independent(fld: SpectralField) -> bool:
-    """Whether the samples are exactly equal along y.
+    """Whether the samples are exactly equal along y, judged from what the
+    field holds, with no transform.
 
-    The flow commutes with translations in y, so such a state stays
-    y-independent, and evolve steps it on one y column.
+    A field that from_samples built from a y column is.  A field whose
+    samples are cached compares them along y.  A field of coefficients
+    only, as load_field returns it, is when every coefficient at n != 0 is
+    zero: a power-of-two inverse FFT of a y row that is zero but at n = 0
+    is exactly that entry in every sample (see _y_column).  A NaN at n != 0
+    is not zero, so it takes the full grid.  The flow commutes with
+    translations in y, so such a state stays y-independent, and evolve
+    steps it on one y column.
     """
-    u = fld.samples()
+    if fld._column is not None:
+        return True
+    if fld._samples is None:
+        rest = fld.coefficients[..., 1:]  # read as two float views: cheaper
+        return not (rest.real.any() or rest.imag.any())
+    u = fld._samples
     return bool((u == u[..., :1]).all())
+
+
+def _y_column(fld: SpectralField) -> np.ndarray:
+    """The samples of a y-independent field on one y column, (Nx,)^d x 1,
+    from what it holds: the column from_samples built it from, else the
+    n = 0 column of its cached samples, else the x-only inverse of its
+    n = 0 coefficient column.  The last is samples()[..., :1] byte for byte,
+    up to the sign of a zero sample, when every other coefficient is zero:
+    a property of the pocketfft build that
+    test_column_inverse_is_the_full_grid_one in tests/test_integrator.py
+    guards.  Cached samples are read as they are: the inverse of their
+    coefficients is the transform pair's round trip, not the samples.
+    """
+    if fld._column is not None:
+        return fld._column
+    if fld._samples is not None:
+        return fld._samples[..., :1]
+    return _inverse(fld.coefficients[..., :1], fld.grid.x_phase())
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +490,12 @@ def edge_cube_fraction(fld: SpectralField) -> float:
 
 def _linear_phase(grid: Grid, t: float, out: np.ndarray | None = None) -> np.ndarray:
     """exp(i t (|xi|^2 + n^2)) as a product of per-axis 1-D exponentials,
-    written into out (complex, of the grid's shape) when one is given."""
-    phase = np.exp(1j * t * grid.n_grid() ** 2)
+    written into out (complex, of the grid's shape or of its n = 0 column)
+    when one is given.  Each entry of the column is that of the full phase."""
+    n = grid.n_grid()
+    if out is not None:
+        n = n[..., :out.shape[-1]]
+    phase = np.exp(1j * t * n ** 2)
     *first, last = grid.xi_grids()
     for xi in first:
         phase = phase * np.exp(1j * t * xi ** 2)

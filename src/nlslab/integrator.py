@@ -24,8 +24,18 @@ only the step-0 snapshot of a y-dependent datum is the datum itself.
 
 The equation commutes with translations in y, so a datum whose samples are
 exactly equal along y (field.y_independent) stays so, and its run is NLS on
-R^d.  evolve then steps one y column, (Nx,)^d x 1, with the n = 0 column of
-the linear phase.  The FFT pair of a step then runs over the x axes only,
+R^d.  field.y_independent judges that from what the datum holds, with no
+transform: a field built from a y column is; a field whose samples are
+cached compares them along y; a field of coefficients only, as load_field
+returns a file datum, is when every coefficient at n != 0 is zero.  evolve
+then steps one y column, (Nx,)^d x 1, with the n = 0 row of the linear
+phase, the only row it builds.  The start column is what the datum holds
+(field._y_column): the column it was built from, else the n = 0 column of
+its cached samples, else the x-only inverse of its n = 0 coefficient
+column, which is samples()[..., :1] byte for byte up to the sign of a zero
+sample.  The finiteness check reads that column, so no full-grid array is
+made before the first step but the step-0 snapshot's coefficients.
+The FFT pair of a step then runs over the x axes only,
 since a length-1 transform is the identity, and each snapshot, step 0
 included, is built from the column: SpectralField.from_samples takes its x
 transform, puts it at n = 0 with zeros elsewhere, and keeps the column,
@@ -59,7 +69,8 @@ x-first run bit for bit.  Only that order gives those bits: transforming y
 first rounds differently.  That a line's 1-D transform does not depend on
 its stride is a property of the pocketfft build, not a law, and
 test_y_first_transform_is_the_x_first_one in tests/test_integrator.py
-guards it.
+guards it.  So is the start column of a datum of coefficients only, which
+test_column_inverse_is_the_full_grid_one guards next to it.
 
 The kick runs on as many threads as the FFT: fft_workers(), all cores unless
 NLSLAB_THREADS sets it.  A state of at least KICK_SPLIT_MIN entries is cut,
@@ -92,8 +103,8 @@ from typing import Callable, Dict, Sequence
 import numpy as np
 from scipy import fft as sfft
 
-from .field import (Grid, SpectralField, _linear_phase, edge_cube_fraction,
-                    fft_workers, lebesgue_norm, y_independent)
+from .field import (Grid, SpectralField, _linear_phase, _y_column,
+                    edge_cube_fraction, fft_workers, lebesgue_norm, y_independent)
 
 
 class BlowUpError(RuntimeError):
@@ -267,8 +278,13 @@ def evolve(initial: SpectralField, physics: PhysicsParams, control: StepControl,
     Each snapshot is built from an x-first copy of the y-first state by one
     forward transform (SpectralField.from_samples), except that a y-dependent
     datum is itself the step-0 snapshot; the last one emitted is returned.
-    A y-independent datum is stepped on one y column, and each snapshot,
-    step 0 included, is built from the column (module docstring).
+    A y-independent datum (field.y_independent, judged from what it holds)
+    is stepped on one y column, read from what it holds: the column it was
+    built from, its cached samples' n = 0 column, or the x-only inverse of
+    its n = 0 coefficients (field._y_column).  Only that column is checked
+    for finiteness, only the n = 0 row of the linear phase is built, and
+    each snapshot, step 0 included, is built from the column (module
+    docstring).
     If guard_tol is given, the boundary-mass guard trips once the mass fraction
     of a unit cube in the band |x| > (3/4) L/2 exceeds it (edge_cube_fraction);
     the flag then stays set for all subsequent records.
@@ -289,22 +305,23 @@ def evolve(initial: SpectralField, physics: PhysicsParams, control: StepControl,
             sink(snap, guard_breached)
         return snap
 
-    if not np.all(np.isfinite(initial.samples())):
+    # a y-independent datum starts from one y column, read from what it
+    # holds (field._y_column), with no full-grid array: the bits of the
+    # full grid's samples, but for the sign of a zero sample
+    reduced = y_independent(initial)
+    u0 = _y_column(initial) if reduced else initial.samples()
+    if not np.all(np.isfinite(u0)):
         raise BlowUpError(f"non-finite state at t = {t0:.6g}")
     # allocated before the first sink call, so that the sinks' temporaries
     # come after them in the heap: the peak RSS of a 256^2 x 16 benchmark run
     # (2-vCPU VM) was 288 MiB this way and 300 MiB with the order reversed.
-    # The phase is written y-first through an x-first view, with no
-    # transposed temporary: each entry is the same product of the same
-    # factors as in the x-first phase (TestYFirstRuns compares the bits)
-    phase = np.empty((g.Ny,) + g.shape[:-1], dtype=np.complex128)
+    # The phase, or its n = 0 row for a column, is written y-first through
+    # an x-first view, with no transposed temporary: each entry is the same
+    # product of the same factors as in the x-first phase (TestYFirstRuns
+    # and TestYIndependentRuns compare the bits)
+    phase = np.empty((u0.shape[-1],) + g.shape[:-1], dtype=np.complex128)
     _linear_phase(g, dt, out=np.moveaxis(phase, 0, -1))
-    v = np.moveaxis(initial.samples(), -1, 0)
-    reduced = y_independent(initial)
-    if reduced:
-        # one y column and its n = 0 phases: the same bits as the full grid
-        phase, v = phase[:1].copy(), v[:1]
-    v = v.copy()  # C order: the y-first state, evolve's own
+    v = np.moveaxis(u0, -1, 0).copy()  # C order: the y-first state, evolve's own
 
     def snapshot(t: float) -> SpectralField:
         # from a copy: _advance overwrites the state

@@ -705,8 +705,11 @@ class TestColumnSnapshotRecords:
         # on the column.  The traced peak above the start stays below one
         # complex full-grid array, 16 ntot bytes, so no block of that size
         # is allocated; the snapshot's own coefficients are made before.
-        # The same holds for the step-0 sink call of a run whose datum holds
-        # coefficients only, as a file datum does.
+        # The same holds for a run whose datum holds coefficients only, as
+        # a file datum does: from evolve's entry to the step-0 sink call,
+        # where the snapshot's coefficients are the one full-grid block (its
+        # samples and the full-grid phase would be two more), and over the
+        # step-0 sink calls.
         import tracemalloc
         from nlslab.cli import RecordBuilder
         from nlslab.field import SpectralField, edge_cube_fraction
@@ -716,6 +719,7 @@ class TestColumnSnapshotRecords:
         snap = SpectralField.from_samples(g, _x_profile(1)(g.x_axis()[:, None], 0.0), 0.1)
         builder = RecordBuilder(cfg)
         assert builder.accumulators is not None  # the y-mode power is taken too
+        datum, run_builder = SpectralField(g, snap.coefficients), RecordBuilder(cfg)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -726,19 +730,25 @@ class TestColumnSnapshotRecords:
 
             def mark(fld, flag):
                 if fld.time_tag == 0.0:
+                    marks.append(tracemalloc.get_traced_memory()[1]
+                                 - fld.coefficients.nbytes)
                     tracemalloc.reset_peak()
                     marks.append(tracemalloc.get_traced_memory()[0])
 
             def measure(fld, flag):
                 if fld.time_tag == 0.0:
                     marks.append(tracemalloc.get_traced_memory()[1])
-            evolve(SpectralField(g, snap.coefficients), cfg.physics(),
-                   StepControl(dt=1e-3, t_end=1e-3),
-                   sinks=[mark, RecordBuilder(cfg), measure], guard_tol=cfg.guard_tol)
+            tracemalloc.reset_peak()
+            entry = tracemalloc.get_traced_memory()[0]
+            evolve(datum, cfg.physics(), StepControl(dt=1e-3, t_end=1e-3),
+                   sinks=[mark, run_builder, measure], guard_tol=cfg.guard_tol)
         finally:
             tracemalloc.stop()
         assert peak - start < 16 * g.ntot
-        assert len(marks) == 2 and marks[1] - marks[0] < 16 * g.ntot
+        assert len(marks) == 3
+        assert marks[0] - entry < 16 * g.ntot
+        assert marks[2] - marks[1] < 16 * g.ntot
+        assert datum._samples is None
 
 
 @pytest.mark.parametrize("config", [

@@ -4,12 +4,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import fft as sfft
 
 from conftest import _CountedFFT
 from nlslab.field import (
     Grid,
     SpectralField,
+    _inverse,
     _linear_phase,
     edge_cube_fraction,
     fft_workers,
@@ -118,6 +120,25 @@ def test_transforms_per_y_independent_run(g1, monkeypatch):
            sinks=[lambda f, flag: seen.append(f)], guard_tol=1e-3)
     assert len(seen) == 4
     assert fake.calls == 0
+
+
+def test_transforms_per_y_independent_file_datum(g1, monkeypatch):
+    # a datum of coefficients only, as load_field returns it: its
+    # y-independence is read from the coefficients and its start column is
+    # the x-only inverse of their n = 0 column, so no transform touches the
+    # full grid before the first step either, and its samples stay unmade
+    from nlslab import field, integrator
+    datum = SpectralField(g1, from_profile(g1, _x_profile_1d).coefficients)
+    fake = _CountedFFT(g1.ntot)
+    monkeypatch.setattr(field, "sfft", fake)
+    monkeypatch.setattr(integrator, "sfft", fake)
+    seen = []
+    evolve(datum, PhysicsParams(3.0, 1),
+           StepControl(dt=1e-3, t_end=7e-3, sample_every=3),
+           sinks=[lambda f, flag: seen.append(f)], guard_tol=1e-3)
+    assert len(seen) == 4
+    assert fake.calls == 0
+    assert datum._samples is None
 
 
 @pytest.mark.parametrize("grid, profile, axes", [
@@ -459,9 +480,22 @@ def _spy_advance(monkeypatch):
     return shapes
 
 
+def _y_independent_datum(source, grid, profile):
+    """The y-independent datum of profile on grid, holding what source
+    names: its samples (from_profile), the y column it is built from, or
+    its coefficients alone, as load_field returns a file datum."""
+    f = from_profile(grid, profile)
+    if source == "column":
+        return SpectralField.from_samples(grid, f.samples()[..., :1].copy())
+    if source == "coefficients":
+        return SpectralField(grid, f.coefficients)
+    return f
+
+
 class TestYIndependentRuns:
     """A y-independent datum is stepped on one y column, bit for bit."""
 
+    @pytest.mark.parametrize("source", ["samples", "column", "coefficients"])
     @pytest.mark.parametrize("grid, profile, alpha, lam, dt, every", [
         (Grid(1, 40.0, 256, 16), _x_profile_1d, 2.0, 1, 1e-2, 1),
         (Grid(1, 40.0, 256, 16), _x_profile_1d, 3.0, -1, 1e-2, 3),
@@ -472,21 +506,29 @@ class TestYIndependentRuns:
         (Grid(2, 16.0, 32, 8), _x_profile_2d, 2.0, -1, 1e-2, 7),
         (Grid(1, 200.0, 4096, 32), _x_profile_1d, 5.0, 1, 1e-3, 3),  # decay-1d
     ])
-    def test_snapshots_equal_the_full_width_run(self, monkeypatch, grid, profile,
-                                                alpha, lam, dt, every):
-        f = from_profile(grid, profile)
+    def test_snapshots_equal_the_full_width_run(self, monkeypatch, source, grid,
+                                                profile, alpha, lam, dt, every):
+        # whatever the datum holds, its run starts from its own samples
+        f = _y_independent_datum(source, grid, profile)
         physics = PhysicsParams(alpha, lam)
         control = StepControl(dt=dt, t_end=7 * dt, sample_every=every)
-        expect = full_width_run(f, physics, control)
+        # the oracle makes the samples of a datum of coefficients only on a
+        # copy, so that the run reads the coefficients alone
+        oracle = SpectralField(grid, f.coefficients) if f._samples is None else f
+        expect = full_width_run(oracle, physics, control)
         shapes = _spy_advance(monkeypatch)
         seen = []
         out = evolve(f, physics, control, sinks=[lambda fld, flag: seen.append(fld)])
         assert set(shapes) == {(1,) + grid.shape[:-1]}
+        assert (f._samples is None) == (source == "coefficients")
         assert len(seen) == len(expect)
-        for snap, ref in zip(seen, expect):
+        for k, (snap, ref) in enumerate(zip(seen, expect)):
             assert snap.time_tag == ref.time_tag
             assert np.array_equal(snap.samples(), ref.samples())
-            assert np.array_equal(snap.coefficients, ref.coefficients)
+            # the step-0 snapshot is built from the datum's samples
+            want = SpectralField.from_samples(grid, ref.samples()) if k == 0 else ref
+            assert np.array_equal(snap.coefficients, want.coefficients)
+        assert seen[0].samples().tobytes() == f.samples().tobytes()
         assert out is seen[-1]
 
     def test_every_snapshot_is_a_column_snapshot(self, g1):
@@ -533,6 +575,30 @@ class TestYIndependentRuns:
         with np.errstate(all="ignore"), pytest.raises(BlowUpError) as full:
             full_width_run(f, physics, control)
         assert str(err.value) == str(full.value)
+
+    @pytest.mark.parametrize("mode, y_independent_datum, transforms", [
+        (0, True, 0), (5, False, 1)], ids=["n=0", "n!=0"])
+    def test_nan_coefficient_reported_at_t0(self, g1, monkeypatch, mode,
+                                            y_independent_datum, transforms):
+        # a NaN in the n = 0 column of a datum of coefficients only reaches
+        # its start column, with no full-grid transform; a NaN at n != 0 is
+        # not zero, so the datum takes the full grid, whose samples() is the
+        # one full-grid transform
+        from nlslab import field, integrator
+        c = from_profile(g1, _x_profile_1d).coefficients.copy()
+        c[3, mode] = np.nan
+        datum = SpectralField(g1, c)
+        assert y_independent(datum) == y_independent_datum
+        fake = _CountedFFT(g1.ntot)
+        monkeypatch.setattr(field, "sfft", fake)
+        monkeypatch.setattr(integrator, "sfft", fake)
+        seen = []
+        with pytest.raises(BlowUpError, match=r"at t = 0$"):
+            evolve(datum, PhysicsParams(3.0, 1), StepControl(dt=1e-3, t_end=1e-3),
+                   sinks=[lambda fld, flag: seen.append(fld)])
+        assert seen == []
+        assert fake.calls == transforms
+        assert (datum._samples is None) == y_independent_datum
 
     def test_caller_field_untouched(self, g1):
         f = from_profile(g1, _x_profile_1d)
@@ -756,3 +822,51 @@ def test_y_first_transform_is_the_x_first_one(transform, shape, workers):
     y_first = fn(np.moveaxis(u, -1, 0).copy(), axes=[*range(1, d + 1), 0],
                  workers=workers)
     assert np.moveaxis(y_first, 0, -1).tobytes() == x_first.tobytes()
+
+
+def _bits_up_to_zero_signs(a, b):
+    """a equals b, and has b's bytes in every float part that is not zero:
+    only the sign of a zero may differ."""
+    fa, fb = (np.ascontiguousarray(x).view(np.float64) for x in (a, b))
+    live = fb != 0
+    return np.array_equal(fa, fb) and fa[live].tobytes() == fb[live].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=st.sampled_from([
+           Grid(1, 40.0, 4, 4), Grid(1, 40.0, 256, 16), Grid(2, 16.0, 32, 8),
+           Grid(2, 10.0, 4, 64), Grid(1, 200.0, 4096, 32),  # decay-1d
+           Grid(2, 64.0, 256, 16), Grid(1, 1024.0, 16384, 16)]),  # the other two
+       seed=st.integers(0, 2 ** 32 - 1), decades=st.integers(0, 300),
+       zeros=st.sampled_from([0.0, 0.5, 1.0]))
+def test_column_inverse_is_the_full_grid_one(grid, seed, decades, zeros):
+    """A field whose coefficients are zero, of either sign, at every n != 0
+    has samples equal along each y line, and the x-only inverse of its
+    n = 0 column (_inverse(c[..., :1], x_phase)) is their n = 0 column,
+    byte for byte in every part that is not zero.
+
+    A y-independent run of a datum of coefficients only starts from that
+    column (field._y_column): a power-of-two inverse FFT of a y row that is
+    zero but at n = 0 gives that entry in every sample, and the x
+    transforms are those of the full grid's n = 0 column.  That is a
+    property of pocketfft on the build at hand, not a law; this test guards
+    it, over entries that span up to 600 decades and columns with a share
+    of signed zeros.  Where such zeros give a zero sample, the two may give
+    it different signs, which no record reads: np.array_equal holds.
+    """
+    rng = np.random.default_rng(seed)
+    column = grid.shape[:-1] + (1,)
+    col = (rng.standard_normal(column) + 1j * rng.standard_normal(column)) \
+        * 10.0 ** rng.uniform(-decades, decades, column)
+    parts = col.view(np.float64)
+    gone = rng.random(parts.shape) < zeros
+    parts[gone] = np.copysign(0.0, rng.standard_normal(gone.sum()))
+    c = np.empty(grid.shape, complex)
+    c[..., :1] = col
+    rest = c[..., 1:].view(np.float64)
+    rest[...] = np.copysign(0.0, rng.standard_normal(rest.shape))
+    f = SpectralField(grid, c)
+    assert y_independent(f)
+    u = f.samples()
+    assert _bits_up_to_zero_signs(u, np.repeat(u[..., :1], grid.Ny, axis=-1))
+    assert _bits_up_to_zero_signs(_inverse(c[..., :1], grid.x_phase()), u[..., :1])
