@@ -61,12 +61,12 @@ from .exponents import (
 from .field import (
     Grid,
     SpectralField,
+    _y_mode_power,
     fft_workers,
     from_profile,
     lebesgue_norm,  # not called here; perfbench/tracing.py wraps cli.lebesgue_norm
     load_field,
     mixed_norm,  # not called here; perfbench/tracing.py wraps cli.mixed_norm
-    quadratic_terms,
     snapshot_header,
     sobolev_h1,  # not called here; perfbench/tracing.py wraps cli.sobolev_h1
     y_independent,
@@ -452,16 +452,19 @@ class RecordBuilder:
         if self.accumulators is not None:
             acc_totals = self.accumulators.update(fld.time_tag, fld, ds)
             theta_norm = self.accumulators.theta_mixed_norm
-        mass_value, kinetic, h1_norm = quadratic_terms(fld)
-        physics = self.physics_params
-        # the potential term from nu, the y-integral of |u|^{alpha+2}
-        potential = physics.lam / (physics.alpha + 2.0) * float(
-            np.sum(ds.nu)) * fld.grid.cell
+        g, physics = fld.grid, self.physics_params
+        power = _y_mode_power(fld)  # the accumulators' own, cached on fld
+        # mass from rho, |grad u|^2 from trace K (x) and n^2 power (y), and
+        # the potential from nu, the y-integral of |u|^{alpha+2}
+        mass_value = g.cell * float(np.sum(ds.rho))
+        kinetic = 0.5 * g.cell * float(np.sum(np.trace(ds.K))
+                                       + np.sum(power @ g.n_axis()[:power.shape[-1]] ** 2))
+        potential = physics.lam / (physics.alpha + 2.0) * float(np.sum(ds.nu)) * g.cell
         self.records.append(DiagnosticsRecord(
             t=fld.time_tag,
             mass=mass_value,
             energy=kinetic + potential,
-            h1_norm=h1_norm,
+            h1_norm=math.sqrt(mass_value + 2.0 * kinetic),
             lq_norms=ds.lq_norms,
             J=J,
             morawetz_lhs=lhs,
@@ -474,7 +477,8 @@ class RecordBuilder:
             boundary_guard_flag=guard_breached,
         ))
         if any(abs(fld.time_tag - t) < 1e-9 * max(1.0, t) for t in self._schedule):
-            # coefficients only: the report reads its L^q series from the records
+            # coefficients only (its one transform): the report reads its L^q
+            # series from the records
             self.snapshots.append(SpectralField(fld.grid, fld.coefficients, fld.time_tag))
 
 

@@ -13,19 +13,22 @@ accurate for smooth periodic fields.  The induced Parseval identity is
 
     ||u||_{L^2}^2 = (L^d * 2 pi) * sum |c|^2.
 
-A field that SpectralField.from_samples built from a y column keeps the
-column, and a record of it works on the column alone: its transforms read
-the n = 0 coefficients (_carrier), its y-mode power is that of Ny u with no
+A field computes the representation it was not built from on first read,
+once.  A run's record reads samples alone, so a snapshot that no sink keeps
+is never forward-transformed.  A field that from_samples built from a y
+column keeps the
+column, and a record of it works on the column alone: its x-derivatives
+are taken on the column, its y-mode power is that of Ny u with no
 transform, and each y sum is Ny times the column's (_y_samples).  The
 full-grid field with the same samples sums Ny equal rows instead, so the
 two agree within the recursive-summation bound, 2 Ny eps sum_y |terms|.
 
-Every transform of the module is one of a pair, both with norm="forward":
-_forward takes samples, on the grid or on a y column, to coefficients, for
-from_samples and for rho's x transform; _inverse takes coefficients times a
-multiplier to samples, for samples() (the (-1)^k phases of Grid.x_phase)
-and for every x-derivative (_x_derivatives, with the multipliers cached per
-grid).  The phases are cached per grid as well, and both are read-only.
+Besides the y-mode power's y transform, the module transforms by three
+helpers, each with norm="forward": _forward takes samples, on the grid or
+on a y column, to coefficients; _inverse takes coefficients to samples,
+with the (-1)^k phases of Grid.x_phase (cached per grid, read-only); and
+_x_derivative, the one spectral-gradient helper, gives -i d_i u and
+-i d_i rho from samples by a 1-D pair along x axis i.
 
 The module holds what a run reads.  The difference-quotient form of the
 H^s_y norm, the dealiased power u |u|^alpha and the fractional Leibniz ratio
@@ -152,9 +155,12 @@ class Grid:
 
 
 class SpectralField:
-    """Immutable field snapshot: grid + plane-wave coefficient array + time tag."""
+    """Immutable field snapshot: grid, time tag, and the representation it
+    was built from, coefficients or samples; the other is computed on first
+    read and cached."""
 
-    __slots__ = ("grid", "coefficients", "time_tag", "_samples", "_windows", "_column")
+    __slots__ = ("grid", "_coefficients", "time_tag", "_samples", "_windows",
+                 "_column", "_power", "_y_independent")
 
     def __init__(self, grid: Grid, coefficients: np.ndarray, time_tag: float = 0.0):
         coefficients = np.asarray(coefficients, dtype=np.complex128)
@@ -162,25 +168,40 @@ class SpectralField:
             raise ValueError(
                 f"coefficient shape {coefficients.shape} does not match grid {grid.shape}"
             )
-        self.grid = grid
-        self.coefficients = coefficients
-        self.time_tag = float(time_tag)
-        self._samples = None
-        self._windows = None  # see _cube_window_sums
-        self._column = None  # the y column from_samples built it from; see _y_samples
+        self._hold(grid, time_tag, coefficients, None)
+
+    def _hold(self, grid: Grid, time_tag: float, coefficients, samples, column=None):
+        self.grid, self.time_tag = grid, float(time_tag)
+        self._coefficients, self._samples = coefficients, samples
+        self._column = column  # the y column from_samples built it from; see _y_samples
+        # caches of _cube_window_sums, _y_mode_power and y_independent
+        self._windows = self._power = self._y_independent = None
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """Plane-wave amplitudes; a field built from samples computes them on
+        first read (_forward) and caches them, +0 at every n != 0 for a y
+        column."""
+        if self._coefficients is None:
+            if self._column is None:
+                self._coefficients = _forward(self._samples, self.grid)
+            else:
+                self._coefficients = np.zeros(self.grid.shape, dtype=np.complex128)
+                self._coefficients[..., :1] = _forward(self._column, self.grid)
+        return self._coefficients
 
     def samples(self) -> np.ndarray:
         """Physical-space values on the grid (lazily computed, then cached)."""
         if self._samples is None:
-            self._samples = _inverse(self.coefficients, self.grid.x_phase())
+            self._samples = _inverse(self.coefficients, self.grid)
         return self._samples
 
     @classmethod
     def from_samples(cls, grid: Grid, samples: np.ndarray, time_tag: float = 0.0
                      ) -> "SpectralField":
-        """The field with these samples, given on the grid or on one y column:
-        their forward transform (_forward), fftn(samples) / size * x_phase
-        bit for bit.
+        """The field with these samples, given on the grid or on one y column;
+        its coefficients, computed when first read, are their forward
+        transform (_forward), fftn(samples) / size * x_phase bit for bit.
 
         A y column, shape (Nx,)^d x 1, is the field constant along y; the
         field keeps the column, and its samples() is a read-only broadcast
@@ -188,27 +209,22 @@ class SpectralField:
         x transform divided by Nx^d (that is, times Ny / ntot) at n = 0, and
         exact zeros at every n != 0.  A power-of-two FFT of a constant y row
         is exactly Ny times the value at n = 0 and zero elsewhere, so these
-        coefficients equal those of the broadcast samples (np.array_equal),
-        and the samples are the same bits.  Only the signs of zeros can
-        differ (a byte comparison sees them): the column form has +0 at every
-        n != 0, where the full-grid transform's zeros carry the (-1)^k phase.
-        The record of such a field works on the column alone (_carrier,
-        _y_samples).
+        coefficients equal those of the broadcast samples (np.array_equal).
+        Only the signs of zeros can differ (a byte comparison sees them): the
+        column form has +0 at every n != 0, where the full-grid transform's
+        zeros carry the (-1)^k phase.  The record of such a field works on
+        the column alone (_y_samples).
         """
         samples = np.asarray(samples, dtype=np.complex128)
         column = grid.shape[:-1] + (1,)
         if samples.shape not in (grid.shape, column):
             raise ValueError(f"sample shape {samples.shape} matches neither grid "
                              f"{grid.shape} nor its y column {column}")
-        c = _forward(samples, grid)
+        out = cls.__new__(cls)
         if samples.shape == column:
-            full = np.zeros(grid.shape, dtype=c.dtype)
-            full[..., :1] = c  # +0 at every n != 0
-            out = cls(grid, full, time_tag)
-            out._column, samples = samples, np.broadcast_to(samples, grid.shape)
+            out._hold(grid, time_tag, None, np.broadcast_to(samples, grid.shape), samples)
         else:
-            out = cls(grid, c, time_tag)
-        out._samples = samples
+            out._hold(grid, time_tag, None, samples)
         return out
 
 
@@ -221,7 +237,8 @@ def long_axes(a: np.ndarray) -> list:
 # The transform pair.  Both scale with norm="forward": the forward transform
 # by 1/size, the inverse not at all.  Each size is a power of two, so that
 # scale is exact, and the pair gives the bits of fftn(a) / size and of
-# ifftn(c * m) * size away from underflow.
+# ifftn(c * x_phase) * size away from underflow.  _x_derivative scales its
+# own pair alike.
 
 def _forward(a: np.ndarray, grid: Grid) -> np.ndarray:
     """Plane-wave amplitudes of the samples a, given on the grid or on one y
@@ -231,19 +248,25 @@ def _forward(a: np.ndarray, grid: Grid) -> np.ndarray:
     return c
 
 
-def _inverse(c: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The samples of the multiplier m applied to the coefficients c, given on
-    the grid or on its n = 0 column: ifftn(c * m) over c's long axes, without
-    normalization.  m = x_phase gives the field's own samples."""
-    return sfft.ifftn(c * m, axes=long_axes(c), overwrite_x=True, norm="forward",
-                      workers=fft_workers())
+def _inverse(c: np.ndarray, grid: Grid) -> np.ndarray:
+    """The samples of the coefficients c, given on the grid or on its n = 0
+    column: ifftn(c * x_phase) over c's long axes, without normalization."""
+    return sfft.ifftn(c * grid.x_phase(), axes=long_axes(c), overwrite_x=True,
+                      norm="forward", workers=fft_workers())
 
 
-def _carrier(fld: SpectralField) -> np.ndarray:
-    """The coefficients the transforms of a record need: the n = 0 column of
-    a field that from_samples built from a y column, whose other entries are
-    all +0, and every coefficient of any other field."""
-    return fld.coefficients[..., :1] if fld._column is not None else fld.coefficients
+def _x_derivative(a: np.ndarray, grid: Grid, i: int) -> np.ndarray:
+    """-i d_i a for samples a on the x grid, with a trailing y axis or
+    without: the transform pair along x axis i, with multiplier xi_i (the
+    coefficients' (-1)^k phases would enter twice and cancel).  On a d = 1 y
+    column it is the coefficient path's bytes, a pocketfft property that
+    test_column_x_pair_is_the_coefficient_path in tests/test_field.py guards.
+    """
+    shape = [1] * a.ndim
+    shape[i] = grid.Nx
+    c = sfft.fft(a, axis=i, norm="forward", workers=fft_workers())
+    c *= grid.xi_axis().reshape(shape)
+    return sfft.ifft(c, axis=i, overwrite_x=True, norm="forward", workers=fft_workers())
 
 
 def _y_samples(fld: SpectralField) -> Tuple[np.ndarray, float]:
@@ -269,8 +292,8 @@ def from_profile(grid: Grid,
 
 
 def y_independent(fld: SpectralField) -> bool:
-    """Whether the samples are exactly equal along y, judged from what the
-    field holds, with no transform.
+    """Whether the samples are exactly equal along y, judged once per field
+    (_y_constant) from what it holds, with no transform, and remembered.
 
     A field that from_samples built from a y column is.  A field whose
     samples are cached compares them along y.  A field of coefficients
@@ -281,6 +304,13 @@ def y_independent(fld: SpectralField) -> bool:
     translations in y, so such a state stays y-independent, and evolve
     steps it on one y column.
     """
+    if fld._y_independent is None:
+        fld._y_independent = _y_constant(fld)
+    return fld._y_independent
+
+
+def _y_constant(fld: SpectralField) -> bool:
+    """y_independent's scan of what the field holds."""
     if fld._column is not None:
         return True
     if fld._samples is None:
@@ -305,7 +335,7 @@ def _y_column(fld: SpectralField) -> np.ndarray:
         return fld._column
     if fld._samples is not None:
         return fld._samples[..., :1]
-    return _inverse(fld.coefficients[..., :1], fld.grid.x_phase())
+    return _inverse(fld.coefficients[..., :1], fld.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -371,25 +401,6 @@ def sobolev_h1(fld: SpectralField) -> float:
     return _multiplier_norm(fld, 1.0 + fld.grid.laplace_symbol())
 
 
-def quadratic_terms(fld: SpectralField) -> Tuple[float, float, float]:
-    """(mass, kinetic energy, H^1 norm) of a record from one |c|^2.
-
-    The oracles are integrator.mass, the kinetic part of integrator.energy
-    and sobolev_h1; the Laplace symbol |xi|^2 + n^2 is separable, so
-    its weighted sum is taken over the x and y frequencies apart.  A field
-    built from a y column sums its n = 0 column alone (_carrier): its
-    other coefficients are +0, which add nothing to any of these sums.
-    """
-    g = fld.grid
-    c2 = abs_sq(_carrier(fld))
-    by_x = np.sum(c2, axis=-1)
-    mass_value = g.measure * float(np.sum(by_x))
-    lap_sum = float(np.sum(g.xi_sq()[..., 0] * by_x)) \
-        + float(np.sum(c2 @ g.n_axis()[:c2.shape[-1]] ** 2))
-    kinetic = 0.5 * g.measure * lap_sum
-    return mass_value, kinetic, float(np.sqrt(mass_value + 2.0 * kinetic))
-
-
 def _lr_x(h_sq: np.ndarray, r: float, cell: float) -> float:
     """Outer L^r_x norm, r finite, of an inner norm given by its square h_sq
     on the x grid."""
@@ -397,22 +408,26 @@ def _lr_x(h_sq: np.ndarray, r: float, cell: float) -> float:
 
 
 def _y_mode_power(fld: SpectralField) -> np.ndarray:
-    """2 pi |u_n(x)|^2: the L^2_y mass of each y-mode e^{i n y} at each x grid point.
+    """2 pi |u_n(x)|^2: the L^2_y mass of each y-mode e^{i n y} at each x
+    grid point, taken once per snapshot and cached on it.
 
     The y transform of a constant row is exactly Ny times its value at n = 0
     and zero elsewhere, so a field built from a y column takes the power of
     Ny u on the column, with no transform, and returns the n = 0 column
     alone: the power of every other mode is zero.
     """
-    g = fld.grid
-    if fld._column is not None:
-        uy = fld._column * g.Ny
-    else:
-        uy = sfft.fft(fld.samples(), axis=-1, workers=fft_workers())
-    power = np.square(uy.real)
-    power += np.square(uy.imag, out=uy.real)
-    power *= TWO_PI / g.Ny ** 2
-    return power
+    if fld._power is None:
+        g = fld.grid
+        if fld._column is not None:
+            uy = fld._column * g.Ny
+        else:
+            uy = sfft.fft(fld.samples(), axis=-1, workers=fft_workers())
+        power = np.square(uy.real)
+        power += np.square(uy.imag, out=uy.real)
+        power *= TWO_PI / g.Ny ** 2
+        power.setflags(write=False)  # shared by every reader of the snapshot
+        fld._power = power
+    return fld._power
 
 
 def _mixed_from_power(grid: Grid, power: np.ndarray, r: float, w: np.ndarray
@@ -523,7 +538,7 @@ class DensitySet:
     K:        kinetic matrix Re(d_i u conj(d_j u)), shape (d, d) + (Nx,)*d
     nu:       potential density |u|^{alpha+2}, shape (Nx,)*d
     grad_rho: spectral x-gradient of rho, shape (d,) + (Nx,)*d, through the
-              multipliers that give d_i u
+              transform pair that gives d_i u
     lq_norms: L^q norm of u for each q the pass was asked for, inf included
     """
 
@@ -535,44 +550,23 @@ class DensitySet:
     lq_norms: Dict[float, float]
 
 
-@lru_cache(maxsize=8)
-def _gradient_multipliers(grid: Grid) -> Tuple[np.ndarray, ...]:
-    """xi_i (-1)^k per x axis, on the x grid and read-only.
-
-    The inverse FFT of c * m_i without normalization is -i d_i u on the
-    grid: the phase and the power-of-two scale are exact, and 1j times it
-    equals ifftn(c * (1j xi_i) * x_phase) * ntot bitwise.
-    """
-    out = tuple(xg * grid.x_phase() for xg in grid.xi_grids())
-    for m in out:
-        m.setflags(write=False)
-    return out
-
-
-def _x_derivatives(c: np.ndarray, grid: Grid) -> list:
-    """-i d_i per x axis of the field whose coefficients c are given on the
-    grid or on its n = 0 column: _inverse(c, m_i) (_gradient_multipliers),
-    each the shape of c."""
-    return [_inverse(c, m) for m in _gradient_multipliers(grid)]
-
-
 def densities(fld: SpectralField, alpha: float,
               q_list: Sequence[float] = ()) -> DensitySet:
     """Extract rho, P, K, nu and grad rho by y rectangle-rule integration.
 
-    s = |u|^2 is formed once, by squaring |u| in place, and gives rho, nu
-    and the L^q norm of each finite q in q_list; q = inf is the max of |u|
-    before the squaring.  Each is lebesgue_norm's value, bit for bit.  With h_i = -i d_i u,
-    P_i = Re(conj(u) h_i) and K_ij = Re(h_i conj(h_j)), so each is one real
-    dot over y of the interleaved float views.  A field built from a y
-    column takes each h_i over the x axes of its n = 0 column (_carrier),
+    The pass reads the samples alone, never the coefficients.  s = |u|^2 is
+    formed once, by squaring |u| in place, and gives rho, nu and the L^q
+    norm of each finite q in q_list; q = inf is the max of |u| before the
+    squaring.  Each is lebesgue_norm's value, bit for bit.  With
+    h_i = -i d_i u (_x_derivative), P_i = Re(conj(u) h_i) and
+    K_ij = Re(h_i conj(h_j)), so each is one real dot over y of the
+    interleaved float views.  A field built from a y column takes each h_i
     and every y sum on the column, times Ny (_y_samples): all of its work is
     on the column.  It agrees with the full-grid pass of the same samples up
-    to the y sums' rounding, 2 Ny eps sum_y |terms| per entry.  grad
-    rho takes the same transform on rho's x transform, a y column of
-    coefficients formed from the real rho: d_i rho = -Im(-i d_i rho).  This
-    is the real part of ifftn(fftn(rho) * i xi_i) bit for bit on the
-    benchmark's grids; a complex rho would round its transform differently.
+    to the y sums' rounding, 2 Ny eps sum_y |terms| per entry.  grad rho
+    takes the same transform pair on the real rho: d_i rho = -Im(-i d_i rho),
+    the real part of ifft(fft(rho) * i xi_i) along x axis i bit for bit on
+    the benchmark's grids.
     """
     g = fld.grid
     u, wy = _y_samples(fld)
@@ -585,7 +579,7 @@ def densities(fld: SpectralField, alpha: float,
                 for q in q_list}
     del s  # freed before the gradients are allocated
     # h_i as float views, one array per x axis, of u's shape
-    h = [hi.view(np.float64) for hi in _x_derivatives(_carrier(fld), g)]
+    h = [_x_derivative(u, g, i).view(np.float64) for i in range(g.d)]
     uf = u.view(np.float64)
     P = np.empty((g.d,) + rho.shape)
     K = np.empty((g.d, g.d) + rho.shape)
@@ -594,9 +588,7 @@ def densities(fld: SpectralField, alpha: float,
         for j in range(i, g.d):
             K[i, j] = np.einsum("...k,...k->...", h[i], h[j]) * wy
             K[j, i] = K[i, j]
-    # rho is real: its transform keeps the direct pair's bits
-    c_rho = _forward(rho[..., None], g)
-    grad_rho = -np.stack([di.imag[..., 0] for di in _x_derivatives(c_rho, g)])
+    grad_rho = -np.stack([_x_derivative(rho, g, i).imag for i in range(g.d)])
     return DensitySet(rho=rho, P=P, K=K, nu=nu, grad_rho=grad_rho,
                       lq_norms=lq_norms)
 

@@ -19,8 +19,9 @@ no full-grid temporary per step beyond the kick's own scratch.
 
 The linear phase is a product of per-axis 1-D exponentials, since the
 symbol |xi|^2 + n^2 is separable.  evolve builds each snapshot from the
-state with one forward transform, and returns the last snapshot it emitted;
-only the step-0 snapshot of a y-dependent datum is the datum itself.
+state's samples with no transform (a sink that keeps one reads its
+coefficients, its one forward transform), and returns the last snapshot it
+emitted; only the step-0 snapshot of a y-dependent datum is the datum.
 
 The equation commutes with translations in y, so a datum whose samples are
 exactly equal along y (field.y_independent) stays so, and its run is NLS on
@@ -34,14 +35,13 @@ phase, the only row it builds.  The start column is what the datum holds
 its cached samples, else the x-only inverse of its n = 0 coefficient
 column, which is samples()[..., :1] byte for byte up to the sign of a zero
 sample.  The finiteness check reads that column, so no full-grid array is
-made before the first step but the step-0 snapshot's coefficients.
+made before the first step.
 The FFT pair of a step then runs over the x axes only,
 since a length-1 transform is the identity, and each snapshot, step 0
-included, is built from the column: SpectralField.from_samples takes its x
-transform, puts it at n = 0 with zeros elsewhere, and keeps the column,
-whose read-only broadcast view is the snapshot's samples.  The step-0
-snapshot thus has the datum's samples, and its coefficients are the
-datum's up to one round trip of the transform pair.
+included, is built from the column: SpectralField.from_samples keeps the
+column, whose read-only broadcast view is the snapshot's samples.  The
+step-0 snapshot thus has the datum's samples, and its coefficients, once
+read, are the datum's up to one round trip of the transform pair.
 The kick is elementwise, and a power-of-two FFT of a constant y row has exact
 zeros for n != 0 and Ny times the column at n = 0 (scaling by a power of two
 is exact away from underflow), so the snapshot samples are bitwise those of
@@ -275,8 +275,8 @@ def evolve(initial: SpectralField, physics: PhysicsParams, control: StepControl,
     """Run Strang steps to t_end, feeding immutable snapshots to the sinks.
 
     At every sampling time each sink is called as sink(snapshot, guard_breached).
-    Each snapshot is built from an x-first copy of the y-first state by one
-    forward transform (SpectralField.from_samples), except that a y-dependent
+    Each snapshot holds an x-first copy of the y-first state's samples
+    (SpectralField.from_samples, no transform), except that a y-dependent
     datum is itself the step-0 snapshot; the last one emitted is returned.
     A y-independent datum (field.y_independent, judged from what it holds)
     is stepped on one y column, read from what it holds: the column it was

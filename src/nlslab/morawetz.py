@@ -9,7 +9,8 @@ taken by Parseval on a zero-padded grid of M = 2 Nx points per axis: k sits
 at its wrapped displacement there, and since M >= 2 Nx - 1 no wrap-around
 touches a pairing, so each equals the whole-space double sum exactly.  The
 kernel spectra are built once per grid.  One function, ``pairings``, takes
-the density pass, transforms each density once and returns J, S, lhs and
+the density pass, which reads the snapshot's samples alone (no pairing makes
+its coefficients), transforms each density once and returns J, S, lhs and
 rhs, each pairing one weighted sum over the half spectrum, with no inverse
 transform; a run's record (cli.RecordBuilder), ``MorawetzRecorder``,
 ``morawetz_J``, ``positivity_certificate`` and ``morawetz_terms`` all read

@@ -235,7 +235,7 @@ class SpacetimeAccumulators(TrapezoidFold):
         ell = float(self.aux.l)
         p = float(self.aux.p)
         g = fld.grid
-        power = _y_mode_power(fld)  # one y-transform for all three y-norms
+        power = _y_mode_power(fld)  # one y transform per snapshot, cached on it
         n_sq = g.n_axis() ** 2
         self.theta_mixed_norm = _mixed_from_power(g, power, r_th, (1.0 + n_sq) ** gamma)
         return dict(zip(ACCUMULATORS, (

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import fft as sfft
 
-from conftest import _CountedFFT, load_json
+from conftest import (_CountedFFT, coefficient_path_derivative, load_json,
+                      perfbench_workloads)
 from nlslab.cli import (
     DATUM_KINDS,
     ConfigError,
@@ -529,8 +530,12 @@ def _term_bounds(f, cfg, rec, ell):
     record rec (ell: the auxiliary pair's power, or None).
 
     A column that sums positive terms bounds them by its value, times the
-    power it takes of the sum: L^q norms, the cube masses, the potential of
-    the energy and grad_lp.  A Morawetz pairing <a, k * b> has |k| <= 1
+    power it takes of the sum: the mass, L^q norms, the cube masses, the
+    potential of the energy and grad_lp.  The energy's kinetic part sums
+    positive terms too (trace K and the y-mode power), and h1_norm is the
+    root of mass + 2 kinetic, whose terms sum to h1_norm^2: it moves by
+    half its square's relative bound, plus the root's rounding, within
+    2 ntot eps h1_norm.  A Morawetz pairing <a, k * b> has |k| <= 1
     (|grad phi|, |hess phi| <= 1) or <= d (lap phi), so its terms sum to at
     most ||a||_1 ||b||_1 (times d), with ||P_i||_1 <= int |u| |d_i u|,
     ||K_ij||_1 <= int |d_i u| |d_j u| and ||d_i rho||_1 <= 2 int |u| |d_i u|.
@@ -545,7 +550,8 @@ def _term_bounds(f, cfg, rec, ell):
     n1 = float(np.sum(a ** (alpha + 2.0))) * g.cell * g.dy
     S = 8 * k1 * mass + 8 * p1 ** 2 + 2 * (2 * p1) ** 2
     rhs = 4 * alpha / (alpha + 2) * g.d * n1 * mass
-    out = {"J": 4 * p1 * mass, "positivity_S": S, "morawetz_rhs": rhs,
+    out = {"mass": rec["mass"], "h1_norm": rec["h1_norm"],
+           "J": 4 * p1 * mass, "positivity_S": S, "morawetz_rhs": rhs,
            "morawetz_lhs": S + rhs,
            "energy": abs(rec["energy"]) + 2 * n1 / (alpha + 2),  # >= kinetic + |potential|
            "cube_sup": rec["cube_sup"],
@@ -647,7 +653,6 @@ class TestColumnSnapshotRecords:
         got, want = rows
         ell = builder.accumulators and float(builder.accumulators.aux.l)
         sums = _term_bounds(datum, cfg, want, ell)
-        sums.update(mass=want["mass"], h1_norm=want["h1_norm"])  # sums of |c|^2
         # The round trip moves mass and the kinetic energy, quadratic in c,
         # by at most (2 + beta) beta mass times the largest weight, and
         # h1_norm, a weighted l^2 norm of c, by sqrt(weight) beta sqrt(mass).
@@ -696,8 +701,9 @@ class TestColumnSnapshotRecords:
             fakes.append(fake)
         column, grid = fakes
         assert column.calls == 0
-        assert (("ifftn", g.shape[:-1] + (1,), list(range(g.d)))
-                in column.log)  # the gradients, on the column
+        for i in range(g.d):  # the gradients' transform pairs, on the column
+            for name in ("fft", "ifft"):
+                assert (name, g.shape[:-1] + (1,), i) in column.log
         assert grid.calls > 0  # the counter sees a full-grid snapshot's transforms
 
     def test_no_full_grid_block(self):
@@ -706,10 +712,10 @@ class TestColumnSnapshotRecords:
         # complex full-grid array, 16 ntot bytes, so no block of that size
         # is allocated; the snapshot's own coefficients are made before.
         # The same holds for a run whose datum holds coefficients only, as
-        # a file datum does: from evolve's entry to the step-0 sink call,
-        # where the snapshot's coefficients are the one full-grid block (its
-        # samples and the full-grid phase would be two more), and over the
-        # step-0 sink calls.
+        # a file datum does: from evolve's entry to the step-0 sink call
+        # (the step-0 snapshot holds its column alone; its samples, its
+        # coefficients and the full-grid phase would each be such a block),
+        # and over the step-0 sink calls.
         import tracemalloc
         from nlslab.cli import RecordBuilder
         from nlslab.field import SpectralField, edge_cube_fraction
@@ -730,8 +736,7 @@ class TestColumnSnapshotRecords:
 
             def mark(fld, flag):
                 if fld.time_tag == 0.0:
-                    marks.append(tracemalloc.get_traced_memory()[1]
-                                 - fld.coefficients.nbytes)
+                    marks.append(tracemalloc.get_traced_memory()[1])
                     tracemalloc.reset_peak()
                     marks.append(tracemalloc.get_traced_memory()[0])
 
@@ -749,6 +754,179 @@ class TestColumnSnapshotRecords:
         assert marks[0] - entry < 16 * g.ntot
         assert marks[2] - marks[1] < 16 * g.ntot
         assert datum._samples is None
+
+
+def _records(builder_of, snaps, cfg):
+    """The records.csv rows a RecordBuilder from builder_of(cfg) writes for
+    the snapshots, read back, and the builder."""
+    builder = builder_of(cfg)
+    for f in snaps:
+        builder(f, False)
+    buf = io.StringIO()
+    emit_records(builder.records, buf, cfg.q_list)
+    buf.seek(0)
+    return read_records(buf), builder
+
+
+@pytest.mark.parametrize("config", [
+    {"preset": "scattering", "grid": {"Nx": 128, "Ny": 4, "L": 40.0}},
+    {"preset": "soliton-control", "grid": {"Nx": 256, "Ny": 4, "L": 80.0}},
+], ids=["y-dependent", "column"])
+def test_only_kept_snapshots_are_transformed(config, monkeypatch):
+    # a record reads samples alone; the snapshots the Cauchy schedule keeps
+    # take one forward transform each, on the grid or on the y column
+    from nlslab import field
+    from nlslab.cli import RecordBuilder
+    from nlslab.integrator import evolve
+    cfg = parse_config(json.dumps(dict(
+        config, control={"dt": 0.01, "t_end": 0.5, "sample_every": 1})))
+    g = cfg.grid()
+    datum = build_datum(cfg)
+    builder = RecordBuilder(cfg)
+    fake = _CountedFFT(g.ntot)
+    monkeypatch.setattr(field, "sfft", fake)
+    evolve(datum, cfg.physics(), cfg.control(), sinks=[builder])
+    kept = len(builder.snapshots)
+    assert len(builder.records) == 51 and 3 <= kept < 51
+    shape = g.shape if config["preset"] == "scattering" else g.shape[:-1] + (1,)
+    assert [entry for entry in fake.log if entry[0] == "fftn"] == \
+        [("fftn", shape, list(range(len(shape))) if shape == g.shape else [0])] * kept
+    assert all(f._samples is None for f in builder.snapshots)
+
+
+@pytest.mark.parametrize("name", ["decay-1d", "morawetz-2d", "scattering-1d"])
+def test_record_integrals_match_the_coefficient_oracles(name):
+    """The record's mass, energy and h1_norm come from its density pass and
+    y-mode power, which read samples; integrator.mass, integrator.energy and
+    field.sobolev_h1 read the coefficients (Parseval).  On each benchmark
+    grid and datum the two agree within the sum of:
+
+    * the recursive-summation bound of each sum, 2 ntot eps times the sum of
+      its |terms|;
+    * the rounding of the oracles' coefficients, one FFT of the samples,
+      |dc| <= beta |c| in l^2 with beta = 8 log2(ntot) eps: a sum of
+      w |c|^2 moves by at most (2 + beta) beta max(w) mass;
+    * the rounding of the record's d_i u, a transform pair along x_i, within
+      D = xi_max beta sqrt(mass) in L^2, which moves ||d_i u||^2 by at most
+      D (2 H + D), H the H^1 norm; and of its y-mode power, one FFT along y,
+      which moves the y part of ||grad u||^2 by (2 + beta) beta (Ny/2)^2 mass;
+    * the potential's p-th root and power in lebesgue_norm and energy, 4 p
+      eps of it.
+
+    h1_norm = sqrt(mass + 2 kinetic) moves by the bound on its square over
+    H, plus the rounding of the root.
+    """
+    from nlslab.cli import RecordBuilder
+    from nlslab.field import SpectralField, lebesgue_norm, sobolev_h1
+    from nlslab.integrator import energy, mass
+    workloads = perfbench_workloads()
+    wl = workloads.WORKLOADS[name]
+    cfg = parse_config(json.dumps(wl.config))
+    g, physics = cfg.grid(), cfg.physics()
+    u = workloads.datum_samples(wl, 1)
+    if (u == u[..., :1]).all():  # decay-1d: the column snapshot its run makes
+        u = u[..., :1].copy()
+    f = SpectralField.from_samples(g, u)
+    rows, _ = _records(RecordBuilder, [f], cfg)
+    rec = rows[0]
+    m, H, p = mass(f), sobolev_h1(f), physics.alpha + 2.0
+    kinetic, potential = (H ** 2 - m) / 2, lebesgue_norm(f, p) ** p / p
+    summed, beta = 2 * g.ntot * EPS, 8 * math.log2(g.ntot) * EPS
+    xi_max, n_max = math.pi * g.Nx / g.L, g.Ny / 2
+    D = xi_max * beta * math.sqrt(m)
+    bound = {"mass": (summed + (2 + beta) * beta) * m}
+    kinetic_bound = summed * kinetic + 0.5 * (
+        (2 + beta) * beta * (g.d * xi_max ** 2 + 2 * n_max ** 2) * m
+        + g.d * D * (2 * H + D))
+    bound["energy"] = kinetic_bound + (summed + 4 * p * EPS) * potential
+    bound["h1_norm"] = (bound["mass"] + 2 * kinetic_bound) / H + 2 * EPS * H
+    want = {"mass": m, "energy": energy(f, physics), "h1_norm": H}
+    for key, value in want.items():
+        assert abs(rec[key] - value) <= bound[key], key
+
+
+@pytest.mark.parametrize("config", [
+    {"preset": "scattering", "grid": {"Nx": 256, "Ny": 16, "L": 40.0}},
+    {"preset": "morawetz", "d": 2, "alpha": "3", "grid": {"Nx": 32, "Ny": 8, "L": 16.0}},
+], ids=["d1", "d2"])
+def test_pairings_match_the_coefficient_path(config, monkeypatch):
+    """J, S, lhs and acc_grad_lp of a y-dependent run, whose density pass
+    takes d_i u and d_i rho by a transform pair along x_i, against the
+    records of the same snapshots with the coefficient path the pass took
+    before (conftest.coefficient_path_derivative) in its place.  rhs reads
+    neither derivative and keeps its bytes.
+
+    With beta = 8 log2(ntot) eps, the two derivatives of u differ by at most
+    D = xi_max beta sqrt(mass) in L^2 and those of rho by
+    D_rho = xi_max beta ||rho||_2, as the test checks, so with H the H^1
+    norm, ||dP_i||_1 <= sqrt(mass) D and ||dK_ij||_1 <= D (2 H + D); on the
+    box of measure L^d, ||d d_i rho||_1 <= sqrt(L^d) D_rho, and
+    ||d_i rho||_1 <= 2 sqrt(mass) H.  The kernels of J and S are at most 1,
+    so J moves by at most 4 d mass^(3/2) D and S (and lhs) by
+    16 d^2 mass D (2 H + D) + 2 d^2 (4 sqrt(L^d) D_rho sqrt(mass) H
+    + L^d D_rho^2).  Each record rounds its own sums besides, within
+    2 ntot eps T_v (_term_bounds).
+
+    acc_grad_lp folds G^l over time, G = ||sqrt(tr K)||_{L^p_x}.  A sup is
+    at most the l^2 norm of the grid values, so |d d_i u| <= E =
+    D / sqrt(cell dy) at every point, |d tr K| <= 2 pi d (2 A E + E^2) with
+    A = max |d_i u|, and G moves by at most delta = L^(d/p)
+    sqrt(2 pi d (2 A E + E^2)); G^l by l (G + delta)^(l-1) delta, and the
+    trapezoid fold adds up these moves.
+    """
+    from nlslab import field
+    from nlslab.cli import RecordBuilder
+    from nlslab.field import _lr_x, densities, from_profile
+    from nlslab.integrator import StepControl, evolve
+    cfg = parse_config(json.dumps(config))
+    g = cfg.grid()
+    profile = _x_profile(g.d)
+    snaps = []
+    evolve(from_profile(g, lambda *a: profile(*a) * (1 + 0.3 * np.cos(a[-1]))),
+           cfg.physics(), StepControl(dt=1e-2, t_end=6e-2, sample_every=2),
+           sinks=[lambda fld, flag: snaps.append(fld)])
+    assert len(snaps) == 4 and all(f._column is None for f in snaps)
+    pair = field._x_derivative
+    got, _ = _records(RecordBuilder, snaps, cfg)
+    monkeypatch.setattr(field, "_x_derivative", coefficient_path_derivative)
+    want, builder = _records(RecordBuilder, snaps, cfg)
+    acc = builder.accumulators
+    ell, p = float(acc.aux.l), float(acc.aux.p)
+    beta, xi_max = 8 * math.log2(g.ntot) * EPS, math.pi * g.Nx / g.L
+    Ld = g.L ** g.d
+    moves = []  # the bound on the move of G^l per snapshot
+    for f, new, old in zip(snaps, got, want):
+        ds = densities(f, 2.0)  # the oracle's pass: only rho, K and their sums are read
+        u, mass, H = f.samples(), old["mass"], old["h1_norm"]
+        D = xi_max * beta * math.sqrt(mass)
+        D_rho = xi_max * beta * math.sqrt(g.cell * np.sum(ds.rho ** 2))
+        A = 0.0
+        for i in range(g.d):
+            oracle = coefficient_path_derivative(u, g, i)
+            A = max(A, np.abs(oracle).max())
+            d_u = pair(u, g, i) - oracle
+            assert math.sqrt(g.cell * g.dy * np.sum(np.abs(d_u) ** 2)) <= D
+            d_rho = pair(ds.rho, g, i) - coefficient_path_derivative(ds.rho, g, i)
+            assert math.sqrt(g.cell * np.sum(np.abs(d_rho) ** 2)) <= D_rho
+        sums = _term_bounds(f, cfg, old, ell)
+        rounding = {k: 2 * g.ntot * EPS * sums[k]
+                    for k in ("J", "positivity_S", "morawetz_lhs", "acc_grad_lp")}
+        shift = {"J": 4 * g.d * mass ** 1.5 * D,
+                 "positivity_S": 16 * g.d ** 2 * mass * D * (2 * H + D)
+                 + 2 * g.d ** 2 * (4 * math.sqrt(Ld) * D_rho * math.sqrt(mass) * H
+                                   + Ld * D_rho ** 2)}
+        shift["morawetz_lhs"] = shift["positivity_S"]
+        for key, value in shift.items():
+            assert abs(new[key] - old[key]) <= value + 2 * rounding[key], key
+        assert new["morawetz_rhs"] == old["morawetz_rhs"]
+        E = D / math.sqrt(g.cell * g.dy)
+        delta = Ld ** (1 / p) * math.sqrt(2 * math.pi * g.d * (2 * A * E + E ** 2))
+        G = _lr_x(np.trace(ds.K), p, g.cell)
+        moves.append(ell * (G + delta) ** (ell - 1) * delta + 2 * rounding["acc_grad_lp"])
+    total = 0.0
+    for k in range(1, len(snaps)):
+        total += 0.5 * (moves[k - 1] + moves[k]) * (snaps[k].time_tag - snaps[k - 1].time_tag)
+        assert abs(got[k]["acc_grad_lp"] - want[k]["acc_grad_lp"]) <= total
 
 
 @pytest.mark.parametrize("config", [
@@ -936,6 +1114,31 @@ class TestRunPreset:
         run_preset(cfg)
         manifest = load_json(tmp_path / "manifest.json")
         assert manifest["y_independent"] is False
+
+    @pytest.mark.parametrize("mod", [0.0, 0.3])
+    def test_y_independence_judged_once(self, tmp_path, monkeypatch, mod):
+        # run_preset writes the judgement into the manifest and evolve steps
+        # by it: the datum remembers it, so a file datum is scanned once
+        from nlslab import field
+        from nlslab.field import SpectralField, from_profile, save_field
+        text = cfg_text(grid={"Nx": 256, "Ny": 4, "L": 60.0},
+                        control={"dt": 0.01, "t_end": 0.1, "sample_every": 5},
+                        output_dir=str(tmp_path / "out"))
+        g = parse_config(text).grid()
+        datum = from_profile(g, lambda x, y: np.exp(-x ** 2) * (1 + mod * np.cos(y)))
+        path = tmp_path / "datum.bin"
+        save_field(SpectralField(g, datum.coefficients), str(path))
+        cfg = parse_config(cfg_text(**json.loads(text),
+                                    datum={"kind": "file", "path": str(path)}))
+        scans = []
+
+        def counted(fld, _scan=field._y_constant):
+            scans.append(fld._samples is None)  # read from the coefficients
+            return _scan(fld)
+        monkeypatch.setattr(field, "_y_constant", counted)
+        run_preset(cfg)
+        assert scans == [True]
+        assert load_json(tmp_path / "out" / "manifest.json")["y_independent"] is (mod == 0)
 
     def test_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

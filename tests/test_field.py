@@ -9,12 +9,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import fft as sfft
 
+from conftest import _CountedFFT, coefficient_path_derivative, perfbench_workloads
 from nlslab.field import (
     Grid,
     SpectralField,
-    _gradient_multipliers,
     _linear_phase,
     _multiplier_norm,
+    _x_derivative,
     _y_mode_power,
     abs_power,
     abs_sq,
@@ -756,22 +757,30 @@ class TestLeanDensityPass:
 
     @pytest.mark.parametrize("grid", [Grid(1, 40.0, 256, 16), Grid(2, 20.0, 32, 8)])
     def test_gradient_transform_bitwise(self, grid):
-        c = random_field(grid, 31).coefficients
-        for xg, m in zip(grid.xi_grids(), _gradient_multipliers(grid)):
-            direct = sfft.ifftn(c * (1j * xg) * grid.x_phase()) * grid.ntot
-            fused = sfft.ifftn(c * m, overwrite_x=True, norm="forward")
-            assert np.array_equal(1j * fused, direct)
+        # the pair scaled by norm="forward" and with the multiplier xi_i is
+        # the direct pair with i xi_i, up to the factor i, bit for bit
+        u = random_field(grid, 31).samples()
+        for i in range(grid.d):
+            shape = [1] * u.ndim
+            shape[i] = grid.Nx
+            ik = 1j * grid.xi_axis().reshape(shape)
+            direct = sfft.ifft(sfft.fft(u, axis=i) * ik, axis=i)
+            assert np.array_equal(1j * _x_derivative(u, grid, i), direct)
 
     @staticmethod
     def x_gradient(grid, arr):
         """Oracle: the spectral x-gradient of a real array on the x grid, the
-        real part of ifftn(fftn(arr) * i xi_i) per x axis."""
-        ah = sfft.fftn(arr)
+        real part of ifft(fft(arr) * i xi_i) along each x axis i, scaled by
+        1/Nx at the forward transform.  A scaling by a power of two is exact
+        but where the values are subnormal, as on a whole x line far from a
+        d = 2 bump, so there its place changes the bits."""
         out = np.empty((grid.d,) + arr.shape)
         for i in range(grid.d):
             shape = [1] * arr.ndim
             shape[i] = grid.Nx
-            out[i] = sfft.ifftn(ah * (1j * grid.xi_axis().reshape(shape))).real
+            ik = 1j * grid.xi_axis().reshape(shape)
+            ah = sfft.fft(arr, axis=i, norm="forward")
+            out[i] = sfft.ifft(ah * ik, axis=i, norm="forward").real
         return out
 
     @pytest.mark.parametrize("grid", [
@@ -779,8 +788,8 @@ class TestLeanDensityPass:
         ids=["decay-1d", "morawetz-2d", "scattering-1d"])
     @pytest.mark.parametrize("column", [False, True], ids=["y-dependent", "column"])
     def test_grad_rho_equals_the_direct_gradient(self, grid, column):
-        # grad rho takes the density pass's multipliers on rho's column: the
-        # same values as the direct transform pair on rho, bit for bit
+        # grad rho takes the density pass's transform pair on rho: the same
+        # values as the direct pair along each x axis, bit for bit
         mesh = np.meshgrid(*[grid.x_axis()] * grid.d, grid.y_axis(), indexing="ij")
         r2 = sum(x ** 2 for x in mesh[:-1])
         u = np.exp(-r2 / 2.0 + 0.7j * mesh[0]) * (1 + 0.3 * np.cos(mesh[-1]))
@@ -919,21 +928,99 @@ def test_transforms_bitwise_equal_to_out_of_place_formulas(grid, mod):
     assert SpectralField(grid, c).samples().tobytes() == back.tobytes()
 
 
+class TestLazyCoefficients:
+    """A field holds what it was built from and computes the other
+    representation on first read, once."""
+
+    @staticmethod
+    def eager(grid, u):
+        """Oracle: the coefficients from_samples computed at construction,
+        fftn over the samples' long axes divided by their size times the
+        (-1)^k phases, placed at n = 0 with +0 elsewhere for a y column."""
+        axes = [k for k, m in enumerate(u.shape) if m > 1]
+        c = sfft.fftn(u, axes=axes, norm="forward", workers=fft_workers())
+        c *= grid.x_phase()
+        if u.shape == grid.shape:
+            return c
+        full = np.zeros(grid.shape, complex)
+        full[..., :1] = c
+        return full
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("column", [False, True], ids=["grid", "column"])
+    def test_no_transform_until_coefficients_are_read(self, g1, g2, d, column,
+                                                      monkeypatch):
+        from nlslab import field
+        grid = g1 if d == 1 else g2
+        u = random_field(grid, 53).samples().copy()
+        if column:
+            u = u[..., :1].copy()
+        fake = _CountedFFT(grid.ntot)
+        monkeypatch.setattr(field, "sfft", fake)
+        f = SpectralField.from_samples(grid, u, 0.5)
+        f.samples()
+        y_independent(f)
+        assert fake.log == []
+        c = f.coefficients
+        assert fake.log == [("fftn", u.shape, list(range(d)) + ([] if column else [d]))]
+        assert f.coefficients is c and len(fake.log) == 1  # cached
+        assert f._coefficients is c and f.samples().shape == grid.shape
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid=st.sampled_from([Grid(1, 40.0, 4, 4), Grid(1, 40.0, 256, 16),
+                                 Grid(2, 16.0, 32, 8), Grid(2, 10.0, 4, 64)]),
+           column=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+           decades=st.integers(0, 300))
+    def test_coefficients_are_the_eager_ones(self, grid, column, seed, decades):
+        # byte for byte, signs of zeros included
+        rng = np.random.default_rng(seed)
+        shape = grid.shape[:-1] + (1,) if column else grid.shape
+        u = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+            * 10.0 ** rng.uniform(-decades, decades, shape)
+        f = SpectralField.from_samples(grid, u.copy())
+        assert f.coefficients.tobytes() == self.eager(grid, u).tobytes()
+
+    def test_coefficient_field_builds_samples_when_read(self, g2, monkeypatch):
+        from nlslab import field
+        c = random_field(g2, 59).coefficients
+        fake = _CountedFFT(g2.ntot)
+        monkeypatch.setattr(field, "sfft", fake)
+        f = SpectralField(g2, c)
+        assert f.coefficients is not None and not y_independent(f)
+        assert fake.log == [] and f._samples is None
+        u = f.samples()
+        assert fake.log == [("ifftn", g2.shape, [0, 1, 2])]
+        assert f.samples() is u and len(fake.log) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(Nx=st.sampled_from([4, 256, 4096, 16384]), seed=st.integers(0, 2 ** 32 - 1),
+       decades=st.integers(0, 150))
+def test_column_x_pair_is_the_coefficient_path(Nx, seed, decades):
+    """On a d = 1 y column, and on a real rho on the x grid, the density
+    pass's transform pair along x (_x_derivative) gives the bytes of the
+    coefficient path it replaced: the inverse of the column's coefficients
+    times xi_k (-1)^k (conftest.coefficient_path_derivative).  The two
+    differ only by the (-1)^k phases, applied twice there and not at all
+    here, and by the pair's scaling, all exact; that each line's 1-D
+    transform rounds alike in both calls is a property of the pocketfft
+    build, not a law.  It is what keeps the J, S, lhs and rhs columns of a
+    d = 1 column record, the decay preset's, the bytes they had.  The
+    entries span up to 300 decades, and rho up to 600, short of overflow."""
+    grid = Grid(1, 200.0, Nx, 4)
+    rng = np.random.default_rng(seed)
+    col = (rng.standard_normal((Nx, 1)) + 1j * rng.standard_normal((Nx, 1))) \
+        * 10.0 ** rng.uniform(-decades, decades, (Nx, 1))
+    rho = np.abs(col[:, 0]) ** 2
+    for a in (col, rho):
+        want = coefficient_path_derivative(a, grid, 0)
+        assert _x_derivative(a, grid, 0).tobytes() == want.tobytes()
+
+
 def _workload_datum(name, seed):
     """The grid and the datum samples of a benchmark workload, from
     perfbench/workloads.py."""
-    import importlib.util
-    import os
-    import sys
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads_datum", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclass looks the module up
-    try:
-        spec.loader.exec_module(workloads)
-    finally:
-        del sys.modules[spec.name]
+    workloads = perfbench_workloads()
     wl = workloads.WORKLOADS[name]
     grid = Grid(*(wl.grid[k] for k in ("d", "L", "Nx", "Ny")))
     return grid, workloads.datum_samples(wl, seed)
@@ -947,7 +1034,7 @@ def test_transform_pair_is_the_former_expressions(name, seed, column):
     # replaced divided by the size after an unnormalized forward transform
     # and multiplied by it after the inverse one, which divides by it.  The
     # same bits on each workload datum, on the grid and on its first y
-    # column, for the samples' multiplier and the gradients'
+    # column
     from nlslab.field import _forward, _inverse, long_axes
     grid, u = _workload_datum(name, seed)
     if column:
@@ -957,10 +1044,9 @@ def test_transform_pair_is_the_former_expressions(name, seed, column):
     c /= size
     c *= grid.x_phase()
     assert _forward(u, grid).tobytes() == c.tobytes()
-    for m in (grid.x_phase(), *_gradient_multipliers(grid)):
-        back = sfft.ifftn(c * m, axes=axes, overwrite_x=True, workers=w)
-        back *= size
-        assert _inverse(c, m).tobytes() == back.tobytes()
+    back = sfft.ifftn(c * grid.x_phase(), axes=axes, overwrite_x=True, workers=w)
+    back *= size
+    assert _inverse(c, grid).tobytes() == back.tobytes()
 
 
 class TestFftWorkers:
@@ -986,7 +1072,7 @@ class TestFftWorkers:
         import scipy.fft
         from nlslab import field, integrator
         seen = []
-        for name in ("fft", "fftn", "ifftn"):
+        for name in ("fft", "ifft", "fftn", "ifftn"):
             def recorded(x, *args, _fn=getattr(scipy.fft, name), **kwargs):
                 seen.append(kwargs.get("workers"))
                 return _fn(x, *args, **kwargs)

@@ -93,8 +93,8 @@ def test_separable_phase_matches_full_grid_exp(grid, dt):
 
 @pytest.mark.parametrize("steps, every", [(1, 1), (4, 2), (7, 3), (5, 10)])
 def test_transforms_per_run(g1, gaussian, monkeypatch, steps, every):
-    # two per step, none for the step-0 snapshot (the datum, samples cached)
-    # and one forward transform for each later snapshot; the guard adds none
+    # two per step and none for a snapshot: each holds the samples it was
+    # built from, and the guard reads samples alone
     from nlslab import field, integrator
     fake = _CountedFFT(g1.ntot)
     monkeypatch.setattr(field, "sfft", fake)
@@ -103,7 +103,32 @@ def test_transforms_per_run(g1, gaussian, monkeypatch, steps, every):
     evolve(gaussian, PhysicsParams(3.0, 1),
            StepControl(dt=1e-3, t_end=steps * 1e-3, sample_every=every),
            sinks=[lambda f, flag: seen.append(f)], guard_tol=1e-3)
-    assert fake.calls == 2 * steps + len(seen) - 1
+    assert len(seen) == 1 + -(-steps // every)
+    assert fake.calls == 2 * steps
+
+
+@pytest.mark.parametrize("kept", [[1], [0, 2], [1, 2, 3]])
+def test_kept_snapshot_adds_one_forward_transform(g1, gaussian, monkeypatch, kept):
+    # a sink that keeps a snapshot's coefficients makes its one forward
+    # transform, once however often they are read; the step-0 snapshot is
+    # the datum, whose coefficients were read before the run
+    from nlslab import field, integrator
+    gaussian.coefficients  # step 0's snapshot: read before the count starts
+    stepping, fake = _CountedFFT(g1.ntot), _CountedFFT(g1.ntot)
+    monkeypatch.setattr(field, "sfft", fake)
+    monkeypatch.setattr(integrator, "sfft", stepping)
+    seen = []
+
+    def keep(f, flag):
+        if len(seen) in kept:
+            f.coefficients, f.coefficients
+        seen.append(f)
+    evolve(gaussian, PhysicsParams(3.0, 1),
+           StepControl(dt=1e-3, t_end=6e-3, sample_every=2),
+           sinks=[keep], guard_tol=1e-3)
+    assert len(seen) == 4 and stepping.calls == 12
+    forward = [k for k in kept if k > 0]
+    assert fake.log == [("fftn", g1.shape, [0, 1])] * len(forward)
 
 
 def test_transforms_per_y_independent_run(g1, monkeypatch):
@@ -842,7 +867,7 @@ def _bits_up_to_zero_signs(a, b):
 def test_column_inverse_is_the_full_grid_one(grid, seed, decades, zeros):
     """A field whose coefficients are zero, of either sign, at every n != 0
     has samples equal along each y line, and the x-only inverse of its
-    n = 0 column (_inverse(c[..., :1], x_phase)) is their n = 0 column,
+    n = 0 column (_inverse(c[..., :1], grid)) is their n = 0 column,
     byte for byte in every part that is not zero.
 
     A y-independent run of a datum of coefficients only starts from that
@@ -869,4 +894,4 @@ def test_column_inverse_is_the_full_grid_one(grid, seed, decades, zeros):
     assert y_independent(f)
     u = f.samples()
     assert _bits_up_to_zero_signs(u, np.repeat(u[..., :1], grid.Ny, axis=-1))
-    assert _bits_up_to_zero_signs(_inverse(c[..., :1], grid.x_phase()), u[..., :1])
+    assert _bits_up_to_zero_signs(_inverse(c[..., :1], grid), u[..., :1])

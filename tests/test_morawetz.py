@@ -441,7 +441,10 @@ class TestRecorderSinglePass:
     @pytest.mark.parametrize("d, alpha", [(1, "5"), (2, "3")])
     def test_record_builder_call_counts(self, d, alpha, monkeypatch):
         # the Morawetz pairings and the gradient accumulator share one
-        # density pass, whose x-gradients are the only full-grid inverse FFTs
+        # density pass, which reads the samples alone: one transform pair
+        # along each x axis for d_i u and for d_i rho, and no full-grid
+        # fftn or ifftn.  The y-mode power's y transform is the record's
+        # one more full-grid transform
         import json
         import scipy.fft
         from nlslab import cli, morawetz
@@ -449,18 +452,30 @@ class TestRecorderSinglePass:
             {"preset": "scattering", "d": d, "alpha": alpha,
              "grid": {"Nx": 32, "Ny": 4, "L": 16.0}}))
         fld = cli.build_datum(cfg)
+        g = fld.grid
         builder = cli.RecordBuilder(cfg)
         assert builder.accumulators is not None  # the space-time accumulators run
-        calls = {"densities": 0, "ifftn": 0}
+        calls = {"densities": 0, "fftn": 0, "ifftn": 0}
+        pairs = []
 
         def densities_counted(*args, _fn=morawetz.densities, **kw):
             calls["densities"] += 1
             return _fn(*args, **kw)
-
-        def ifftn_counted(x, *args, _fn=scipy.fft.ifftn, **kw):
-            calls["ifftn"] += np.size(x) == fld.grid.ntot
-            return _fn(x, *args, **kw)
         monkeypatch.setattr(morawetz, "densities", densities_counted)
-        monkeypatch.setattr(scipy.fft, "ifftn", ifftn_counted)
+        for name in ("fftn", "ifftn"):
+            def full_counted(x, *args, _fn=getattr(scipy.fft, name), _name=name, **kw):
+                calls[_name] += np.size(x) == g.ntot
+                return _fn(x, *args, **kw)
+            monkeypatch.setattr(scipy.fft, name, full_counted)
+        for name in ("fft", "ifft"):
+            def logged(x, *args, _fn=getattr(scipy.fft, name), _name=name, **kw):
+                pairs.append((_name, np.size(x), kw.get("axis")))
+                return _fn(x, *args, **kw)
+            monkeypatch.setattr(scipy.fft, name, logged)
         builder(fld, False)
-        assert calls == {"densities": 1, "ifftn": d}
+        assert calls == {"densities": 1, "fftn": 0, "ifftn": 0}
+        assert pairs == ([(name, g.ntot, i) for i in range(d) for name in ("fft", "ifft")]
+                         + [(name, g.Nx ** d, i) for i in range(d)
+                            for name in ("fft", "ifft")]
+                         + [("fft", g.ntot, -1)])
+        assert fld._coefficients is None  # the record never read them
